@@ -434,21 +434,24 @@ def validate_pseudo_forest(g: Graph, edge_ids: frozenset[int]) -> Verdict:
         return root
 
     edge_count: dict[int, int] = {}
+    node_count: dict[int, int] = {}
     for eid in edge_ids:
         u, v = g.edges[eid]
         for w in (u, v):
             if w not in parent:
                 parent[w] = w
+                node_count[w] = 1
     for eid in edge_ids:
         u, v = g.edges[eid]
         ru, rv = find(u), find(v)
         count = edge_count.pop(ru, 0) + 1
         if ru != rv:
             count += edge_count.pop(rv, 0)
+            node_count[ru] += node_count.pop(rv)
             parent[rv] = ru
         edge_count[ru] = count
     for root, count in edge_count.items():
-        size = sum(1 for v in parent if find(v) == root)
+        size = node_count[root]
         if count > size:
             return Verdict(
                 False,

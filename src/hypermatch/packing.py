@@ -1,7 +1,7 @@
 """Greedy fractional packings and their rounding to independent sets.
 
-This mirrors the matching pipeline on the vertex side.  A greedy packing
-is a nonnegative vertex assignment together with a witness order of its
+This is the matching pipeline on the vertex side.  A greedy packing is a
+nonnegative vertex assignment together with a witness order of its
 support under which every vertex fits its closed unit budget:
 
     x_v + sum of x_u over earlier neighbors u  <=  1.
@@ -10,17 +10,22 @@ In a graph whose neighborhood independence is bounded by r, closed loads
 of a greedy packing never exceed max(r, 1), which is what makes the
 doubling and rounding losses proportional to r rather than to the degree.
 Rounding a packing to an integral one yields an independent set.
+
+The rounding algorithm itself lives once, in `rounding`.  This module
+supplies its load model: nodes load their closed neighborhood and are
+frozen by their own closed load, the conflict graph of a support is the
+induced subgraph, rho is the independence bound, validity is
+`verify_greedy_packing`, and the color sweep also raises a node whose
+closed load is exactly 1/2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import VertexColoring, defective_coloring, linial_coloring
+from .coloring import VertexColoring, linial_coloring
 from .core import (
-    HALF,
     ONE,
     ZERO,
     Graph,
@@ -28,13 +33,20 @@ from .core import (
     build_graph,
     induced_subgraph,
     is_dyadic,
-    is_power_of_two,
     next_power_of_two,
     validate_independent_set,
     validate_vertex_coloring,
 )
 from .ledger import RoundLedger
-from .rounding import _split_factor
+from .rounding import (
+    _approx,
+    _basic_round,
+    _drive,
+    _greedy,
+    _LoadModel,
+    _loads,
+    _recursive_round,
+)
 
 
 @dataclass(frozen=True)
@@ -53,12 +65,7 @@ class GreedyPacking:
 
 def closed_loads(g: Graph, values: dict[int, Fraction]) -> list[Fraction]:
     """Per-vertex sum over the closed neighborhood."""
-    loads = [ZERO] * g.n
-    for v, val in values.items():
-        loads[v] += val
-        for u in g.adjacency[v]:
-            loads[u] += val
-    return loads
+    return _loads(_PackingModel(g), values)
 
 
 def verify_greedy_packing(g: Graph, p: GreedyPacking) -> Verdict:
@@ -85,30 +92,61 @@ def verify_greedy_packing(g: Graph, p: GreedyPacking) -> Verdict:
     return Verdict(True)
 
 
-def _double_in_place(
-    g: Graph,
-    values: dict[int, Fraction],
-    witness: list[int],
-    loads: list[Fraction],
-) -> bool:
-    """Double every supported vertex whose closed load is strictly < 1/2.
+class _PackingModel(_LoadModel):
+    """Nodes load their closed neighborhood and are frozen by their own load."""
 
-    Doubled vertices move to the end of the witness in id order; a vertex
-    with closed load sigma < 1/2 can afford value + full neighborhood
-    after doubling since that is at most 2*sigma < 1.
-    """
-    movers = [v for v in values if loads[v] < HALF]
-    if not movers:
-        return False
-    mover_set = set(movers)
-    for v in movers:
-        delta = values[v]
-        values[v] *= 2
-        loads[v] += delta
-        for u in g.adjacency[v]:
-            loads[u] += delta
-    witness[:] = [v for v in witness if v not in mover_set] + sorted(movers)
-    return True
+    rho_name = "rho"
+    raise_at_half = True
+    noun = "vertex"
+    kind = "greedy packing"
+    suffix = "_packing"
+    recursion_rule = "factor < denom/2"
+
+    def __init__(
+        self, g: Graph, independence: int = 1, ledger: RoundLedger | None = None
+    ) -> None:
+        self.g = g
+        self.independence = independence
+        self.ledger = ledger
+        self.items = self.resources = g.n
+        self.rho = max(1, independence)
+
+    def loaded(self, i):
+        return (i, *self.g.adjacency[i])
+
+    def freezing(self, i):
+        return (i,)
+
+    def conflict(self, support):
+        return induced_subgraph(self.g, support)[0]
+
+    def base_coloring(self):
+        return linial_coloring(self.g, ledger=self.ledger)
+
+    def verdict(self, x):
+        return verify_greedy_packing(self.g, x)
+
+    def wrap(self, values, floor):
+        return GreedyPacking(values=values, witness=tuple(values))
+
+    def restrict(self, x, keep):
+        return self.wrap({v: x.values[v] for v in x.witness if keep(v)}, None)
+
+    def can_recurse(self, factor, denom):
+        return 2 * factor < denom
+
+    def greedy(self, denom):
+        return initial_packing(self.g, denom, self.ledger)
+
+    def basic(self, x, factor, denom, coloring):
+        return basic_round_packing(
+            self.g, x, factor, denom, self.independence, coloring, self.ledger
+        )
+
+    def recurse(self, x, factor, denom, coloring):
+        return recursive_round_packing(
+            self.g, x, factor, denom, self.independence, coloring, self.ledger
+        )
 
 
 def initial_packing(
@@ -122,36 +160,8 @@ def initial_packing(
     """
     if g.n == 0:
         return GreedyPacking(values={}, witness=())
-    base = next_power_of_two(g.max_degree + 1)
-    if denom is None:
-        denom = base
-    if not is_power_of_two(denom) or denom < base:
-        raise ValueError(f"denom must be a power of two >= {base}, got {denom}")
-    values = {v: Fraction(1, denom) for v in range(g.n)}
-    witness = list(range(g.n))
-    rounds = denom.bit_length() - 1
-    for _ in range(rounds):
-        loads = closed_loads(g, values)
-        if not _double_in_place(g, values, witness, loads):
-            break
-    loads = closed_loads(g, values)
-    for v in range(g.n):
-        if loads[v] < HALF:
-            raise RuntimeError(f"vertex {v} ended under-loaded at {loads[v]}")
-    out = GreedyPacking(values=values, witness=tuple(witness))
-    verdict = verify_greedy_packing(g, out)
-    if not verdict:
-        raise RuntimeError(f"initial packing invalid: {verdict.reason}")
-    if ledger is not None:
-        ledger.charge("greedy_packing", rounds, "log2(denom)")
-    return out
-
-
-def _check_packing_floor(x: GreedyPacking, denom: int) -> None:
-    floor = Fraction(1, denom)
-    for v, val in x.values.items():
-        if val < floor:
-            raise ValueError(f"vertex {v} has value {val} below 1/{denom}")
+    model = _PackingModel(g, ledger=ledger)
+    return _greedy(model, next_power_of_two(g.max_degree + 1), denom)
 
 
 def basic_round_packing(
@@ -171,65 +181,8 @@ def basic_round_packing(
     every input-support vertex has closed load >= 1/2, which caps the
     loss at a 1/(2*max(independence,1)) share.
     """
-    if not is_power_of_two(factor) or not is_power_of_two(denom):
-        raise ValueError("factor and denom must be powers of two")
-    if factor > denom:
-        raise ValueError(f"factor {factor} exceeds denom {denom}")
-    _check_packing_floor(x, denom)
-    pre = verify_greedy_packing(g, x)
-    if not pre:
-        raise ValueError(f"input is not a greedy packing: {pre.reason}")
-    target = Fraction(factor, denom)
-    support = x.support()
-    if not support:
-        return GreedyPacking(values={}, witness=())
-    if base_coloring is None:
-        base_coloring = linial_coloring(g, ledger=ledger)
-    sub, old_ids = induced_subgraph(g, support)
-    restricted = VertexColoring(
-        colors=tuple(base_coloring.colors[v] for v in old_ids),
-        palette_size=base_coloring.palette_size,
-    )
-    defect = max(0, denom // (2 * factor) - 1)
-    dcol = defective_coloring(sub, restricted, defect, ledger=ledger)
-
-    values: dict[int, Fraction] = {}
-    witness: list[int] = []
-    loads = [ZERO] * g.n
-    by_color: dict[int, list[int]] = {}
-    for i, v in enumerate(old_ids):
-        by_color.setdefault(dcol.colors[i], []).append(v)
-    for color in sorted(by_color):
-        raised = [v for v in by_color[color] if loads[v] <= HALF]
-        for v in raised:
-            values[v] = target
-            loads[v] += target
-            for u in g.adjacency[v]:
-                loads[u] += target
-        witness.extend(raised)
-    doubling = 0
-    cap = (denom // factor).bit_length() - 1
-    while _double_in_place(g, values, witness, loads):
-        doubling += 1
-        if doubling > cap:
-            raise RuntimeError(f"doubling exceeded log2(denom/factor) = {cap}")
-    for v in support:
-        if loads[v] < HALF:
-            raise RuntimeError(f"support vertex {v} has closed load {loads[v]} < 1/2")
-    out = GreedyPacking(values=values, witness=tuple(witness))
-    verdict = verify_greedy_packing(g, out)
-    if not verdict:
-        raise RuntimeError(f"basic packing round invalid: {verdict.reason}")
-    rho = max(1, independence)
-    if out.total() * 2 * rho < x.total():
-        raise RuntimeError("basic packing round lost more than a 1/(2*rho) share")
-    if ledger is not None:
-        ledger.charge(
-            "basic_round_packing",
-            dcol.palette_size + doubling,
-            "palette(L^2 r^2) + log2(denom/factor)",
-        )
-    return out
+    model = _PackingModel(g, independence, ledger)
+    return _basic_round(model, x, factor, denom, base_coloring)
 
 
 def recursive_round_packing(
@@ -248,75 +201,8 @@ def recursive_round_packing(
     (otherwise a single basic pass is already valid and loses less), which
     keeps every nested call inside its own precondition.
     """
-    if not is_power_of_two(factor) or not is_power_of_two(denom):
-        raise ValueError("factor and denom must be powers of two")
-    if 2 * factor >= denom:
-        raise ValueError(
-            f"recursive packing rounding needs factor < denom/2, got {factor} vs {denom}"
-        )
-    _check_packing_floor(x, denom)
-    pre = verify_greedy_packing(g, x)
-    if not pre:
-        raise ValueError(f"input is not a greedy packing: {pre.reason}")
-    if factor <= 4 or 4 * factor >= denom:
-        return basic_round_packing(
-            g, x, factor, denom, independence, base_coloring, ledger
-        )
-    if base_coloring is None:
-        base_coloring = linial_coloring(g, ledger=ledger)
-    rho = max(1, independence)
-    cap = 16 * rho
-    total_x = x.total()
-    target_total = Fraction(total_x, 4 * rho)
-    s1, s2 = _split_factor(factor)
-    values: dict[int, Fraction] = {}
-    witness: list[int] = []
-    running = ZERO
-    iterations = 0
-    while running < target_total and iterations < cap:
-        loads = closed_loads(g, values)
-        z_vals = {v: val for v, val in x.values.items() if loads[v] < HALF}
-        if not z_vals:
-            break
-        z = GreedyPacking(
-            values=z_vals, witness=tuple(v for v in x.witness if v in z_vals)
-        )
-        z1 = recursive_round_packing(
-            g, z, s1, denom, independence, base_coloring, ledger
-        )
-        z2 = recursive_round_packing(
-            g, z1, s2, denom // s1, independence, base_coloring, ledger
-        )
-        gain = z2.total() / 2
-        if running < target_total and gain * 64 * rho * rho < total_x:
-            raise RuntimeError(
-                f"iteration gain {gain} below total/(64 rho^2) while behind"
-            )
-        # Merge keeps a valid witness: vertices already half-loaded stay in
-        # place, still-slack old support goes next (their closed load is
-        # below 1/2, so any order works), and the new contribution carries
-        # its own witness with everything else charged against the slack.
-        z2_support = set(z2.values)
-        seg1 = [v for v in witness if loads[v] >= HALF]
-        seg2 = [v for v in witness if loads[v] < HALF and v not in z2_support]
-        seg3 = list(z2.witness)
-        for v, val in z2.values.items():
-            values[v] = values.get(v, ZERO) + val / 2
-        witness = seg1 + seg2 + seg3
-        running += gain
-        iterations += 1
-    if running < target_total:
-        raise RuntimeError(
-            f"recursive packing kept {running} < {target_total} "
-            f"after {iterations} iterations"
-        )
-    out = GreedyPacking(values=values, witness=tuple(witness))
-    verdict = verify_greedy_packing(g, out)
-    if not verdict:
-        raise RuntimeError(f"recursive packing round invalid: {verdict.reason}")
-    if ledger is not None:
-        ledger.charge("recursive_round_packing", iterations, "16*rho iterations")
-    return out
+    model = _PackingModel(g, independence, ledger)
+    return _recursive_round(model, x, factor, denom, base_coloring)
 
 
 def approx_mis(
@@ -325,35 +211,12 @@ def approx_mis(
     """Independent set of size at least MIS / (32 * max(independence,1)^3)."""
     if g.n == 0:
         return frozenset()
-    denom = next_power_of_two(g.max_degree + 1)
-    x = initial_packing(g, denom, ledger)
-    if denom > 1:
-        base_coloring = linial_coloring(g, ledger=ledger)
-        lg = denom.bit_length() - 1
-        stage = denom // (lg * lg)
-        left = 1 << (stage.bit_length() - 1) if stage >= 1 else 1
-        if left >= 2 and 4 * left <= denom:
-            x = recursive_round_packing(
-                g, x, left, denom, independence, base_coloring, ledger
-            )
-        else:
-            left = 1
-        remaining = denom // left
-        x = basic_round_packing(
-            g, x, remaining, remaining, independence, base_coloring, ledger
-        )
-    chosen = frozenset(v for v, val in x.values.items() if val == ONE)
-    if len(chosen) != len(x.values):
-        raise RuntimeError("final packing round left fractional values")
+    model = _PackingModel(g, independence, ledger)
+    chosen = _approx(model, next_power_of_two(g.max_degree + 1))
     verdict = validate_independent_set(g, chosen)
     if not verdict:
         raise RuntimeError(f"rounded packing is not independent: {verdict.reason}")
     return chosen
-
-
-def _driver_iteration_cap(g: Graph, independence: int) -> int:
-    rho = max(1, independence)
-    return math.ceil(32 * rho**3 * math.log2(max(2, g.n))) + 1
 
 
 def maximal_independent_set(
@@ -361,31 +224,25 @@ def maximal_independent_set(
 ) -> frozenset[int]:
     """Repeat approx_mis, removing closed neighborhoods, until maximal."""
     chosen: set[int] = set()
-    alive = tuple(range(g.n))
-    iterations = 0
-    cap = _driver_iteration_cap(g, independence)
-    while alive:
+
+    def step(alive: tuple[int, ...]) -> tuple[int, ...]:
         sub, old_ids = induced_subgraph(g, alive)
         found = approx_mis(sub, independence, ledger)
-        if not found and sub.n > 0:
+        if not found:
             raise RuntimeError("approximate MIS came back empty on a nonempty graph")
-        removed = set()
+        removed = set(found)
         for i in found:
             chosen.add(old_ids[i])
-            removed.add(i)
             removed.update(sub.adjacency[i])
-        alive = tuple(i for idx, i in enumerate(old_ids) if idx not in removed)
-        iterations += 1
-        if iterations > cap:
-            raise RuntimeError(f"driver exceeded {cap} iterations")
+        return tuple(v for idx, v in enumerate(old_ids) if idx not in removed)
+
+    _, iterations = _drive(g.n, independence, tuple(range(g.n)), step)
     result = frozenset(chosen)
     verdict = validate_independent_set(g, result, require_maximal=True)
     if not verdict:
         raise RuntimeError(f"driver output invalid: {verdict.reason}")
     if ledger is not None:
-        ledger.charge(
-            "mis_driver", iterations, "32 rho^3 log2(n) iterations"
-        )
+        ledger.charge("mis_driver", iterations, "32 rho^3 log2(n) iterations")
     return result
 
 

@@ -6,6 +6,15 @@ based pass rounds it coarsely (losing 2*rank); a square-root recursion
 composes such passes to round by a large factor while losing only 4*rank;
 a driver extracts integral matchings and iterates to maximality.
 
+The rounding algorithm is written once here, as the underscore-private
+engine below, and runs on a load model.  Items carry dyadic values and
+load resources; an item is frozen once a resource that freezes it carries
+load at least 1/2.  This module supplies the matching model (hyperedges
+load and are frozen by their vertices, the conflict graph of a support is
+its line graph, rho is the rank); `packing` supplies the closed-
+neighborhood model of greedy packings.  Value dicts inside the engine are
+kept in witness order, which only the packing side reads.
+
 Every intermediate assignment is a valid fractional matching and the
 checks below are exact rational arithmetic, so a violated bound raises
 instead of drifting.
@@ -14,6 +23,7 @@ instead of drifting.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,16 +36,20 @@ from .core import (
     Hypergraph,
     Matching,
     build_fractional_assignment,
-    build_graph,
     induced_subhypergraph,
     is_power_of_two,
+    line_graph,
     next_power_of_two,
     unblocked_edges,
     validate_fractional_matching,
     validate_matching,
-    vertex_loads,
 )
 from .ledger import RoundLedger
+
+
+def _cascade_fits(factor: int, denom: int) -> bool:
+    j = factor.bit_length() - 1
+    return factor * j * j <= denom
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,6 @@ class RoundingParams:
 
     factor: int
     denom: int
-    iteration_cap: int | None = None
 
     def validate(self, recursive: bool = False) -> None:
         if not is_power_of_two(self.factor):
@@ -57,20 +70,351 @@ class RoundingParams:
             raise ValueError(f"denom must be a power of two, got {self.denom}")
         if self.factor > self.denom:
             raise ValueError(f"factor {self.factor} exceeds denom {self.denom}")
-        if recursive:
+        if recursive and not _cascade_fits(self.factor, self.denom):
             j = self.factor.bit_length() - 1
-            if self.factor * j * j > self.denom:
-                raise ValueError(
-                    f"recursive rounding needs factor*log2(factor)^2 <= denom, "
-                    f"got {self.factor}*{j}^2 > {self.denom}"
-                )
+            raise ValueError(
+                f"recursive rounding needs factor*log2(factor)^2 <= denom, "
+                f"got {self.factor}*{j}^2 > {self.denom}"
+            )
 
 
-def _check_floor(x: FractionalAssignment, denom: int) -> None:
+class _LoadModel:
+    """One side of the rounding, as the engine sees it.
+
+    Items 0..items-1 carry dyadic values and load resources
+    0..resources-1; an item is frozen once a resource that freezes it
+    carries load >= 1/2.  Besides the attributes below a side supplies:
+
+    - ``loaded(i)`` and ``freezing(i)``: the resources item i loads and
+      the resources that freeze it;
+    - ``conflict(support)``: the conflict graph of a sorted support, node
+      k standing for support[k]; ``base_coloring()`` colors all items;
+    - ``verdict(x)``: the validity verdict; ``wrap(values, floor)``: the
+      output, whose values the engine keeps in witness order;
+      ``restrict(x, keep)``: a valid x cut down to the items ``keep`` accepts;
+    - ``can_recurse(factor, denom)``: the recursive pass's precondition;
+    - ``greedy``, ``basic`` and ``recurse``: calls to the side's public
+      passes, so that nested passes re-enter through them.
+    """
+
+    items: int
+    resources: int
+    rho: int  # the loss parameter, >= 1
+    rho_name: str  # how ledger formulas and messages spell rho
+    raise_at_half: bool  # the sweep also raises an item frozen exactly at 1/2
+    noun: str  # what messages call an item
+    kind: str  # what messages call a valid assignment
+    suffix: str  # appended to the greedy, basic and recursive ledger labels
+    recursion_rule: str  # can_recurse, spelled out for messages
+    ledger: RoundLedger | None
+
+    def recheck(self, values: dict[int, Fraction], where: str) -> None:
+        """Per-step validity recheck; a side with none leaves this empty."""
+
+    def charge(self, label: str, rounds: int, formula: str) -> None:
+        if self.ledger is not None:
+            self.ledger.charge(label, rounds, formula)
+
+
+def _loads(model: _LoadModel, values: dict[int, Fraction]) -> list[Fraction]:
+    loads = [ZERO] * model.resources
+    for i, val in values.items():
+        for r in model.loaded(i):
+            loads[r] += val
+    return loads
+
+
+def _frozen(model: _LoadModel, loads: list[Fraction], i: int, past=operator.ge) -> bool:
+    return any(past(loads[r], HALF) for r in model.freezing(i))
+
+
+def _double(model: _LoadModel, values: dict[int, Fraction], loads: list[Fraction]):
+    """Double every item that is not frozen; False if none moved.
+
+    Doubled items move to the end of the witness order in id order.  A
+    packing node with closed load sigma < 1/2 can afford its value plus its
+    full neighborhood after doubling, since that is at most 2*sigma < 1.
+    """
+    movers = [i for i in values if not _frozen(model, loads, i)]
+    for i in sorted(movers):
+        val = values.pop(i)
+        for r in model.loaded(i):
+            loads[r] += val
+        values[i] = val * 2
+    return bool(movers)
+
+
+def _finish(model: _LoadModel, values: dict[int, Fraction], floor: Fraction, what: str):
+    out = model.wrap(values, floor)
+    verdict = model.verdict(out)
+    if not verdict:
+        raise RuntimeError(f"{what} produced an invalid {model.kind}: {verdict.reason}")
+    return out
+
+
+def _greedy(model: _LoadModel, base: int, denom: int | None):
+    """Uniform start at 1/denom, then freeze-and-double for log2(denom) rounds."""
+    if denom is None:
+        denom = base
+    if not is_power_of_two(denom) or denom < base:
+        raise ValueError(f"denom must be a power of two >= {base}, got {denom}")
+    rounds = denom.bit_length() - 1
+    values = {i: Fraction(1, denom) for i in range(model.items)}
+    for _ in range(rounds):
+        if not _double(model, values, _loads(model, values)):
+            break
+    loads = _loads(model, values)
+    for i in values:
+        if not _frozen(model, loads, i):
+            raise RuntimeError(f"{model.noun} {i} ended the greedy pass unfrozen")
+    out = _finish(model, values, Fraction(1, denom), "greedy")
+    model.charge("greedy" + model.suffix, rounds, "log2(denom)")
+    return out
+
+
+def _check_input(model: _LoadModel, x, denom: int) -> None:
     floor = Fraction(1, denom)
-    for eid, val in x.values.items():
+    for i, val in x.values.items():
         if val < floor:
-            raise ValueError(f"edge {eid} has value {val} below 1/{denom}")
+            raise ValueError(f"{model.noun} {i} has value {val} below 1/{denom}")
+    verdict = model.verdict(x)
+    if not verdict:
+        raise ValueError(f"input is not a {model.kind}: {verdict.reason}")
+
+
+def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
+    """Defective-color sweep to factor/denom, then doubling; see basic_round."""
+    RoundingParams(factor, denom).validate()
+    _check_input(model, x, denom)
+    target = Fraction(factor, denom)
+    support = x.support()
+    if not support:
+        return model.wrap({}, target)
+    if coloring is None:
+        coloring = model.base_coloring()
+    restricted = VertexColoring(
+        colors=tuple(coloring.colors[i] for i in support),
+        palette_size=coloring.palette_size,
+    )
+    defect = max(0, denom // (2 * factor) - 1)
+    conflict = model.conflict(support)
+    dcol = defective_coloring(conflict, restricted, defect, ledger=model.ledger)
+
+    values: dict[int, Fraction] = {}
+    loads = [ZERO] * model.resources
+    by_color: dict[int, list[int]] = {}
+    for k, i in enumerate(support):
+        by_color.setdefault(dcol.colors[k], []).append(i)
+    past = operator.gt if model.raise_at_half else operator.ge
+    for color in sorted(by_color):
+        raised = [i for i in by_color[color] if not _frozen(model, loads, i, past)]
+        for i in raised:
+            values[i] = target
+            for r in model.loaded(i):
+                loads[r] += target
+        model.recheck(values, "basic_round color sweep")
+    for i in support:
+        if i not in values and not _frozen(model, loads, i):
+            raise RuntimeError(f"{model.noun} {i} skipped its color class")
+    doubling = 0
+    cap = (denom // factor).bit_length() - 1
+    while _double(model, values, loads):
+        doubling += 1
+        if doubling > cap:
+            raise RuntimeError(f"doubling exceeded log2(denom/factor) = {cap}")
+        model.recheck(values, "basic_round doubling")
+    for i in support:
+        if not _frozen(model, loads, i):
+            raise RuntimeError(f"support {model.noun} {i} ended unfrozen")
+    out = _finish(model, values, target, "basic rounding")
+    if out.total() * 2 * model.rho < x.total():
+        raise RuntimeError(
+            f"basic rounding lost more than a 1/(2*{model.rho_name}) share"
+        )
+    model.charge(
+        "basic_round" + model.suffix,
+        dcol.palette_size + doubling,
+        "palette(L^2 r^2) + log2(denom/factor)",
+    )
+    return out
+
+
+def _split_factor(factor: int) -> tuple[int, int]:
+    """Power-of-two pair (s1, s2) with s1*s2 = 2*factor and s1 >= s2.
+
+    These are the two nested rounding factors standing in for sqrt(2L);
+    the asymmetric split keeps the product exact so the recursion
+    preconditions survive.
+    """
+    j = factor.bit_length()  # log2(2*factor)
+    s1 = 1 << ((j + 1) // 2)
+    s2 = 1 << (j // 2)
+    return s1, s2
+
+
+def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
+    """Square-root split recursion keeping a 1/(4*rho) share; see recursive_round."""
+    RoundingParams(factor, denom).validate()
+    if not model.can_recurse(factor, denom):
+        raise ValueError(
+            f"recursive rounding needs {model.recursion_rule}, "
+            f"got factor {factor}, denom {denom}"
+        )
+    _check_input(model, x, denom)
+    # Below this a single basic pass is valid and loses less; it also keeps
+    # every nested call inside its own precondition.
+    if factor <= 4 or 4 * factor >= denom:
+        return model.basic(x, factor, denom, coloring)
+    if coloring is None:
+        coloring = model.base_coloring()
+    rho = model.rho
+    total_x = x.total()
+    target = Fraction(total_x, 4 * rho)
+    s1, s2 = _split_factor(factor)
+    values: dict[int, Fraction] = {}
+    running = ZERO
+    iterations = 0
+    while running < target and iterations < 16 * rho:
+        loads = _loads(model, values)
+        z = model.restrict(x, lambda i: not _frozen(model, loads, i))
+        if not z.values:
+            break
+        z1 = model.recurse(z, s1, denom, coloring)
+        z2 = model.recurse(z1, s2, denom // s1, coloring)
+        gain = z2.total() / 2
+        if gain * 64 * rho * rho < total_x:
+            raise RuntimeError(
+                f"iteration gain {gain} below total/(64 {model.rho_name}^2) "
+                "while behind"
+            )
+        # Merge keeps a valid witness: items already frozen stay in place,
+        # still-open old items go next (their load is below 1/2, so any
+        # order works), and the new contribution follows in its own order.
+        added = z2.values
+        old = [i for i in values if i not in added]
+        old.sort(key=lambda i: not _frozen(model, loads, i))
+        merged = {i: values[i] for i in old}
+        for i, val in added.items():
+            merged[i] = values.get(i, ZERO) + val / 2
+        values = merged
+        running += gain
+        iterations += 1
+        model.recheck(values, "recursive_round accumulate")
+    if running < target:
+        raise RuntimeError(
+            f"recursive rounding kept {running} < {target} after {iterations} iterations"
+        )
+    out = _finish(model, values, Fraction(factor, denom), "recursive rounding")
+    model.charge(
+        "recursive_round" + model.suffix, iterations, f"16*{model.rho_name} iterations"
+    )
+    return out
+
+
+def _approx(model: _LoadModel, denom: int, coloring=None) -> frozenset[int]:
+    """Greedy start, a recursive stage when the degree allows it, and one
+    basic stage down to integrality; returns the items valued 1."""
+    x = model.greedy(denom)
+    if denom > 1:
+        if coloring is None:
+            coloring = model.base_coloring()
+        lg = denom.bit_length() - 1
+        stage = denom // (lg * lg)
+        left = 1 << (stage.bit_length() - 1) if stage >= 1 else 1
+        if left >= 2 and model.can_recurse(left, denom):
+            x = model.recurse(x, left, denom, coloring)
+        else:
+            left = 1
+        remaining = denom // left
+        if remaining > 1:
+            x = model.basic(x, remaining, remaining, coloring)
+    chosen = frozenset(i for i, val in x.values.items() if val == ONE)
+    if len(chosen) != len(x.values):
+        raise RuntimeError("final round left fractional values")
+    return chosen
+
+
+def _drive(n: int, rho: int, alive: tuple[int, ...], step, limit: int | None = None):
+    """Apply ``step`` to the alive items until none are left.
+
+    Without a ``limit`` the loop may run at most 32 rho^3 log2(n) + 1
+    iterations.  Returns the items still alive and the iteration count.
+    """
+    cap = math.ceil(32 * max(1, rho) ** 3 * math.log2(max(2, n))) + 1
+    iterations = 0
+    while alive and (limit is None or iterations < limit):
+        alive = step(alive)
+        iterations += 1
+        if limit is None and iterations > cap:
+            raise RuntimeError(f"driver exceeded {cap} iterations")
+    return alive, iterations
+
+
+def _assert_valid(h: Hypergraph, values: dict[int, Fraction], where: str) -> None:
+    loads = [ZERO] * h.n
+    for eid, val in values.items():
+        if val < ZERO or val > ONE:
+            raise RuntimeError(f"{where}: edge {eid} value {val} outside [0,1]")
+        for v in h.edges[eid]:
+            loads[v] += val
+    for v, load in enumerate(loads):
+        if load > ONE:
+            raise RuntimeError(f"{where}: vertex {v} overloaded to {load}")
+
+
+class _MatchingModel(_LoadModel):
+    """Hyperedges load their vertices and are frozen by any of them."""
+
+    rho_name = "rank"
+    raise_at_half = False
+    noun = "edge"
+    kind = "fractional matching"
+    suffix = ""
+    recursion_rule = "factor*log2(factor)^2 <= denom"
+
+    def __init__(self, h: Hypergraph, ledger: RoundLedger | None = None) -> None:
+        self.h = h
+        self.ledger = ledger
+        self.items = h.m
+        self.resources = h.n
+        self.rho = max(1, h.rank)
+
+    def loaded(self, i):
+        return self.h.edges[i]
+
+    freezing = loaded
+
+    def conflict(self, support):
+        return line_graph(induced_subhypergraph(self.h, support)[0])
+
+    def base_coloring(self):
+        return edge_coloring_init(self.h, self.ledger)
+
+    def verdict(self, x):
+        return validate_fractional_matching(self.h, x)
+
+    def wrap(self, values, floor):
+        return build_fractional_assignment(values, floor)
+
+    def restrict(self, x, keep):
+        return self.wrap({i: val for i, val in x.values.items() if keep(i)}, x.floor)
+
+    def can_recurse(self, factor, denom):
+        return _cascade_fits(factor, denom)
+
+    def greedy(self, denom):
+        return greedy_fractional_matching(self.h, denom, self.ledger)
+
+    def basic(self, x, factor, denom, coloring):
+        params = RoundingParams(factor, denom)
+        return basic_round(self.h, x, params, coloring, self.ledger)
+
+    def recurse(self, x, factor, denom, coloring):
+        params = RoundingParams(factor, denom)
+        return recursive_round(self.h, x, params, coloring, self.ledger)
+
+    def recheck(self, values, where):
+        _assert_valid(self.h, values, where)
 
 
 def greedy_doubling_step(
@@ -83,14 +427,10 @@ def greedy_doubling_step(
     update, so iterating it is exactly the greedy driver's sticky
     freezing.
     """
-    loads = vertex_loads(h, x)
-    new_values: dict[int, Fraction] = {}
-    for eid, val in x.values.items():
-        if any(loads[v] >= HALF for v in h.edges[eid]):
-            new_values[eid] = val
-        else:
-            new_values[eid] = val * 2
-    return build_fractional_assignment(new_values, x.floor)
+    model = _MatchingModel(h)
+    values = dict(x.values)
+    _double(model, values, _loads(model, values))
+    return build_fractional_assignment(values, x.floor)
 
 
 def greedy_fractional_matching(
@@ -108,51 +448,7 @@ def greedy_fractional_matching(
     """
     if h.max_degree < 1:
         raise ValueError("hypergraph has no edges")
-    base = next_power_of_two(h.max_degree)
-    if denom is None:
-        denom = base
-    if not is_power_of_two(denom) or denom < base:
-        raise ValueError(f"denom must be a power of two >= {base}, got {denom}")
-    rounds = denom.bit_length() - 1
-    x = build_fractional_assignment(
-        {eid: Fraction(1, denom) for eid in range(h.m)}, Fraction(1, denom)
-    )
-    for _ in range(rounds):
-        x = greedy_doubling_step(h, x)
-    verdict = validate_fractional_matching(h, x)
-    if not verdict:
-        raise RuntimeError(f"greedy produced an invalid matching: {verdict.reason}")
-    for eid in range(h.m):
-        if not any(v in verdict.half_tight for v in h.edges[eid]):
-            raise RuntimeError(f"edge {eid} ended without a half-tight endpoint")
-    if ledger is not None:
-        ledger.charge("greedy", rounds, "log2(denom)")
-    return x
-
-
-def _support_line_graph(h: Hypergraph, support: tuple[int, ...]):
-    """Line graph restricted to the support edges, ids relabeled 0..s-1."""
-    pos = {eid: i for i, eid in enumerate(support)}
-    pairs: set[tuple[int, int]] = set()
-    for inc in h.incidence:
-        here = [pos[eid] for eid in inc if eid in pos]
-        for i in range(len(here)):
-            for j in range(i + 1, len(here)):
-                a, b = here[i], here[j]
-                pairs.add((a, b) if a < b else (b, a))
-    return build_graph(len(support), sorted(pairs))
-
-
-def _assert_valid(h: Hypergraph, values: dict[int, Fraction], where: str) -> None:
-    loads = [ZERO] * h.n
-    for eid, val in values.items():
-        if val < ZERO or val > ONE:
-            raise RuntimeError(f"{where}: edge {eid} value {val} outside [0,1]")
-        for v in h.edges[eid]:
-            loads[v] += val
-    for v, load in enumerate(loads):
-        if load > ONE:
-            raise RuntimeError(f"{where}: vertex {v} overloaded to {load}")
+    return _greedy(_MatchingModel(h, ledger), next_power_of_two(h.max_degree), denom)
 
 
 def basic_round(
@@ -170,86 +466,8 @@ def basic_round(
     rounds.  Keeps at least a 1/(2*rank) share of the input total and only
     shrinks the support.
     """
-    params.validate()
-    factor, denom = params.factor, params.denom
-    _check_floor(x, denom)
-    pre = validate_fractional_matching(h, x)
-    if not pre:
-        raise ValueError(f"input is not a fractional matching: {pre.reason}")
-    support = x.support()
-    target = Fraction(factor, denom)
-    if not support:
-        return FractionalAssignment(values={}, floor=target)
-    if edge_coloring is None:
-        edge_coloring = edge_coloring_init(h, ledger)
-    sub = _support_line_graph(h, support)
-    restricted = VertexColoring(
-        colors=tuple(edge_coloring.colors[eid] for eid in support),
-        palette_size=edge_coloring.palette_size,
-    )
-    defect = max(0, denom // (2 * factor) - 1)
-    dcol = defective_coloring(sub, restricted, defect, ledger=ledger)
-
-    y: dict[int, Fraction] = {}
-    loads = [ZERO] * h.n
-
-    def half_tight(eid: int) -> bool:
-        return any(loads[v] >= HALF for v in h.edges[eid])
-
-    by_color: dict[int, list[int]] = {}
-    for i, eid in enumerate(support):
-        by_color.setdefault(dcol.colors[i], []).append(eid)
-    for color in sorted(by_color):
-        raised = [eid for eid in by_color[color] if not half_tight(eid)]
-        for eid in raised:
-            y[eid] = target
-            for v in h.edges[eid]:
-                loads[v] += target
-        _assert_valid(h, y, "basic_round color sweep")
-    doubling = 0
-    cap = (denom // factor).bit_length() - 1
-    while True:
-        movable = [eid for eid in support if eid in y and not half_tight(eid)]
-        for eid in support:
-            if eid not in y and not half_tight(eid):
-                raise RuntimeError(f"edge {eid} skipped its color class")
-        if not movable:
-            break
-        for eid in movable:
-            for v in h.edges[eid]:
-                loads[v] += y[eid]
-            y[eid] *= 2
-        doubling += 1
-        if doubling > cap:
-            raise RuntimeError(f"doubling exceeded log2(denom/factor) = {cap}")
-        _assert_valid(h, y, "basic_round doubling")
-    for eid in support:
-        if not half_tight(eid):
-            raise RuntimeError(f"support edge {eid} has no half-tight endpoint")
-    out = build_fractional_assignment(y, target)
-    r = max(1, h.rank)
-    if out.total() * 2 * r < x.total():
-        raise RuntimeError("basic rounding lost more than a 1/(2*rank) share")
-    if ledger is not None:
-        ledger.charge(
-            "basic_round",
-            dcol.palette_size + doubling,
-            "palette(L^2 r^2) + log2(denom/factor)",
-        )
-    return out
-
-
-def _split_factor(factor: int) -> tuple[int, int]:
-    """Power-of-two pair (s1, s2) with s1*s2 = 2*factor and s1 >= s2.
-
-    These are the two nested rounding factors standing in for sqrt(2L);
-    the asymmetric split keeps the product exact so the recursion
-    preconditions survive.
-    """
-    j = factor.bit_length()  # log2(2*factor)
-    s1 = 1 << ((j + 1) // 2)
-    s2 = 1 << (j // 2)
-    return s1, s2
+    model = _MatchingModel(h, ledger)
+    return _basic_round(model, x, params.factor, params.denom, edge_coloring)
 
 
 def recursive_round(
@@ -267,61 +485,8 @@ def recursive_round(
     result; it stops as soon as the running total reaches a 1/(4*rank)
     share of the input.
     """
-    params.validate(recursive=True)
-    factor, denom = params.factor, params.denom
-    _check_floor(x, denom)
-    pre = validate_fractional_matching(h, x)
-    if not pre:
-        raise ValueError(f"input is not a fractional matching: {pre.reason}")
-    if factor <= 4:
-        return basic_round(h, x, params, edge_coloring, ledger)
-    if edge_coloring is None:
-        edge_coloring = edge_coloring_init(h, ledger)
-    r = max(1, h.rank)
-    cap = params.iteration_cap if params.iteration_cap is not None else 16 * r
-    total_x = x.total()
-    target = Fraction(total_x, 4 * r)
-    floor_out = Fraction(factor, denom)
-    s1, s2 = _split_factor(factor)
-    y: dict[int, Fraction] = {}
-    running = ZERO
-    iterations = 0
-    while running < target and iterations < cap:
-        loads = [ZERO] * h.n
-        for eid, val in y.items():
-            for v in h.edges[eid]:
-                loads[v] += val
-        z_vals = {
-            eid: val
-            for eid, val in x.values.items()
-            if all(loads[v] < HALF for v in h.edges[eid])
-        }
-        if not z_vals:
-            break
-        z = build_fractional_assignment(z_vals, x.floor)
-        z1 = recursive_round(
-            h, z, RoundingParams(s1, denom), edge_coloring, ledger
-        )
-        z2 = recursive_round(
-            h, z1, RoundingParams(s2, denom // s1), edge_coloring, ledger
-        )
-        gain = z2.total() / 2
-        if running < target and gain * 64 * r * r < total_x:
-            raise RuntimeError(
-                f"iteration gain {gain} below total/(64 rank^2) while behind"
-            )
-        for eid, val in z2.values.items():
-            y[eid] = y.get(eid, ZERO) + val / 2
-        running += gain
-        iterations += 1
-        _assert_valid(h, y, "recursive_round accumulate")
-    if running < target:
-        raise RuntimeError(
-            f"recursive rounding kept {running} < {target} after {iterations} iterations"
-        )
-    if ledger is not None:
-        ledger.charge("recursive_round", iterations, "16*rank iterations")
-    return build_fractional_assignment(y, floor_out)
+    model = _MatchingModel(h, ledger)
+    return _recursive_round(model, x, params.factor, params.denom, edge_coloring)
 
 
 def approx_max_matching(
@@ -336,65 +501,47 @@ def approx_max_matching(
     """
     if h.m == 0:
         return Matching(edges=frozenset())
-    denom = next_power_of_two(h.max_degree)
-    x = greedy_fractional_matching(h, denom, ledger)
-    if denom > 1:
-        if edge_coloring is None:
-            edge_coloring = edge_coloring_init(h, ledger)
-        lg = denom.bit_length() - 1
-        stage = denom // (lg * lg)
-        left = 1 << (stage.bit_length() - 1) if stage >= 1 else 1
-        if left >= 2:
-            x = recursive_round(
-                h, x, RoundingParams(left, denom), edge_coloring, ledger
-            )
-        remaining = denom // left
-        if remaining > 1:
-            x = basic_round(
-                h,
-                x,
-                RoundingParams(remaining, remaining),
-                edge_coloring,
-                ledger,
-            )
-    chosen = frozenset(eid for eid, val in x.values.items() if val == ONE)
-    m = Matching(edges=chosen)
+    model = _MatchingModel(h, ledger)
+    m = Matching(edges=_approx(model, next_power_of_two(h.max_degree), edge_coloring))
     verdict = validate_matching(h, m)
     if not verdict:
         raise RuntimeError(f"extracted edges are not disjoint: {verdict.reason}")
     return m
 
 
-def _driver_iteration_cap(h: Hypergraph) -> int:
-    r = max(1, h.rank)
-    return math.ceil(32 * r**3 * math.log2(max(2, h.n))) + 1
+def _matching_driver(
+    h: Hypergraph, ledger: RoundLedger | None, limit: int | None, formula: str
+) -> tuple[Matching, frozenset[int]]:
+    """Repeat approx_max_matching on the unblocked remainder.
+
+    Runs until nothing is left or for ``limit`` iterations; the output must
+    be maximal only when there is no limit.
+    """
+    picked: set[int] = set()
+
+    def step(alive: tuple[int, ...]) -> tuple[int, ...]:
+        sub, old_ids = induced_subhypergraph(h, alive)
+        found = approx_max_matching(sub, ledger)
+        if not found.edges:
+            raise RuntimeError("approximate matching came back empty on a nonempty instance")
+        picked.update(old_ids[i] for i in found.edges)
+        return tuple(sorted(unblocked_edges(h, Matching(edges=frozenset(picked)))))
+
+    alive, iterations = _drive(h.n, h.rank, tuple(range(h.m)), step, limit)
+    m = Matching(edges=frozenset(picked))
+    verdict = validate_matching(h, m, require_maximal=limit is None)
+    if not verdict:
+        raise RuntimeError(f"driver output invalid: {verdict.reason}")
+    if ledger is not None:
+        ledger.charge("maximal_driver", iterations, formula)
+    return m, frozenset(alive)
 
 
 def maximal_matching(
     h: Hypergraph, ledger: RoundLedger | None = None
 ) -> Matching:
     """Repeat approx_max_matching on the unblocked remainder until empty."""
-    picked: set[int] = set()
-    alive = tuple(range(h.m))
-    iterations = 0
-    cap = _driver_iteration_cap(h)
-    while alive:
-        sub, old_ids = induced_subhypergraph(h, alive)
-        found = approx_max_matching(sub, ledger)
-        if not found.edges:
-            raise RuntimeError("approximate matching came back empty on a nonempty instance")
-        picked.update(old_ids[i] for i in found.edges)
-        alive = tuple(sorted(unblocked_edges(h, Matching(edges=frozenset(picked)))))
-        iterations += 1
-        if iterations > cap:
-            raise RuntimeError(f"driver exceeded {cap} iterations")
-    m = Matching(edges=frozenset(picked))
-    verdict = validate_matching(h, m, require_maximal=True)
-    if not verdict:
-        raise RuntimeError(f"driver output invalid: {verdict.reason}")
-    if ledger is not None:
-        ledger.charge("maximal_driver", iterations, "32 rank^3 log2(n) iterations")
-    return m
+    return _matching_driver(h, ledger, None, "32 rank^3 log2(n) iterations")[0]
 
 
 def almost_maximal_matching(
@@ -408,22 +555,5 @@ def almost_maximal_matching(
     if not 0 < slack < 1:
         raise ValueError(f"slack must be in (0,1), got {slack}")
     r = max(1, h.rank)
-    rounds = math.ceil(32 * r**3 * math.log(1 / slack))
-    picked: set[int] = set()
-    alive = tuple(range(h.m))
-    iterations = 0
-    while alive and iterations < rounds:
-        sub, old_ids = induced_subhypergraph(h, alive)
-        found = approx_max_matching(sub, ledger)
-        if not found.edges:
-            raise RuntimeError("approximate matching came back empty on a nonempty instance")
-        picked.update(old_ids[i] for i in found.edges)
-        alive = tuple(sorted(unblocked_edges(h, Matching(edges=frozenset(picked)))))
-        iterations += 1
-    m = Matching(edges=frozenset(picked))
-    verdict = validate_matching(h, m)
-    if not verdict:
-        raise RuntimeError(f"driver output invalid: {verdict.reason}")
-    if ledger is not None:
-        ledger.charge("maximal_driver", iterations, "32 rank^3 ln(1/slack) iterations")
-    return m, frozenset(alive)
+    limit = math.ceil(32 * r**3 * math.log(1 / slack))
+    return _matching_driver(h, ledger, limit, "32 rank^3 ln(1/slack) iterations")

@@ -101,6 +101,16 @@ class TestPackingRounds:
         y = basic_round_packing(g, x, 2, 4, independence=1)
         assert y.values == {0: HALF}
 
+    def test_sweep_raises_a_node_at_exactly_half(self):
+        # the second node's closed load is exactly 1/2 when its class comes
+        # up; the packing side still raises it, filling the budget to 1
+        g = build_graph(2, [(0, 1)])
+        x = GreedyPacking(
+            values={0: Fraction(1, 4), 1: Fraction(1, 4)}, witness=(0, 1)
+        )
+        y = basic_round_packing(g, x, 2, 4, 1)
+        assert y.values == {0: HALF, 1: HALF}
+
     def test_factor_equal_denom_yields_independent_set(self):
         g = generate.random_graph(12, 0.3, seed=4)
         x = initial_packing(g)

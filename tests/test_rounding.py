@@ -113,6 +113,16 @@ class TestBasicRound:
         y = basic_round(h, x, RoundingParams(2, 4))
         assert y.values == {0: HALF}
 
+    def test_sweep_skips_an_edge_at_exactly_half(self):
+        # the second edge's shared vertex sits at exactly 1/2 when its class
+        # comes up, which freezes it on the matching side
+        h = build_hypergraph(3, [{0, 1}, {1, 2}])
+        x = build_fractional_assignment(
+            {0: Fraction(1, 4), 1: Fraction(1, 4)}, Fraction(1, 4)
+        )
+        y = basic_round(h, x, RoundingParams(2, 4))
+        assert y.values == {0: HALF}
+
     def test_star_keeps_a_quarter_of_the_total(self):
         h = build_hypergraph(5, [{0, 1}, {0, 2}, {0, 3}, {0, 4}])
         x = build_fractional_assignment(
