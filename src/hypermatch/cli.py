@@ -1,10 +1,16 @@
 """Command line interface: generate instances, run algorithms, verify solutions.
 
-Three subcommands:
+Three subcommands, each driven by one table whose keys are its choices:
 
-  generate FAMILY [key=value ...]   write an instance file
-  run --algo NAME --in FILE ...     run a pipeline, report JSON, write solution
-  verify KIND --in FILE SOLUTION    re-run the validator for a solution file
+  generate FAMILY [key=value ...]   write an instance file       (_FAMILIES)
+  run --algo NAME --in FILE ...     run, report, write solution  (_ALGORITHMS)
+  verify KIND --in FILE SOLUTION    re-validate a solution file  (_VERIFY_KINDS)
+
+`run --oracle` on an algorithm without an oracle comparison
+(`rand-edge-color`, `vertex-color`) is a usage error raised before the
+instance is read.  `verify orientation` checks out-degrees against
+ceil((1+eps)*lambda) when given both `--lambda` and `--eps`, against the
+solution's own maximum when given neither, and rejects one without the other.
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or parse
 error, 3 oracle budget exceeded.  Reports carry no timestamp, so identical
@@ -18,6 +24,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import apps, edge_coloring, generate, io, oracles, packing, rounding
 from .core import (
@@ -36,43 +43,6 @@ from .core import (
 from .ledger import RoundLedger
 
 SCHEMA_VERSION = 1
-
-ALGORITHMS = (
-    "maximal-matching",
-    "approx-matching",
-    "edge-color",
-    "list-edge-color",
-    "rand-edge-color",
-    "mis",
-    "vertex-color",
-    "approx-graph-matching",
-    "orientation",
-    "pseudo-forests",
-    "arb-edge-color",
-)
-
-VERIFY_KINDS = (
-    "matching",
-    "maximal-matching",
-    "independent-set",
-    "mis",
-    "edge-coloring",
-    "list-edge-coloring",
-    "vertex-coloring",
-    "orientation",
-    "pseudo-forests",
-)
-
-FAMILIES = (
-    "random-hypergraph",
-    "random-graph",
-    "d-regular",
-    "star",
-    "cycle",
-    "path",
-    "complete",
-    "line-graph-of",
-)
 
 
 class UsageError(Exception):
@@ -107,29 +77,33 @@ def _parse_instance(text: str) -> Graph | Hypergraph:
 
 
 def _parse_graph_with_lists(text: str) -> edge_coloring.ListEdgeInstance:
-    """A gr instance followed by one 'edge-id: colors' line per edge."""
-    lines = text.splitlines()
+    """A gr instance followed by one 'edge-id: colors' line per edge.
+
+    Blank lines are skipped, as `io.parse_graph` skips them: the graph part
+    is the header and the next m non-blank lines.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 3 or header[0] != "gr":
         raise io.ParseError("expected a gr header followed by color lists")
-    m = int(header[2])
-    graph_text = "\n".join(lines[: 1 + m]) + "\n"
-    lists_text = "\n".join(lines[1 + m :])
-    g = io.parse_graph(graph_text)
-    lists = io.parse_lists(lists_text)
+    try:
+        m = int(header[2])
+    except ValueError:
+        raise io.ParseError(
+            f"header m: expected an integer, got {header[2]!r}"
+        ) from None
+    g = io.parse_graph("\n".join(lines[: 1 + max(m, 0)]) + "\n")
+    lists = io.parse_lists("\n".join(lines[1 + m :]))
     return edge_coloring.build_list_edge_instance(g, lists)
 
 
-def _need_graph(instance: Graph | Hypergraph, algo: str) -> Graph:
-    if not isinstance(instance, Graph):
-        raise UsageError(f"{algo} needs a gr instance, got a hypergraph")
-    return instance
+def _parse(text: str, lists: bool):
+    """The instance in `text`; with `lists`, a graph followed by color lists."""
+    return _parse_graph_with_lists(text) if lists else _parse_instance(text)
 
 
 def _to_hypergraph(instance: Graph | Hypergraph) -> Hypergraph:
-    if isinstance(instance, Graph):
-        return graph_to_hypergraph(instance)
-    return instance
+    return graph_to_hypergraph(instance) if isinstance(instance, Graph) else instance
 
 
 def _independence_for(g: Graph, force_oracle: bool) -> tuple[int, str]:
@@ -142,117 +116,58 @@ def _independence_for(g: Graph, force_oracle: bool) -> tuple[int, str]:
         return max(1, g.max_degree), "max_degree_fallback"
 
 
-def _verdicts_json(verdicts: dict[str, Verdict]) -> dict:
+def _check(ok: bool, reason: str) -> Verdict:
+    """A verdict that carries `reason` only when it fails."""
+    return Verdict(ok, "" if ok else reason)
+
+
+def _to_json(block: dict) -> dict:
+    """A report block with each `Verdict` in it written as {ok, reason}."""
     return {
-        name: {"ok": bool(v.ok), "reason": v.reason}
-        for name, v in sorted(verdicts.items())
+        key: {"ok": bool(v.ok), "reason": v.reason} if isinstance(v, Verdict) else v
+        for key, v in sorted(block.items())
     }
 
 
 def _instance_summary(path: str, instance: Graph | Hypergraph) -> dict:
-    if isinstance(instance, Graph):
-        return {
-            "path": path,
-            "kind": "graph",
-            "n": instance.n,
-            "m": instance.m,
-            "rank": 2 if instance.m else 0,
-            "max_degree": instance.max_degree,
-        }
+    graph = isinstance(instance, Graph)
     return {
         "path": path,
-        "kind": "hypergraph",
+        "kind": "graph" if graph else "hypergraph",
         "n": instance.n,
         "m": instance.m,
-        "rank": instance.rank,
+        "rank": (2 if instance.m else 0) if graph else instance.rank,
         "max_degree": instance.max_degree,
     }
 
 
-def _ceil_div_fraction(num: int, ratio: Fraction) -> int:
-    """ceil(num / ratio) computed exactly."""
-    q = Fraction(num) / ratio
-    return -((-q.numerator) // q.denominator)
+# Runners take (instance, args, ledger) and return (solution_text, summary,
+# verdicts, oracle); oracle() computes the oracle block lazily (it may raise
+# OverBudgetError) and is None when the algorithm has no oracle.  A failing
+# `Verdict` in the oracle block fails the run.  Runners look library
+# functions up when called, so a rebound module attribute (as a tracer
+# installs) is the one they reach.
 
 
-# per-algorithm runners; each returns
-#   (solution_text, solution_summary, verdicts, oracle_fn)
-# where oracle_fn() computes the oracle block lazily (may raise
-# OverBudgetError) or is None when no comparison is defined.
+def _matched(m: Matching, verdicts: dict, oracle, **summary):
+    """The result of a run whose solution is a matching."""
+    summary = {"kind": "matching", "size": len(m), **summary}
+    return io.format_matching(m), summary, verdicts, oracle
 
 
-def _run_maximal_matching(instance, args, ledger):
-    h = _to_hypergraph(instance)
-    if args.slack is not None:
-        m, unblocked = rounding.almost_maximal_matching(h, args.slack, ledger)
-        verdicts = {
-            "matching_valid": validate_matching(h, m),
-            "unblocked_consistent": Verdict(
-                unblocked == unblocked_edges(h, m),
-                "reported unblocked set disagrees with a recount"
-                if unblocked != unblocked_edges(h, m)
-                else "",
-            ),
-        }
-        summary = {
-            "kind": "matching",
-            "size": len(m),
-            "unblocked": sorted(unblocked),
-        }
+def _optimum_oracle(h: Hypergraph, m: Matching):
+    return lambda: {"optimum": oracles.max_matching(h).size, "size": len(m)}
 
-        def oracle():
-            opt = oracles.max_matching(h).size
-            left = (
-                oracles.max_matching(
-                    induced_subhypergraph(h, sorted(unblocked))[0]
-                ).size
-                if unblocked
-                else 0
-            )
-            ok = Fraction(left) <= args.slack * opt
-            return {
-                "optimum": opt,
-                "unblocked_optimum": left,
-                "verdict": {
-                    "ok": ok,
-                    "reason": "" if ok else "unblocked share above slack",
-                },
-            }
 
-        return io.format_matching(m), summary, verdicts, oracle
-    m = rounding.maximal_matching(h, ledger)
-    verdicts = {"matching_maximal": validate_matching(h, m, require_maximal=True)}
+def _arboricity_oracle(g: Graph, key: str, claimed: int):
+    """Oracle block checking a claimed arboricity bound, reported as `key`."""
 
     def oracle():
-        opt = oracles.max_matching(h).size
-        return {"optimum": opt, "size": len(m)}
+        a = oracles.arboricity(g)
+        verdict = _check(claimed >= a, f"{key} below true arboricity")
+        return {"arboricity": a, key: claimed, "verdict": verdict}
 
-    return (
-        io.format_matching(m),
-        {"kind": "matching", "size": len(m)},
-        verdicts,
-        oracle,
-    )
-
-
-def _run_approx_matching(instance, args, ledger):
-    h = _to_hypergraph(instance)
-    if h.m == 0:
-        m = Matching(frozenset())
-    else:
-        m = rounding.approx_max_matching(h, ledger)
-    verdicts = {"matching_valid": validate_matching(h, m)}
-
-    def oracle():
-        opt = oracles.max_matching(h).size
-        return {"optimum": opt, "size": len(m)}
-
-    return (
-        io.format_matching(m),
-        {"kind": "matching", "size": len(m)},
-        verdicts,
-        oracle,
-    )
+    return oracle
 
 
 def _check_reduction_soundness(h, lists) -> Verdict:
@@ -269,298 +184,225 @@ def _check_reduction_soundness(h, lists) -> Verdict:
     return Verdict(True)
 
 
-def _run_edge_color(instance, args, ledger):
-    g = _need_graph(instance, "edge-color")
-    if g.m == 0:
-        raise UsageError("edge-color needs at least one edge")
-    res = edge_coloring.edge_color(g, ledger)
-    palette = 2 * g.max_degree - 1
-    verdicts = {
-        "coloring_proper": validate_edge_coloring(g, res.colors, palette=palette)
-    }
+def _soundness_oracle(g: Graph, lists_of):
+    """Oracle block: every maximal matching of the list reduction of g, with
+    lists `lists_of(h)` on its hypergraph h, decodes to a proper coloring."""
 
     def oracle():
         h = graph_to_hypergraph(g)
-        lists = edge_coloring.full_palette_lists(h, palette)
-        v = _check_reduction_soundness(h, lists)
-        return {"reduction_soundness": {"ok": v.ok, "reason": v.reason}}
+        return {"reduction_soundness": _check_reduction_soundness(h, lists_of(h))}
 
-    summary = {
-        "kind": "edge-coloring",
-        "palette_bound": palette,
-        "max_color": max(res.colors.values()),
-        "stats": res.stats,
-    }
-    return io.format_coloring(res.colors), summary, verdicts, oracle
+    return oracle
 
 
-def _run_list_edge_color(text, args, ledger):
-    inst = _parse_graph_with_lists(text)
-    res = edge_coloring.list_edge_color(inst, ledger)
+def _edge_colored(g: Graph, res, oracle, palette=None, lists=None):
+    """The result of a run whose solution is an edge coloring, checked
+    against `lists` when given, else against `palette`."""
+    verdict = validate_edge_coloring(g, res.colors, palette=palette, lists=lists)
+    name = "coloring_proper" if lists is None else "coloring_respects_lists"
+    summary = {"kind": "edge-coloring", "max_color": max(res.colors.values()),
+               "stats": res.stats}
+    if lists is None:
+        summary["palette_bound"] = palette
+    return io.format_coloring(res.colors), summary, {name: verdict}, oracle
+
+
+def _run_maximal_matching(instance, args, ledger):
+    h = _to_hypergraph(instance)
+    if args.slack is None:
+        m = rounding.maximal_matching(h, ledger)
+        verdicts = {"matching_maximal": validate_matching(h, m, require_maximal=True)}
+        return _matched(m, verdicts, _optimum_oracle(h, m))
+    m, unblocked = rounding.almost_maximal_matching(h, args.slack, ledger)
     verdicts = {
-        "coloring_respects_lists": validate_edge_coloring(
-            inst.g, res.colors, lists=inst.lists
-        )
+        "matching_valid": validate_matching(h, m),
+        "unblocked_consistent": _check(
+            unblocked == unblocked_edges(h, m),
+            "reported unblocked set disagrees with a recount",
+        ),
     }
 
     def oracle():
-        h = graph_to_hypergraph(inst.g)
-        v = _check_reduction_soundness(h, inst.lists)
-        return {"reduction_soundness": {"ok": v.ok, "reason": v.reason}}
+        opt = oracles.max_matching(h).size
+        left = 0
+        if unblocked:
+            rest = induced_subhypergraph(h, sorted(unblocked))[0]
+            left = oracles.max_matching(rest).size
+        verdict = _check(left <= args.slack * opt, "unblocked share above slack")
+        return {"optimum": opt, "unblocked_optimum": left, "verdict": verdict}
 
-    summary = {
-        "kind": "edge-coloring",
-        "max_color": max(res.colors.values()),
-        "stats": res.stats,
-    }
-    return inst.g, io.format_coloring(res.colors), summary, verdicts, oracle
+    return _matched(m, verdicts, oracle, unblocked=sorted(unblocked))
 
 
-def _run_rand_edge_color(instance, args, ledger):
-    g = _need_graph(instance, "rand-edge-color")
-    if g.m == 0:
-        raise UsageError("rand-edge-color needs at least one edge")
-    res = edge_coloring.randomized_edge_color(g, args.seed, ledger)
+def _run_approx_matching(instance, args, ledger):
+    h = _to_hypergraph(instance)
+    m = rounding.approx_max_matching(h, ledger) if h.m else Matching(frozenset())
+    verdicts = {"matching_valid": validate_matching(h, m)}
+    return _matched(m, verdicts, _optimum_oracle(h, m))
+
+
+def _run_edge_color(g, args, ledger):
+    res = edge_coloring.edge_color(g, ledger)
     palette = 2 * g.max_degree - 1
-    verdicts = {
-        "coloring_proper": validate_edge_coloring(g, res.colors, palette=palette)
-    }
-    summary = {
-        "kind": "edge-coloring",
-        "palette_bound": palette,
-        "max_color": max(res.colors.values()),
-        "stats": res.stats,
-    }
-    return io.format_coloring(res.colors), summary, verdicts, None
+    oracle = _soundness_oracle(
+        g, lambda h: edge_coloring.full_palette_lists(h, palette)
+    )
+    return _edge_colored(g, res, oracle, palette=palette)
 
 
-def _run_mis(instance, args, ledger):
-    g = _need_graph(instance, "mis")
+def _run_list_edge_color(inst, args, ledger):
+    res = edge_coloring.list_edge_color(inst, ledger)
+    oracle = _soundness_oracle(inst.g, lambda h: inst.lists)
+    return _edge_colored(inst.g, res, oracle, lists=inst.lists)
+
+
+def _run_rand_edge_color(g, args, ledger):
+    res = edge_coloring.randomized_edge_color(g, args.seed, ledger)
+    return _edge_colored(g, res, None, palette=2 * g.max_degree - 1)
+
+
+def _run_arb_edge_color(g, args, ledger):
+    res = edge_coloring.arboricity_edge_color(g, args.arboricity, args.eps, ledger)
+    oracle = _arboricity_oracle(g, "bound", args.arboricity)
+    return _edge_colored(g, res, oracle, palette=res.palette)
+
+
+def _run_mis(g, args, ledger):
     independence, source = _independence_for(g, args.oracle)
     s = packing.maximal_independent_set(g, independence, ledger)
     verdicts = {
-        "independent_and_maximal": validate_independent_set(
-            g, s, require_maximal=True
-        )
+        "independent_and_maximal": validate_independent_set(g, s, require_maximal=True)
     }
 
     def oracle():
         best = oracles.max_independent_set(g).size
-        r = oracles.neighborhood_independence(g)
+        r = independence if source == "oracle" else oracles.neighborhood_independence(g)
         bound = Fraction(best, 32 * max(1, r) ** 3)
-        ok = Fraction(len(s)) >= bound
-        return {
-            "optimum": best,
-            "independence": r,
-            "size": len(s),
-            "verdict": {
-                "ok": ok,
-                "reason": "" if ok else f"size {len(s)} below {bound}",
-            },
-        }
+        verdict = _check(len(s) >= bound, f"size {len(s)} below {bound}")
+        return {"optimum": best, "independence": r, "size": len(s),
+                "verdict": verdict}
 
-    summary = {
-        "kind": "independent-set",
-        "size": len(s),
-        "independence": independence,
-        "independence_source": source,
-    }
+    summary = {"kind": "independent-set", "size": len(s),
+               "independence": independence, "independence_source": source}
     return io.format_id_set(s), summary, verdicts, oracle
 
 
-def _run_vertex_color(instance, args, ledger):
-    g = _need_graph(instance, "vertex-color")
+def _run_vertex_color(g, args, ledger):
     independence, source = _independence_for(g, args.oracle)
     out = packing.vertex_color(g, independence, ledger=ledger)
     palette = g.max_degree + 1
-    proper = validate_vertex_coloring(g, out.colors)
-    in_range = Verdict(
-        all(1 <= c <= palette for c in out.colors),
-        "" if all(1 <= c <= palette for c in out.colors) else "color outside palette",
-    )
-    verdicts = {"coloring_proper": proper, "palette_respected": in_range}
-    summary = {
-        "kind": "vertex-coloring",
-        "palette_bound": palette,
-        "colors_used": len(set(out.colors)),
-        "independence": independence,
-        "independence_source": source,
+    verdicts = {
+        "coloring_proper": validate_vertex_coloring(g, out.colors),
+        "palette_respected": _check(
+            all(1 <= c <= palette for c in out.colors), "color outside palette"
+        ),
     }
+    summary = {"kind": "vertex-coloring", "palette_bound": palette,
+               "colors_used": len(set(out.colors)),
+               "independence": independence, "independence_source": source}
     colors = {v: out.colors[v] for v in range(g.n)}
     return io.format_coloring(colors), summary, verdicts, None
 
 
-def _run_approx_graph_matching(instance, args, ledger):
-    g = _need_graph(instance, "approx-graph-matching")
-    if args.eps is None:
-        raise UsageError("approx-graph-matching needs --eps")
+def _run_approx_graph_matching(g, args, ledger):
     m = apps.approx_max_graph_matching(g, args.eps, ledger=ledger)
-    verdicts = (
-        {"matching_valid": validate_matching(graph_to_hypergraph(g), m)}
-        if g.m
-        else {"matching_valid": Verdict(True)}
-    )
+    valid = validate_matching(graph_to_hypergraph(g), m) if g.m else Verdict(True)
 
     def oracle():
         opt = oracles.max_graph_matching(g).size
-        need = _ceil_div_fraction(opt, 1 + args.eps)
-        ok = len(m) >= need
-        return {
-            "optimum": opt,
-            "required": need,
-            "size": len(m),
-            "verdict": {
-                "ok": ok,
-                "reason": "" if ok else f"size {len(m)} below {need}",
-            },
-        }
+        need = math.ceil(opt / (1 + args.eps))
+        verdict = _check(len(m) >= need, f"size {len(m)} below {need}")
+        return {"optimum": opt, "required": need, "size": len(m),
+                "verdict": verdict}
 
-    summary = {"kind": "matching", "size": len(m)}
-    return io.format_matching(m), summary, verdicts, oracle
+    return _matched(m, {"matching_valid": valid}, oracle)
 
 
-def _orientation_inputs(args, algo):
-    if args.lam is None:
-        raise UsageError(f"{algo} needs --lambda")
-    if args.eps is None:
-        raise UsageError(f"{algo} needs --eps")
-
-
-def _run_orientation(instance, args, ledger):
-    g = _need_graph(instance, "orientation")
-    _orientation_inputs(args, "orientation")
+def _run_orientation(g, args, ledger):
     o = apps.low_outdegree_orientation(g, args.lam, args.eps, ledger)
     verdicts = {"orientation_bounded": apps.validate_orientation(g, o)}
-
-    def oracle():
-        a = oracles.arboricity(g)
-        ok = args.lam >= a
-        return {
-            "arboricity": a,
-            "lambda": args.lam,
-            "verdict": {
-                "ok": ok,
-                "reason": "" if ok else "lambda below true arboricity",
-            },
-        }
-
     tails = tuple(t for t, _ in o.directions)
-    summary = {
-        "kind": "orientation",
-        "bound": o.bound,
-        "max_out_degree": max(o.out_degrees, default=0),
-    }
+    summary = {"kind": "orientation", "bound": o.bound,
+               "max_out_degree": max(o.out_degrees, default=0)}
+    oracle = _arboricity_oracle(g, "lambda", args.lam)
     return io.format_orientation(g.edges, tails), summary, verdicts, oracle
 
 
-def _run_pseudo_forests(instance, args, ledger):
-    g = _need_graph(instance, "pseudo-forests")
-    _orientation_inputs(args, "pseudo-forests")
+def _run_pseudo_forests(g, args, ledger):
     o = apps.low_outdegree_orientation(g, args.lam, args.eps, ledger)
     classes = apps.pseudo_forest_decomposition(g, o)
-    verdicts = {"orientation_bounded": apps.validate_orientation(g, o)}
     covered = sorted(eid for cls in classes for eid in cls)
-    verdicts["partition_exact"] = Verdict(
-        covered == list(range(g.m)),
-        "" if covered == list(range(g.m)) else "classes do not partition the edges",
-    )
-    for idx, cls in enumerate(classes):
-        verdicts[f"class_{idx + 1}_pseudo_forest"] = apps.validate_pseudo_forest(
-            g, cls
-        )
-
-    def oracle():
-        a = oracles.arboricity(g)
-        ok = args.lam >= a
-        return {
-            "arboricity": a,
-            "lambda": args.lam,
-            "verdict": {
-                "ok": ok,
-                "reason": "" if ok else "lambda below true arboricity",
-            },
-        }
-
-    assignment = {
-        eid: idx + 1 for idx, cls in enumerate(classes) for eid in cls
+    verdicts = {
+        "orientation_bounded": apps.validate_orientation(g, o),
+        "partition_exact": _check(
+            covered == list(range(g.m)), "classes do not partition the edges"
+        ),
     }
-    summary = {
-        "kind": "pseudo-forests",
-        "classes": len(classes),
-        "class_sizes": [len(c) for c in classes],
-    }
+    for idx, cls in enumerate(classes, 1):
+        verdicts[f"class_{idx}_pseudo_forest"] = apps.validate_pseudo_forest(g, cls)
+    assignment = {eid: idx for idx, cls in enumerate(classes, 1) for eid in cls}
+    summary = {"kind": "pseudo-forests", "classes": len(classes),
+               "class_sizes": [len(c) for c in classes]}
+    oracle = _arboricity_oracle(g, "lambda", args.lam)
     return io.format_coloring(assignment), summary, verdicts, oracle
 
 
-def _run_arb_edge_color(instance, args, ledger):
-    g = _need_graph(instance, "arb-edge-color")
-    if args.arboricity is None:
-        raise UsageError("arb-edge-color needs --arboricity")
-    if args.eps is None:
-        raise UsageError("arb-edge-color needs --eps")
-    if g.m == 0:
-        raise UsageError("arb-edge-color needs at least one edge")
-    res = edge_coloring.arboricity_edge_color(g, args.arboricity, args.eps, ledger)
-    verdicts = {
-        "coloring_proper": validate_edge_coloring(g, res.colors, palette=res.palette)
-    }
+class _Algorithm(NamedTuple):
+    """One `run --algo` choice.  Once the instance is parsed, the
+    preconditions are checked in this order: graph, flags, edges."""
 
-    def oracle():
-        a = oracles.arboricity(g)
-        ok = args.arboricity >= a
-        return {
-            "arboricity": a,
-            "bound": args.arboricity,
-            "verdict": {
-                "ok": ok,
-                "reason": "" if ok else "bound below true arboricity",
-            },
-        }
+    run: Callable
+    graph: bool = True  # needs a gr instance
+    flags: tuple[str, ...] = ()  # options that must be given
+    edges: bool = False  # needs at least one edge
+    oracle: bool = True  # has an oracle comparison
+    lists: bool = False  # the instance file carries color lists
 
-    summary = {
-        "kind": "edge-coloring",
-        "palette_bound": res.palette,
-        "max_color": max(res.colors.values()),
-        "stats": res.stats,
-    }
-    return io.format_coloring(res.colors), summary, verdicts, oracle
+
+_ALGORITHMS = {
+    "maximal-matching": _Algorithm(_run_maximal_matching, graph=False),
+    "approx-matching": _Algorithm(_run_approx_matching, graph=False),
+    "edge-color": _Algorithm(_run_edge_color, edges=True),
+    "list-edge-color": _Algorithm(_run_list_edge_color, edges=True, lists=True),
+    "rand-edge-color": _Algorithm(_run_rand_edge_color, edges=True, oracle=False),
+    "mis": _Algorithm(_run_mis),
+    "vertex-color": _Algorithm(_run_vertex_color, oracle=False),
+    "approx-graph-matching": _Algorithm(_run_approx_graph_matching, flags=("--eps",)),
+    "orientation": _Algorithm(_run_orientation, flags=("--lambda", "--eps")),
+    "pseudo-forests": _Algorithm(_run_pseudo_forests, flags=("--lambda", "--eps")),
+    "arb-edge-color": _Algorithm(
+        _run_arb_edge_color, flags=("--arboricity", "--eps"), edges=True
+    ),
+}
+
+# argparse dest of each option that `_Algorithm.flags` may name
+_DEST = {"--eps": "eps", "--lambda": "lam", "--arboricity": "arboricity"}
 
 
 def _cmd_run(args) -> int:
-    text = _read(args.infile)
+    algo = _ALGORITHMS[args.algo]
+    if args.oracle and not algo.oracle:
+        raise UsageError(f"{args.algo} has no oracle comparison")
+    parsed = _parse(_read(args.infile), algo.lists)
+    instance: Graph | Hypergraph = parsed.g if algo.lists else parsed
+    if algo.graph and not isinstance(instance, Graph):
+        raise UsageError(f"{args.algo} needs a gr instance, got a hypergraph")
+    for flag in algo.flags:
+        if getattr(args, _DEST[flag]) is None:
+            raise UsageError(f"{args.algo} needs {flag}")
+    if algo.edges and instance.m == 0:
+        raise UsageError(f"{args.algo} needs at least one edge")
     ledger = RoundLedger()
-    if args.algo == "list-edge-color":
-        g, solution, summary, verdicts, oracle_fn = _run_list_edge_color(
-            text, args, ledger
-        )
-        instance: Graph | Hypergraph = g
-    else:
-        instance = _parse_instance(text)
-        runner = {
-            "maximal-matching": _run_maximal_matching,
-            "approx-matching": _run_approx_matching,
-            "edge-color": _run_edge_color,
-            "rand-edge-color": _run_rand_edge_color,
-            "mis": _run_mis,
-            "vertex-color": _run_vertex_color,
-            "approx-graph-matching": _run_approx_graph_matching,
-            "orientation": _run_orientation,
-            "pseudo-forests": _run_pseudo_forests,
-            "arb-edge-color": _run_arb_edge_color,
-        }[args.algo]
-        solution, summary, verdicts, oracle_fn = runner(instance, args, ledger)
+    solution, summary, verdicts, oracle = algo.run(parsed, args, ledger)
     if args.out:
         _write(args.out, solution)
     oracle_block = None
-    if oracle_fn is not None:
+    if oracle is not None:
         try:
-            oracle_block = oracle_fn()
+            oracle_block = oracle()
         except oracles.OverBudgetError:
             if args.oracle:
                 raise
-            oracle_block = None
-    elif args.oracle:
-        raise UsageError(f"{args.algo} has no oracle comparison")
     params = {
         "seed": args.seed,
         "eps": str(args.eps) if args.eps is not None else None,
@@ -575,123 +417,121 @@ def _cmd_run(args) -> int:
         "instance": _instance_summary(args.infile, instance),
         "parameters": params,
         "solution": summary,
-        "verdicts": _verdicts_json(verdicts),
-        "oracle": oracle_block,
+        "verdicts": _to_json(verdicts),
+        "oracle": None if oracle_block is None else _to_json(oracle_block),
         "ledger": {"entries": ledger.as_records(), "total": ledger.total},
     }
     failed = [name for name, v in verdicts.items() if not v.ok]
-    if oracle_block is not None:
-        inner = oracle_block.get("verdict")
-        if inner is not None and not inner["ok"]:
-            failed.append("oracle")
-        soundness = oracle_block.get("reduction_soundness")
-        if soundness is not None and not soundness["ok"]:
-            failed.append("reduction_soundness")
+    for key, v in (oracle_block or {}).items():
+        if isinstance(v, Verdict) and not v.ok:
+            failed.append("oracle" if key == "verdict" else key)
     if args.json:
         _write(args.json, json.dumps(report, sort_keys=True, indent=2) + "\n")
     else:
-        status = "FAIL" if failed else "ok"
-        sys.stdout.write(
-            f"{args.algo}: {status}"
-            + (f" ({', '.join(failed)})" if failed else "")
-            + f" rounds={ledger.total}\n"
-        )
+        status = f"FAIL ({', '.join(failed)})" if failed else "ok"
+        sys.stdout.write(f"{args.algo}: {status} rounds={ledger.total}\n")
     return 1 if failed else 0
 
 
-def _verify_matching(instance, solution_text, require_maximal) -> Verdict:
-    h = _to_hypergraph(instance)
-    m = io.parse_matching(solution_text)
-    return validate_matching(h, m, require_maximal=require_maximal)
+def _solution(parse):
+    """A (text, instance) solution parser from one that reads the text alone."""
+    return lambda text, _: parse(text)
 
 
-def _verify_independent(instance, solution_text, require_maximal) -> Verdict:
-    g = instance
-    if not isinstance(g, Graph):
-        raise UsageError("independent-set verification needs a gr instance")
-    ids = io.parse_id_set(solution_text)
-    return validate_independent_set(g, ids, require_maximal=require_maximal)
-
-
-def _verify_edge_coloring(instance, solution_text) -> Verdict:
-    if not isinstance(instance, Graph):
-        raise UsageError("edge-coloring verification needs a gr instance")
-    colors = io.parse_coloring(solution_text)
-    return validate_edge_coloring(instance, colors)
-
-
-def _verify_vertex_coloring(instance, solution_text) -> Verdict:
-    if not isinstance(instance, Graph):
-        raise UsageError("vertex-coloring verification needs a gr instance")
-    colors = io.parse_coloring(solution_text)
-    if sorted(colors) != list(range(instance.n)):
-        return Verdict(False, "coloring must assign every node exactly once")
-    return validate_vertex_coloring(
-        instance, [colors[v] for v in range(instance.n)]
+def _matching_check(maximal: bool):
+    return lambda h, m, _: validate_matching(
+        _to_hypergraph(h), m, require_maximal=maximal
     )
 
 
-def _verify_orientation(instance, solution_text, args) -> Verdict:
-    if not isinstance(instance, Graph):
-        raise UsageError("orientation verification needs a gr instance")
-    tails = io.parse_orientation(solution_text, instance)
-    out_deg = [0] * instance.n
+def _independent_check(maximal: bool):
+    return lambda g, s, _: validate_independent_set(g, s, require_maximal=maximal)
+
+
+def _check_vertex_coloring(g: Graph, colors, args) -> Verdict:
+    if sorted(colors) != list(range(g.n)):
+        return Verdict(False, "coloring must assign every node exactly once")
+    return validate_vertex_coloring(g, [colors[v] for v in range(g.n)])
+
+
+def _check_orientation(g: Graph, tails, args) -> Verdict:
+    if (args.lam is None) != (args.eps is None):
+        raise UsageError("verify orientation needs --lambda and --eps together")
+    out_deg = [0] * g.n
     for tail in tails:
         out_deg[tail] += 1
-    if args.lam is not None and args.eps is not None:
+    if args.lam is not None:
         bound = math.ceil((1 + args.eps) * args.lam)
     else:
         bound = max(out_deg, default=0)
-    directions = tuple(
-        (t, v if t == u else u) for t, (u, v) in zip(tails, instance.edges)
-    )
-    o = apps.Orientation(
-        directions=directions, out_degrees=tuple(out_deg), bound=bound
-    )
-    return apps.validate_orientation(instance, o)
+    directions = tuple((t, v if t == u else u) for t, (u, v) in zip(tails, g.edges))
+    o = apps.Orientation(directions=directions, out_degrees=tuple(out_deg), bound=bound)
+    return apps.validate_orientation(g, o)
 
 
-def _verify_pseudo_forests(instance, solution_text) -> Verdict:
-    if not isinstance(instance, Graph):
-        raise UsageError("pseudo-forests verification needs a gr instance")
-    assignment = io.parse_coloring(solution_text)
-    if sorted(assignment) != list(range(instance.m)):
+def _check_pseudo_forests(g: Graph, assignment, args) -> Verdict:
+    if sorted(assignment) != list(range(g.m)):
         return Verdict(False, "every edge needs exactly one class")
     classes: dict[int, set[int]] = {}
     for eid, cls in assignment.items():
         classes.setdefault(cls, set()).add(eid)
     for cls in sorted(classes):
-        verdict = apps.validate_pseudo_forest(instance, frozenset(classes[cls]))
+        verdict = apps.validate_pseudo_forest(g, frozenset(classes[cls]))
         if not verdict:
             return Verdict(False, f"class {cls}: {verdict.reason}")
     return Verdict(True)
 
 
+class _VerifyKind(NamedTuple):
+    """One `verify` kind."""
+
+    parse: Callable  # (solution text, instance) -> solution
+    check: Callable  # (instance, solution, args) -> Verdict
+    graph: str | None = None  # needs a gr instance; the error names this kind
+    lists: bool = False  # the instance file carries color lists
+
+
+_VERIFY_KINDS = {
+    "matching": _VerifyKind(_solution(io.parse_matching), _matching_check(False)),
+    "maximal-matching": _VerifyKind(
+        _solution(io.parse_matching), _matching_check(True)
+    ),
+    "independent-set": _VerifyKind(
+        _solution(io.parse_id_set), _independent_check(False), "independent-set"
+    ),
+    "mis": _VerifyKind(
+        _solution(io.parse_id_set), _independent_check(True), "independent-set"
+    ),
+    "edge-coloring": _VerifyKind(
+        _solution(io.parse_coloring),
+        lambda g, colors, _: validate_edge_coloring(g, colors),
+        "edge-coloring",
+    ),
+    "list-edge-coloring": _VerifyKind(
+        _solution(io.parse_coloring),
+        lambda inst, colors, _: validate_edge_coloring(
+            inst.g, colors, lists=inst.lists
+        ),
+        lists=True,
+    ),
+    "vertex-coloring": _VerifyKind(
+        _solution(io.parse_coloring), _check_vertex_coloring, "vertex-coloring"
+    ),
+    "orientation": _VerifyKind(io.parse_orientation, _check_orientation, "orientation"),
+    "pseudo-forests": _VerifyKind(
+        _solution(io.parse_coloring), _check_pseudo_forests, "pseudo-forests"
+    ),
+}
+
+
 def _cmd_verify(args) -> int:
+    kind = _VERIFY_KINDS[args.kind]
     instance_text = _read(args.infile)
     solution_text = _read(args.solution)
-    if args.kind == "list-edge-coloring":
-        inst = _parse_graph_with_lists(instance_text)
-        colors = io.parse_coloring(solution_text)
-        verdict = validate_edge_coloring(inst.g, colors, lists=inst.lists)
-    else:
-        instance = _parse_instance(instance_text)
-        if args.kind == "matching":
-            verdict = _verify_matching(instance, solution_text, False)
-        elif args.kind == "maximal-matching":
-            verdict = _verify_matching(instance, solution_text, True)
-        elif args.kind == "independent-set":
-            verdict = _verify_independent(instance, solution_text, False)
-        elif args.kind == "mis":
-            verdict = _verify_independent(instance, solution_text, True)
-        elif args.kind == "edge-coloring":
-            verdict = _verify_edge_coloring(instance, solution_text)
-        elif args.kind == "vertex-coloring":
-            verdict = _verify_vertex_coloring(instance, solution_text)
-        elif args.kind == "orientation":
-            verdict = _verify_orientation(instance, solution_text, args)
-        else:
-            verdict = _verify_pseudo_forests(instance, solution_text)
+    instance = _parse(instance_text, kind.lists)
+    if kind.graph is not None and not isinstance(instance, Graph):
+        raise UsageError(f"{kind.graph} verification needs a gr instance")
+    verdict = kind.check(instance, kind.parse(solution_text, instance), args)
     if verdict.ok:
         sys.stdout.write("pass\n")
         return 0
@@ -699,68 +539,74 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+class _Family(NamedTuple):
+    """One `generate` family.  `make` takes the key=value parameters in
+    order, then --seed if `seeded`, then the --in instance if `source`."""
+
+    make: Callable
+    params: tuple[tuple[str, type], ...] = ()  # key and type of each parameter
+    seeded: bool = False
+    source: bool = False
+
+
+_FAMILIES = {
+    "random-hypergraph": _Family(
+        generate.random_hypergraph, (("n", int), ("m", int), ("r", int)), seeded=True
+    ),
+    "random-graph": _Family(
+        generate.random_graph, (("n", int), ("p", float)), seeded=True
+    ),
+    "d-regular": _Family(generate.d_regular, (("n", int), ("d", int)), seeded=True),
+    "star": _Family(generate.star, (("n", int),)),
+    "cycle": _Family(generate.cycle, (("n", int),)),
+    "path": _Family(generate.path, (("n", int),)),
+    "complete": _Family(generate.complete, (("n", int),)),
+    "line-graph-of": _Family(generate.line_graph_of, source=True),
+}
+
+# parameter type -> (placeholder, noun) in its error messages
+_PARAM_TYPES = {int: ("int", "an integer"), float: ("float", "a number")}
+
+
 def _cmd_generate(args) -> int:
+    family = _FAMILIES[args.family]
     params: dict[str, str] = {}
     for item in args.params:
         key, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"family parameters look like key=value, got {item!r}")
         params[key] = value
-
-    def want_int(key: str) -> int:
+    values: list = []
+    for key, kind in family.params:
+        placeholder, noun = _PARAM_TYPES[kind]
         if key not in params:
-            raise UsageError(f"{args.family} needs {key}=<int>")
+            raise UsageError(f"{args.family} needs {key}=<{placeholder}>")
         try:
-            return int(params.pop(key))
+            values.append(kind(params.pop(key)))
         except ValueError as exc:
-            raise UsageError(f"{key} must be an integer") from exc
-
-    def want_float(key: str) -> float:
-        if key not in params:
-            raise UsageError(f"{args.family} needs {key}=<float>")
-        try:
-            return float(params.pop(key))
-        except ValueError as exc:
-            raise UsageError(f"{key} must be a number") from exc
-
+            raise UsageError(f"{key} must be {noun}") from exc
+    if family.seeded:
+        values.append(args.seed)
+    if family.source:
+        if args.infile is None:
+            raise UsageError(f"{args.family} needs --in <instance>")
+        values.append(_parse_instance(_read(args.infile)))
     try:
-        if args.family == "random-hypergraph":
-            inst = generate.random_hypergraph(
-                want_int("n"), want_int("m"), want_int("r"), args.seed
-            )
-        elif args.family == "random-graph":
-            inst = generate.random_graph(want_int("n"), want_float("p"), args.seed)
-        elif args.family == "d-regular":
-            inst = generate.d_regular(want_int("n"), want_int("d"), args.seed)
-        elif args.family == "star":
-            inst = generate.star(want_int("n"))
-        elif args.family == "cycle":
-            inst = generate.cycle(want_int("n"))
-        elif args.family == "path":
-            inst = generate.path(want_int("n"))
-        elif args.family == "complete":
-            inst = generate.complete(want_int("n"))
-        else:
-            if args.infile is None:
-                raise UsageError("line-graph-of needs --in <instance>")
-            inst = generate.line_graph_of(_parse_instance(_read(args.infile)))
+        inst = family.make(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if params:
         raise UsageError(f"unknown parameters for {args.family}: {sorted(params)}")
-    if isinstance(inst, Graph):
-        _write(args.out, io.format_graph(inst))
-    else:
-        _write(args.out, io.format_hypergraph(inst))
+    fmt = io.format_graph if isinstance(inst, Graph) else io.format_hypergraph
+    _write(args.out, fmt(inst))
     return 0
 
 
 def _fraction(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -771,7 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a deterministic instance")
-    gen.add_argument("family", choices=FAMILIES)
+    gen.add_argument("family", choices=tuple(_FAMILIES))
     gen.add_argument("params", nargs="*", help="family parameters, key=value")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--in", dest="infile", help="source instance (line-graph-of)")
@@ -779,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_generate)
 
     run = sub.add_parser("run", help="run an algorithm and report verdicts")
-    run.add_argument("--algo", required=True, choices=ALGORITHMS)
+    run.add_argument("--algo", required=True, choices=tuple(_ALGORITHMS))
     run.add_argument("--in", dest="infile", required=True)
     run.add_argument("--out", help="solution output path")
     run.add_argument("--seed", type=int, default=0)
@@ -793,7 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     ver = sub.add_parser("verify", help="re-run a validator on a solution file")
-    ver.add_argument("kind", choices=VERIFY_KINDS)
+    ver.add_argument("kind", choices=tuple(_VERIFY_KINDS))
     ver.add_argument("--in", dest="infile", required=True)
     ver.add_argument("solution")
     ver.add_argument("--eps", type=_fraction)
@@ -816,11 +662,8 @@ def main(argv=None) -> int:
     except oracles.OverBudgetError as exc:
         sys.stderr.write(f"oracle budget: {exc}\n")
         return 3
-    except (
-        apps.OrientationBoundError,
-        apps.PathBudgetError,
-        edge_coloring.PeelingStallError,
-    ) as exc:
+    except (apps.OrientationBoundError, apps.PathBudgetError,
+            edge_coloring.PeelingStallError) as exc:
         sys.stderr.write(f"failed: {exc}\n")
         return 1
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from hypermatch import cli, generate, io
+from hypermatch import cli, generate, io, oracles
 from hypermatch.core import validate_edge_coloring
 
 
@@ -30,6 +30,36 @@ def cycle5(tmp_path):
 @pytest.fixture
 def triangle(tmp_path):
     return write(tmp_path / "k3.gr", io.format_graph(generate.complete(3)))
+
+
+def c5_with_lists():
+    """Cycle on five nodes, each edge with a private three-color list."""
+    g = generate.cycle(5)
+    lines = [io.format_graph(g).rstrip("\n")]
+    for eid in range(g.m):
+        lines.append(f"{eid}: {3 * eid + 1} {3 * eid + 2} {3 * eid + 3}")
+    return "\n".join(lines) + "\n"
+
+
+# per algorithm: the instance of its happy-path test and the options it needs
+ALGORITHM_CASES = {
+    "maximal-matching": (
+        io.format_hypergraph(generate.random_hypergraph(10, 14, 3, seed=6)), ()),
+    "approx-matching": (
+        io.format_hypergraph(generate.random_hypergraph(9, 10, 3, seed=4)), ()),
+    "edge-color": (io.format_graph(generate.complete(3)), ()),
+    "list-edge-color": (c5_with_lists(), ()),
+    "rand-edge-color": (io.format_graph(generate.cycle(5)), ("--seed", "3")),
+    "mis": (io.format_graph(generate.complete(5)), ()),
+    "vertex-color": (io.format_graph(generate.cycle(5)), ()),
+    "approx-graph-matching": (io.format_graph(generate.cycle(5)), ("--eps", "1/3")),
+    "orientation": (io.format_graph(generate.path(6)),
+                    ("--lambda", "1", "--eps", "1")),
+    "pseudo-forests": (io.format_graph(generate.cycle(8)),
+                       ("--lambda", "2", "--eps", "1/2")),
+    "arb-edge-color": (io.format_graph(generate.path(6)),
+                       ("--arboricity", "1", "--eps", "1")),
+}
 
 
 class TestGenerate:
@@ -106,6 +136,20 @@ class TestRunHappyPaths:
                        "--out", str(sol)) == 0
         assert len(io.parse_id_set(sol.read_text())) == 1
 
+    def test_mis_oracle_reuses_independence(self, tmp_path, monkeypatch):
+        calls = []
+        exact = oracles.neighborhood_independence
+        monkeypatch.setattr(oracles, "neighborhood_independence",
+                            lambda g: calls.append(g) or exact(g))
+        k5 = write(tmp_path / "k5.gr", io.format_graph(generate.complete(5)))
+        rpt = tmp_path / "k5.json"
+        assert run_cli("run", "--algo", "mis", "--in", k5,
+                       "--json", str(rpt)) == 0
+        report = json.loads(rpt.read_text())
+        assert report["solution"]["independence_source"] == "oracle"
+        assert report["oracle"]["independence"] == 1
+        assert len(calls) == 1
+
     def test_approx_matching_on_hypergraph(self, tmp_path):
         h = generate.random_hypergraph(9, 10, 3, seed=4)
         inst = write(tmp_path / "h.hgr", io.format_hypergraph(h))
@@ -159,14 +203,17 @@ class TestRunHappyPaths:
 
 
 class TestJsonReport:
-    def test_report_bytes_are_reproducible(self, tmp_path):
-        h = generate.random_hypergraph(10, 14, 3, seed=6)
-        inst = write(tmp_path / "h.hgr", io.format_hypergraph(h))
+    @pytest.mark.parametrize("algo", list(ALGORITHM_CASES))
+    def test_report_bytes_are_reproducible(self, algo, tmp_path):
+        text, options = ALGORITHM_CASES[algo]
+        inst = write(tmp_path / "instance", text)
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        args = ("run", "--algo", "maximal-matching", "--in", inst)
-        assert run_cli(*args, "--json", str(r1)) == 0
-        assert run_cli(*args, "--json", str(r2)) == 0
+        s1, s2 = tmp_path / "s1.out", tmp_path / "s2.out"
+        args = ("run", "--algo", algo, "--in", inst, *options)
+        assert run_cli(*args, "--json", str(r1), "--out", str(s1)) == 0
+        assert run_cli(*args, "--json", str(r2), "--out", str(s2)) == 0
         assert r1.read_bytes() == r2.read_bytes()
+        assert s1.read_bytes() == s2.read_bytes()
 
     def test_report_shape(self, triangle, tmp_path):
         rpt = tmp_path / "r.json"
@@ -231,15 +278,24 @@ class TestVerify:
         sol = write(tmp_path / "h.or", "0 1\n")
         assert run_cli("verify", "orientation", "--in", hgr, sol) == 2
 
+    def test_orientation_needs_lambda_and_eps_together(self, tmp_path, capsys):
+        # out-degrees 1, 1, 0: within the solution's own maximum, above
+        # ceil((1 + 1/2) * 0) = 0
+        p3 = write(tmp_path / "p3.gr", io.format_graph(generate.path(3)))
+        sol = write(tmp_path / "p3.or", "0 1\n1 2\n")
+        assert run_cli("verify", "orientation", "--in", p3, sol) == 0
+        assert run_cli("verify", "orientation", "--in", p3, sol,
+                       "--lambda", "0", "--eps", "1/2") == 1
+        capsys.readouterr()
+        for lone in (("--lambda", "0"), ("--eps", "1/2")):
+            assert run_cli("verify", "orientation", "--in", p3, sol, *lone) == 2
+            assert capsys.readouterr().err == (
+                "error: verify orientation needs --lambda and --eps together\n")
+
 
 class TestListEdgeColoring:
     def combined(self, tmp_path):
-        # cycle on five nodes, each edge gets a private three-color list
-        g = generate.cycle(5)
-        lines = [io.format_graph(g).rstrip("\n")]
-        for eid in range(g.m):
-            lines.append(f"{eid}: {3 * eid + 1} {3 * eid + 2} {3 * eid + 3}")
-        return write(tmp_path / "c5.lists", "\n".join(lines) + "\n")
+        return write(tmp_path / "c5.lists", c5_with_lists())
 
     def test_run_and_verify(self, tmp_path, capsys):
         inst = self.combined(tmp_path)
@@ -258,6 +314,31 @@ class TestListEdgeColoring:
         sol = write(tmp_path / "bad.lc", "0 99\n1 4\n2 7\n3 10\n4 13\n")
         assert run_cli("verify", "list-edge-coloring", "--in", inst, sol) == 1
         assert "fail:" in capsys.readouterr().out
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # blank lines inside the graph part and between graph and lists
+        inst = write(tmp_path / "p3.lists",
+                     "gr 3 2\n0 1\n\n1 2\n\n0: 5 7\n1: 7 9\n")
+        sol = tmp_path / "p3.lc"
+        assert run_cli("run", "--algo", "list-edge-color", "--in", inst,
+                       "--out", str(sol)) == 0
+        assert run_cli("verify", "list-edge-coloring", "--in", inst,
+                       str(sol)) == 0
+
+    @pytest.mark.parametrize("count, error", [
+        ("x", "header m: expected an integer, got 'x'"),
+        ("-1", "header announces -1 edges, found 0"),
+    ])
+    def test_bad_edge_count_is_a_parse_error(self, count, error, tmp_path, capsys):
+        inst = write(tmp_path / "bad.lists", f"gr 3 {count}\n0 1\n0: 5\n")
+        assert run_cli("run", "--algo", "list-edge-color", "--in", inst) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_edgeless_graph_is_rejected(self, tmp_path, capsys):
+        inst = write(tmp_path / "e3.lists", "gr 3 0\n")
+        assert run_cli("run", "--algo", "list-edge-color", "--in", inst) == 2
+        assert capsys.readouterr().err == (
+            "error: list-edge-color needs at least one edge\n")
 
 
 class TestExitCodes:
@@ -284,11 +365,13 @@ class TestExitCodes:
         assert run_cli("run", "--algo", "approx-graph-matching",
                        "--in", cycle5, "--eps", "zero") == 2
 
-    def test_oracle_unavailable_for_randomized_run(self, cycle5):
-        assert run_cli("run", "--algo", "rand-edge-color", "--in", cycle5,
-                       "--oracle") == 2
-        assert run_cli("run", "--algo", "vertex-color", "--in", cycle5,
-                       "--oracle") == 2
+    def test_oracle_unavailable_for_randomized_run(self, cycle5, tmp_path):
+        # rejected before solving, so no solution file is written
+        sol = tmp_path / "c5.out"
+        for algo in ("rand-edge-color", "vertex-color"):
+            assert run_cli("run", "--algo", algo, "--in", cycle5,
+                           "--out", str(sol), "--oracle") == 2
+            assert not sol.exists()
 
     def test_forced_oracle_over_budget(self, tmp_path):
         # thirty hyperedges push the matching oracle past its subset budget
