@@ -60,9 +60,7 @@ from .edge_coloring import (
     list_edge_color,
     list_edge_color_hypergraph,
     randomized_edge_color,
-    reduce_edge_coloring,
     reduce_hypergraph_list_edge_coloring,
-    reduce_list_edge_coloring,
     validate_h_partition,
 )
 from .ledger import (

@@ -11,8 +11,10 @@ hypergraph maximal matching with source and sink multi-edges
 materialized as slot vertices.  The orientation in turn splits the edge
 set into pseudo-forests, one per out-going slot.
 
-All path enumeration is explicit depth-first search with a hard cap;
-blowing the cap raises PathBudgetError rather than silently truncating.
+Both drivers enumerate their paths with one depth-first search,
+`_simple_paths`, under the module constant PATH_CAP: more than PATH_CAP
+paths in one phase, or path/slot combinations in one orientation
+iteration, raise PathBudgetError rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from .core import Graph, Matching, Verdict, build_hypergraph
 from .ledger import RoundLedger
 from .rounding import almost_maximal_matching, maximal_matching
 
-DEFAULT_PATH_CAP = 500_000
+PATH_CAP = 500_000
 ORIENTATION_ROUND_FACTOR = 4
 
 
 class PathBudgetError(RuntimeError):
-    """Augmenting-path enumeration exceeded its configured cap."""
+    """Path enumeration, or the path/slot combinations built on it, exceeded PATH_CAP."""
 
 
 class OrientationBoundError(RuntimeError):
@@ -73,54 +75,44 @@ def validate_path_set(ps: AugmentingPathSet) -> Verdict:
     return Verdict(True)
 
 
-def _alternating_paths(
-    g: Graph,
-    mate: dict[int, int],
-    dead: set[int],
-    length: int,
-    cap: int,
-) -> list[tuple[int, ...]]:
-    """Simple alternating paths with exactly ``length`` edges between two
-    exposed nodes, each reported once (smaller endpoint first)."""
-    found: list[tuple[int, ...]] = []
-    path: list[int] = []
+def _simple_paths(starts, step, accept, length: int, what: str):
+    """Simple paths with exactly ``length`` edges from a start node, as
+    (node sequence, edge id sequence) pairs in depth-first order.
+
+    ``step(v, depth)`` lists the (node, edge id) moves out of v after
+    ``depth`` edges; ``accept(nodes)`` says whether a full-length path
+    counts.  ``what`` names the paths in the PathBudgetError message.
+    """
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    nodes: list[int] = []
+    eids: list[int] = []
     on_path: set[int] = set()
 
-    def extend(edges_used: int) -> None:
-        v = path[-1]
-        if edges_used == length:
-            if v not in mate and path[0] < v:
-                found.append(tuple(path))
-                if len(found) > cap:
+    def extend() -> None:
+        if len(eids) == length:
+            if accept(nodes):
+                found.append((tuple(nodes), tuple(eids)))
+                if len(found) > PATH_CAP:
                     raise PathBudgetError(
-                        f"more than {cap} augmenting paths of length {length}"
+                        f"more than {PATH_CAP} {what} of length {length}"
                     )
             return
-        if edges_used % 2 == 1:
-            u = mate.get(v)
-            if u is None or u in on_path or u in dead:
-                return
-            path.append(u)
+        for u, eid in step(nodes[-1], len(eids)):
+            if u in on_path:
+                continue
+            nodes.append(u)
+            eids.append(eid)
             on_path.add(u)
-            extend(edges_used + 1)
+            extend()
             on_path.discard(u)
-            path.pop()
-        else:
-            for u in g.adjacency[v]:
-                if u in on_path or u in dead or mate.get(v) == u:
-                    continue
-                path.append(u)
-                on_path.add(u)
-                extend(edges_used + 1)
-                on_path.discard(u)
-                path.pop()
+            eids.pop()
+            nodes.pop()
 
-    for start in range(g.n):
-        if start in mate or start in dead:
-            continue
-        path = [start]
+    for start in starts:
+        nodes = [start]
+        eids = []
         on_path = {start}
-        extend(0)
+        extend()
     return found
 
 
@@ -129,7 +121,6 @@ def approx_max_graph_matching(
     eps: Fraction | int,
     almost_maximal: bool = False,
     ledger: RoundLedger | None = None,
-    path_cap: int = DEFAULT_PATH_CAP,
 ) -> Matching:
     """Matching of size at least OPT/(1+eps), for 0 < eps <= 1.
 
@@ -148,38 +139,56 @@ def approx_max_graph_matching(
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     k = math.ceil(1 / eps)
+    # node -> id of its matching edge
     mate: dict[int, int] = {}
     matched_ids: set[int] = set()
     dead: set[int] = set()
-    pair_to_id = {edge: eid for eid, edge in enumerate(g.edges)}
+    # (neighbor, edge id) pairs of each node, by neighbor
+    adj = [
+        sorted((sum(g.edges[eid]) - v, eid) for eid in g.incident_edges(v))
+        for v in range(g.n)
+    ]
+
+    def step(v: int, depth: int) -> list[tuple[int, int]]:
+        # off the matching after an even number of edges, along it after an odd one
+        own = mate.get(v)
+        if depth % 2 == 0:
+            moves = [(u, eid) for u, eid in adj[v] if eid != own]
+        else:
+            moves = [] if own is None else [(sum(g.edges[own]) - v, own)]
+        return [(u, eid) for u, eid in moves if u not in dead]
+
+    def accept(nodes: list[int]) -> bool:
+        # exposed far end, each path once (smaller endpoint first)
+        return nodes[-1] not in mate and nodes[0] < nodes[-1]
+
     for length in range(1, 2 * k, 2):
         if ledger is not None:
             ledger.charge(
                 "augmenting_phase", length, "radius-l path enumeration"
             )
-        paths = _alternating_paths(g, mate, dead, length, path_cap)
-        if not paths:
-            continue
         exposed = sorted(
             v for v in range(g.n) if v not in mate and v not in dead
         )
+        paths = _simple_paths(exposed, step, accept, length, "augmenting paths")
+        if not paths:
+            continue
         elem_of_node = {v: i for i, v in enumerate(exposed)}
         elem_of_medge = {
             eid: len(exposed) + i for i, eid in enumerate(sorted(matched_ids))
         }
         members_list: list[frozenset[int]] = []
-        rep_paths: list[tuple[int, ...]] = []
+        rep_paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         seen_members: set[frozenset[int]] = set()
-        for p in paths:
-            members = {elem_of_node[p[0]], elem_of_node[p[-1]]}
-            for j in range(1, length, 2):
-                members.add(elem_of_medge[pair_to_id[tuple(sorted(p[j : j + 2]))]])
+        for nodes, eids in paths:
+            members = {elem_of_node[nodes[0]], elem_of_node[nodes[-1]]}
+            members.update(elem_of_medge[eid] for eid in eids[1::2])
             frozen = frozenset(members)
             if frozen in seen_members:
                 continue
             seen_members.add(frozen)
             members_list.append(frozen)
-            rep_paths.append(p)
+            rep_paths.append((nodes, eids))
         hyp = build_hypergraph(len(exposed) + len(matched_ids), members_list)
         if almost_maximal:
             slack = eps / (4 * max(1, g.max_degree) ** k)
@@ -187,25 +196,22 @@ def approx_max_graph_matching(
         else:
             mm = maximal_matching(hyp, ledger)
             unblocked = frozenset()
-        selected = AugmentingPathSet(
-            paths=tuple(rep_paths[i] for i in sorted(mm.edges)), mode="vertex"
-        )
+        picked = [rep_paths[i] for i in sorted(mm.edges)]
+        selected = AugmentingPathSet(paths=tuple(nodes for nodes, _ in picked), mode="vertex")
         verdict = validate_path_set(selected)
         if not verdict:
             raise RuntimeError(f"packed paths not vertex-disjoint: {verdict.reason}")
         before = len(matched_ids)
-        for p in selected.paths:
-            for j in range(length):
-                eid = pair_to_id[tuple(sorted(p[j : j + 2]))]
+        for nodes, eids in picked:
+            for j, eid in enumerate(eids):
                 if j % 2 == 0:
                     matched_ids.add(eid)
-                    mate[p[j]] = p[j + 1]
-                    mate[p[j + 1]] = p[j]
+                    mate[nodes[j]] = mate[nodes[j + 1]] = eid
                 else:
                     matched_ids.discard(eid)
-        assert len(matched_ids) == before + len(selected.paths)
+        assert len(matched_ids) == before + len(picked)
         for hid in unblocked:
-            dead.update(rep_paths[hid])
+            dead.update(rep_paths[hid][0])
     return Matching(frozenset(matched_ids))
 
 
@@ -238,55 +244,11 @@ def validate_orientation(g: Graph, o: Orientation) -> Verdict:
     return Verdict(True)
 
 
-def _directed_paths(
-    out_adj: list[list[tuple[int, int]]],
-    starts: list[int],
-    ends: set[int],
-    length: int,
-    cap: int,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Simple directed paths with exactly ``length`` edges from a start
-    node to an end node, as (node sequence, edge id sequence) pairs."""
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    nodes: list[int] = []
-    eids: list[int] = []
-    on_path: set[int] = set()
-
-    def extend(remaining: int) -> None:
-        v = nodes[-1]
-        if remaining == 0:
-            if v in ends:
-                found.append((tuple(nodes), tuple(eids)))
-                if len(found) > cap:
-                    raise PathBudgetError(
-                        f"more than {cap} directed paths of length {length}"
-                    )
-            return
-        for head, eid in out_adj[v]:
-            if head in on_path:
-                continue
-            nodes.append(head)
-            eids.append(eid)
-            on_path.add(head)
-            extend(remaining - 1)
-            on_path.discard(head)
-            eids.pop()
-            nodes.pop()
-
-    for s in starts:
-        nodes = [s]
-        eids = []
-        on_path = {s}
-        extend(length)
-    return found
-
-
 def low_outdegree_orientation(
     g: Graph,
     lam: int,
     eps: Fraction | int,
     ledger: RoundLedger | None = None,
-    path_cap: int = DEFAULT_PATH_CAP,
 ) -> Orientation:
     """Orient every edge so each node has out-degree <= ceil((1+eps)*lam).
 
@@ -329,8 +291,13 @@ def low_outdegree_orientation(
         for eid, (tail, head) in enumerate(directions):
             out_adj[tail].append((head, eid))
         starts = [v for v in range(g.n) if excess[v] > 0]
-        ends = {v for v in range(g.n) if deficit[v] > 0}
-        paths = _directed_paths(out_adj, starts, ends, inner_length, path_cap)
+        paths = _simple_paths(
+            starts,
+            lambda v, depth: out_adj[v],
+            lambda nodes: deficit[nodes[-1]] > 0,
+            inner_length,
+            "directed paths",
+        )
         if not paths:
             continue
         slot_id: dict[tuple[str, int, int], int] = {}
@@ -352,24 +319,21 @@ def low_outdegree_orientation(
                         | {slot_id[("s", nodes[0], j)], slot_id[("t", nodes[-1], j2)]}
                     )
                     path_of_member.append(pidx)
-                    if len(members_list) > path_cap:
+                    if len(members_list) > PATH_CAP:
                         raise PathBudgetError(
-                            f"more than {path_cap} path/slot combinations"
+                            f"more than {PATH_CAP} path/slot combinations"
                         )
         hyp = build_hypergraph(next_id, members_list)
         mm = maximal_matching(hyp, ledger)
         if not mm.edges:
             continue
-        chosen = AugmentingPathSet(
-            paths=tuple(paths[path_of_member[hid]][0] for hid in sorted(mm.edges)),
-            mode="edge",
-        )
+        picked = [paths[path_of_member[hid]] for hid in sorted(mm.edges)]
+        chosen = AugmentingPathSet(paths=tuple(nodes for nodes, _ in picked), mode="edge")
         verdict = validate_path_set(chosen)
         if not verdict:
             raise RuntimeError(f"packed paths not edge-disjoint: {verdict.reason}")
         before = [outdeg[v] for v in range(g.n)]
-        for hid in sorted(mm.edges):
-            nodes, eids = paths[path_of_member[hid]]
+        for nodes, eids in picked:
             for eid in eids:
                 tail, head = directions[eid]
                 directions[eid] = (head, tail)

@@ -6,11 +6,13 @@ Three subcommands, each driven by one table whose keys are its choices:
   run --algo NAME --in FILE ...     run, report, write solution  (_ALGORITHMS)
   verify KIND --in FILE SOLUTION    re-validate a solution file  (_VERIFY_KINDS)
 
-`run --oracle` on an algorithm without an oracle comparison
-(`rand-edge-color`, `vertex-color`) is a usage error raised before the
-instance is read.  `verify orientation` checks out-degrees against
-ceil((1+eps)*lambda) when given both `--lambda` and `--eps`, against the
-solution's own maximum when given neither, and rejects one without the other.
+`generate` rejects a missing, malformed or unknown parameter before it
+reads `--in` or builds anything.  `run --oracle` on an algorithm without
+an oracle comparison (`rand-edge-color`, `vertex-color`) is a usage error
+raised before the instance is read.  `verify orientation` checks
+out-degrees against ceil((1+eps)*lambda) when given both `--lambda` and
+`--eps`, against the solution's own maximum when given neither, and
+rejects one without the other.
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or parse
 error, 3 oracle budget exceeded.  Reports carry no timestamp, so identical
@@ -177,10 +179,9 @@ def _check_reduction_soundness(h, lists) -> Verdict:
             colors = edge_coloring.decode_matching(reduced, h.m, mm)
         except RuntimeError as exc:
             return Verdict(False, f"a maximal matching fails to decode: {exc}")
-        for v in range(h.n):
-            used = [colors[eid] for eid in h.incidence[v]]
-            if len(set(used)) != len(used):
-                return Verdict(False, f"decoded coloring clashes at vertex {v}")
+        verdict = validate_edge_coloring(h, colors, lists=lists)
+        if not verdict:
+            return Verdict(False, f"a decoded coloring is improper: {verdict.reason}")
     return Verdict(True)
 
 
@@ -585,6 +586,8 @@ def _cmd_generate(args) -> int:
             values.append(kind(params.pop(key)))
         except ValueError as exc:
             raise UsageError(f"{key} must be {noun}") from exc
+    if params:
+        raise UsageError(f"unknown parameters for {args.family}: {sorted(params)}")
     if family.seeded:
         values.append(args.seed)
     if family.source:
@@ -595,8 +598,6 @@ def _cmd_generate(args) -> int:
         inst = family.make(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if params:
-        raise UsageError(f"unknown parameters for {args.family}: {sorted(params)}")
     fmt = io.format_graph if isinstance(inst, Graph) else io.format_hypergraph
     _write(args.out, fmt(inst))
     return 0

@@ -353,12 +353,15 @@ def validate_independent_set(
 
 
 def validate_edge_coloring(
-    g: Graph,
+    g: Graph | Hypergraph,
     colors: dict[int, int],
     palette: int | None = None,
     lists: dict[int, tuple[int, ...]] | None = None,
 ) -> Verdict:
-    """Proper edge coloring check; optional palette cap and list membership."""
+    """Proper edge coloring check; optional palette cap and list membership.
+
+    Works on a graph or a hypergraph: edges sharing any vertex must differ.
+    """
     if set(colors) != set(range(g.m)):
         missing = sorted(set(range(g.m)) - set(colors))
         extra = sorted(set(colors) - set(range(g.m)))
@@ -370,7 +373,7 @@ def validate_edge_coloring(
             return Verdict(False, f"edge {eid} uses color {c} not on its list")
     for v in range(g.n):
         seen: dict[int, int] = {}
-        for eid in g.incident[v]:
+        for eid in g.incident_edges(v):
             c = colors[eid]
             if c in seen:
                 return Verdict(False, f"edges {seen[c]} and {eid} at vertex {v} share color {c}")

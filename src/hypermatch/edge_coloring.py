@@ -9,22 +9,28 @@ sizes exceeding the number of adjacent edges force every edge to be
 picked.  On top of that sit the plain (2*max_degree - 1) coloring, a
 seeded randomized hybrid, and an arboricity-sensitive variant driven by
 degree peeling.
+
+The last two color their edges in batches, each batch on the original
+vertex ids.  The reduction numbers (vertex, color) pairs in sorted order
+and anchors by batch position, so it builds the same matching instance as
+it would for the batch relabeled into its own subgraph.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
     Graph,
     Hypergraph,
     Verdict,
-    build_graph,
     build_hypergraph,
     graph_to_hypergraph,
+    induced_subhypergraph,
+    line_graph,
     validate_edge_coloring,
 )
 from .ledger import RoundLedger
@@ -120,24 +126,8 @@ def reduce_hypergraph_list_edge_coloring(
     return ReducedColoring(hypergraph=reduced, decode=decode)
 
 
-def reduce_list_edge_coloring(inst: ListEdgeInstance) -> ReducedColoring:
-    return reduce_hypergraph_list_edge_coloring(
-        graph_to_hypergraph(inst.g), inst.lists
-    )
-
-
 def full_palette_lists(h: Hypergraph, palette: int) -> dict[int, tuple[int, ...]]:
     return {eid: tuple(range(1, palette + 1)) for eid in range(h.m)}
-
-
-def reduce_edge_coloring(g: Graph) -> ReducedColoring:
-    """Plain coloring: every edge lists the whole 2*max_degree - 1 palette."""
-    if g.max_degree < 1:
-        raise ValueError("graph has no edges")
-    h = graph_to_hypergraph(g)
-    return reduce_hypergraph_list_edge_coloring(
-        h, full_palette_lists(h, 2 * g.max_degree - 1)
-    )
 
 
 def decode_matching(
@@ -156,30 +146,6 @@ def decode_matching(
     return colors
 
 
-def _check_hypergraph_coloring(
-    h: Hypergraph, colors: dict[int, int], lists: dict[int, tuple[int, ...]]
-) -> Verdict:
-    for v in range(h.n):
-        seen: dict[int, int] = {}
-        for eid in h.incidence[v]:
-            c = colors[eid]
-            if c in seen:
-                return Verdict(False, f"edges {seen[c]} and {eid} share color {c} at vertex {v}")
-            seen[c] = eid
-    for eid, c in colors.items():
-        if c not in lists[eid]:
-            return Verdict(False, f"edge {eid} uses color {c} not on its list")
-    return Verdict(True)
-
-
-def _reduction_stats(reduced: ReducedColoring) -> dict[str, int]:
-    return {
-        "reduced_vertices": reduced.hypergraph.n,
-        "reduced_edges": reduced.hypergraph.m,
-        "reduced_rank": reduced.hypergraph.rank,
-    }
-
-
 def list_edge_color_hypergraph(
     h: Hypergraph,
     lists: dict[int, tuple[int, ...]],
@@ -193,56 +159,45 @@ def list_edge_color_hypergraph(
     reduced = reduce_hypergraph_list_edge_coloring(h, lists)
     picked = maximal_matching(reduced.hypergraph, ledger)
     colors = decode_matching(reduced, h.m, picked.edges)
-    verdict = _check_hypergraph_coloring(h, colors, lists)
+    verdict = validate_edge_coloring(h, colors, lists=lists)
     if not verdict:
         raise RuntimeError(f"decoded coloring invalid: {verdict.reason}")
-    return EdgeColoringResult(
-        colors=colors, palette=None, stats=_reduction_stats(reduced)
-    )
+    r = reduced.hypergraph
+    return EdgeColoringResult(colors=colors, palette=None, stats={
+        "reduced_vertices": r.n, "reduced_edges": r.m, "reduced_rank": r.rank,
+    })
 
 
 def list_edge_color(
     inst: ListEdgeInstance, ledger: RoundLedger | None = None
 ) -> EdgeColoringResult:
-    result = list_edge_color_hypergraph(
-        graph_to_hypergraph(inst.g), inst.lists, ledger
-    )
-    verdict = validate_edge_coloring(inst.g, result.colors, lists=inst.lists)
-    if not verdict:
-        raise RuntimeError(f"decoded coloring invalid: {verdict.reason}")
-    return result
+    return list_edge_color_hypergraph(graph_to_hypergraph(inst.g), inst.lists, ledger)
 
 
 def edge_color(g: Graph, ledger: RoundLedger | None = None) -> EdgeColoringResult:
     """Proper edge coloring with colors in 1..2*max_degree - 1."""
-    if g.m == 0:
-        return EdgeColoringResult(colors={}, palette=0, stats={
-            "reduced_vertices": 0, "reduced_edges": 0, "reduced_rank": 0,
-        })
-    palette = 2 * g.max_degree - 1
+    palette = max(0, 2 * g.max_degree - 1)
     h = graph_to_hypergraph(g)
     result = list_edge_color_hypergraph(h, full_palette_lists(h, palette), ledger)
-    verdict = validate_edge_coloring(g, result.colors, palette=palette)
-    if not verdict:
-        raise RuntimeError(f"decoded coloring invalid: {verdict.reason}")
-    return EdgeColoringResult(
-        colors=result.colors, palette=palette, stats=result.stats
+    return replace(result, palette=palette)
+
+
+def _color_batch(
+    h: Hypergraph,
+    eids: list[int],
+    lists: dict[int, tuple[int, ...]],
+    ledger: RoundLedger | None,
+) -> dict[int, int]:
+    """List-color the edges `eids` of h, with lists keyed by edge id."""
+    sub, kept = induced_subhypergraph(h, eids)
+    finished = list_edge_color_hypergraph(
+        sub, {k: lists[eid] for k, eid in enumerate(kept)}, ledger
     )
-
-
-def _edge_adjacency(g: Graph) -> list[list[int]]:
-    adjacent: list[set[int]] = [set() for _ in range(g.m)]
-    for v in range(g.n):
-        inc = g.incident[v]
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                adjacent[inc[i]].add(inc[j])
-                adjacent[inc[j]].add(inc[i])
-    return [sorted(s) for s in adjacent]
+    return {eid: finished.colors[k] for k, eid in enumerate(kept)}
 
 
 def _uncolored_components(
-    g: Graph, uncolored: list[int], adjacent: list[list[int]]
+    uncolored: list[int], adjacent: tuple[tuple[int, ...], ...]
 ) -> list[list[int]]:
     """Group the uncolored edges into endpoint-connected components."""
     left = set(uncolored)
@@ -282,7 +237,8 @@ def randomized_edge_color(
         })
     trials = max(1, math.ceil(RANDOM_TRIAL_FACTOR * math.log2(max(2, g.max_degree))))
     rng = random.Random(seed)
-    adjacent = _edge_adjacency(g)
+    h = graph_to_hypergraph(g)
+    adjacent = line_graph(h).adjacency
     residual: list[set[int]] = [set(range(1, palette + 1)) for _ in range(g.m)]
     colors: dict[int, int] = {}
     for _ in range(trials):
@@ -300,19 +256,10 @@ def randomized_edge_color(
     if ledger is not None:
         ledger.charge("random_trials", trials, "4*log2(max_degree)")
     leftovers = [eid for eid in range(g.m) if eid not in colors]
-    components = _uncolored_components(g, leftovers, adjacent)
+    components = _uncolored_components(leftovers, adjacent)
     for comp in components:
-        nodes = sorted({v for eid in comp for v in g.edges[eid]})
-        pos = {v: i for i, v in enumerate(nodes)}
-        sub = build_graph(
-            len(nodes), [(pos[g.edges[eid][0]], pos[g.edges[eid][1]]) for eid in comp]
-        )
-        sub_lists = {i: tuple(sorted(residual[eid])) for i, eid in enumerate(comp)}
-        finished = list_edge_color_hypergraph(
-            graph_to_hypergraph(sub), sub_lists, ledger
-        )
-        for i, eid in enumerate(comp):
-            colors[eid] = finished.colors[i]
+        lists = {eid: tuple(sorted(residual[eid])) for eid in comp}
+        colors.update(_color_batch(h, comp, lists, ledger))
     verdict = validate_edge_coloring(g, colors, palette=palette)
     if not verdict:
         raise RuntimeError(f"randomized coloring invalid: {verdict.reason}")
@@ -413,10 +360,6 @@ def arboricity_edge_color(
     """
     hp = h_partition(g, arboricity_bound, eps, ledger)
     palette = g.max_degree + math.ceil(hp.threshold) - 1
-    if g.m == 0:
-        return EdgeColoringResult(colors={}, palette=palette, stats={
-            "layers": len(hp.layers),
-        })
     layer_of = {}
     for i, layer in enumerate(hp.layers):
         for v in layer:
@@ -424,31 +367,20 @@ def arboricity_edge_color(
     batches: dict[int, list[int]] = {}
     for eid, (u, v) in enumerate(g.edges):
         batches.setdefault(min(layer_of[u], layer_of[v]), []).append(eid)
+    h = graph_to_hypergraph(g)
     used: list[set[int]] = [set() for _ in range(g.n)]
     colors: dict[int, int] = {}
     for i in sorted(batches, reverse=True):
-        comp = batches[i]
-        nodes = sorted({v for eid in comp for v in g.edges[eid]})
-        pos = {v: k for k, v in enumerate(nodes)}
-        sub = build_graph(
-            len(nodes), [(pos[g.edges[eid][0]], pos[g.edges[eid][1]]) for eid in comp]
-        )
-        sub_lists = {}
-        for k, eid in enumerate(comp):
+        lists = {}
+        for eid in batches[i]:
             u, v = g.edges[eid]
-            sub_lists[k] = tuple(
-                c for c in range(1, palette + 1)
-                if c not in used[u] and c not in used[v]
+            lists[eid] = tuple(
+                c for c in range(1, palette + 1) if c not in used[u] and c not in used[v]
             )
-        finished = list_edge_color_hypergraph(
-            graph_to_hypergraph(sub), sub_lists, ledger
-        )
-        for k, eid in enumerate(comp):
-            c = finished.colors[k]
+        for eid, c in _color_batch(h, batches[i], lists, ledger).items():
             colors[eid] = c
-            u, v = g.edges[eid]
-            used[u].add(c)
-            used[v].add(c)
+            for v in g.edges[eid]:
+                used[v].add(c)
     verdict = validate_edge_coloring(g, colors, palette=palette)
     if not verdict:
         raise RuntimeError(f"layered coloring invalid: {verdict.reason}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 from .core import (
     Graph,
@@ -19,6 +20,8 @@ from .core import (
     graph_to_hypergraph,
     line_graph,
 )
+
+SWITCH_TRIES_PER_EDGE = 100
 
 
 def random_hypergraph(n: int, m: int, r: int, seed: int = 0) -> Hypergraph:
@@ -50,7 +53,11 @@ def random_graph(n: int, p: float, seed: int = 0) -> Graph:
 
 
 def d_regular(n: int, d: int, seed: int = 0) -> Graph:
-    """Random d-regular simple graph via the pairing model with restarts."""
+    """Random d-regular simple graph via the pairing model with restarts.
+
+    When 10000 pairings all hold a loop or a repeated edge, the last one is
+    repaired by double-edge switches drawn from the same generator.
+    """
     if d < 0 or d >= max(n, 1):
         raise ValueError(f"need 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
@@ -67,7 +74,49 @@ def d_regular(n: int, d: int, seed: int = 0) -> Graph:
         }
         if len(pairs) == n * d // 2 and all(a != b for a, b in pairs):
             return build_graph(n, sorted(pairs))
-    raise ValueError(f"no simple {d}-regular graph found for n={n} after 10000 tries")
+    edges = _switch_repair(points, rng)
+    if edges is None:
+        raise ValueError(
+            f"no simple {d}-regular graph found for n={n} after 10000 tries"
+            f" and {SWITCH_TRIES_PER_EDGE} switch tries per edge"
+        )
+    return build_graph(n, sorted(edges))
+
+
+def _switch_repair(
+    points: list[int], rng: random.Random
+) -> list[tuple[int, int]] | None:
+    """Simple edges with the degrees of the pairing `points`, or None.
+
+    A switch takes a bad pair {a, b} (a loop or a repeat) and a random pair
+    {c, e} and, in a random one of the two ways, rewires them to {a, c} and
+    {b, e}.  It is kept only when both new pairs are distinct, absent
+    edges, so each kept switch lowers the number of bad pairs; at most
+    SWITCH_TRIES_PER_EDGE switches per edge are tried.
+    """
+    pairs = [(min(a, b), max(a, b)) for a, b in zip(points[0::2], points[1::2])]
+    count = Counter(pairs)
+
+    def bad_pairs() -> list[int]:
+        return [i for i, (a, b) in enumerate(pairs) if a == b or count[(a, b)] > 1]
+
+    bad = bad_pairs()
+    for _ in range(SWITCH_TRIES_PER_EDGE * len(pairs)):
+        if not bad:
+            return pairs
+        i, j = rng.choice(bad), rng.randrange(len(pairs))
+        (a, b), (c, e) = pairs[i], pairs[j]
+        if rng.random() < 0.5:
+            c, e = e, c
+        new = [(min(a, c), max(a, c)), (min(b, e), max(b, e))]
+        count.subtract((pairs[i], pairs[j]))
+        if i != j and new[0] != new[1] and all(x < y and not count[(x, y)] for x, y in new):
+            pairs[i], pairs[j] = new
+            count.update(new)
+            bad = bad_pairs()
+        else:
+            count.update((pairs[i], pairs[j]))
+    return None if bad else pairs
 
 
 def star(n: int) -> Graph:

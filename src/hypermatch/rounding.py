@@ -63,19 +63,13 @@ class RoundingParams:
     factor: int
     denom: int
 
-    def validate(self, recursive: bool = False) -> None:
+    def validate(self) -> None:
         if not is_power_of_two(self.factor):
             raise ValueError(f"factor must be a power of two, got {self.factor}")
         if not is_power_of_two(self.denom):
             raise ValueError(f"denom must be a power of two, got {self.denom}")
         if self.factor > self.denom:
             raise ValueError(f"factor {self.factor} exceeds denom {self.denom}")
-        if recursive and not _cascade_fits(self.factor, self.denom):
-            j = self.factor.bit_length() - 1
-            raise ValueError(
-                f"recursive rounding needs factor*log2(factor)^2 <= denom, "
-                f"got {self.factor}*{j}^2 > {self.denom}"
-            )
 
 
 class _LoadModel:

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from hypermatch import generate
+from hypermatch import apps, generate
 from hypermatch.apps import (
     AugmentingPathSet,
     Orientation,
     OrientationBoundError,
+    PathBudgetError,
     approx_max_graph_matching,
     low_outdegree_orientation,
     pseudo_forest_decomposition,
@@ -204,6 +205,18 @@ class TestPseudoForests:
             pseudo_forest_decomposition(g, bad)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda g: approx_max_graph_matching(g, 1),
+    lambda g: low_outdegree_orientation(g, 2, Fraction(1, 2)),
+], ids=["approx-matching", "orientation"])
+def test_drivers_raise_path_budget_error_above_the_cap(monkeypatch, solve):
+    g = generate.complete(6)
+    solve(g)  # within the real cap
+    monkeypatch.setattr(apps, "PATH_CAP", 2)
+    with pytest.raises(PathBudgetError, match="more than 2 "):
+        solve(g)
+
+
 def test_no_augmenting_paths_between_packed_paths():
     """Two augmenting paths that share a node always share a packing element.
 
@@ -211,19 +224,26 @@ def test_no_augmenting_paths_between_packed_paths():
     edges, so this is what makes a maximal matching there give
     vertex-disjoint paths here.
     """
-    from hypermatch.apps import _alternating_paths
+    from hypermatch.apps import _simple_paths
 
     for seed in range(5):
         g = generate.random_graph(10, 0.35, seed=30 + seed)
         mate = {}
-        matched = set()
         # build some matching greedily to make length-3 paths exist
         for u, v in g.edges:
             if u not in mate and v not in mate:
                 mate[u] = v
                 mate[v] = u
-                matched.add(g.edge_id(u, v))
-        paths = _alternating_paths(g, mate, set(), 3, 10000)
+
+        def step(v, depth):
+            if depth % 2:
+                return [(mate[v], None)] if v in mate else []
+            return [(u, None) for u in g.adjacency[v] if mate.get(v) != u]
+
+        exposed = [v for v in range(g.n) if v not in mate]
+        found = _simple_paths(exposed, step, lambda p: p[-1] not in mate and p[0] < p[-1],
+                              3, "augmenting paths")
+        paths = [nodes for nodes, _ in found]
         for i in range(len(paths)):
             for j in range(i + 1, len(paths)):
                 p, q = paths[i], paths[j]

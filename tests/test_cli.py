@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from hypermatch import cli, generate, io, oracles
+from hypermatch import apps, cli, generate, io, oracles
 from hypermatch.core import validate_edge_coloring
 
 
@@ -98,6 +98,10 @@ class TestGenerate:
 
     def test_unknown_parameter(self):
         assert run_cli("generate", "cycle", "n=5", "girth=9") == 2
+
+    def test_unknown_parameter_rejected_before_building(self, capsys):
+        assert run_cli("generate", "star", "n=0", "girth=3") == 2
+        assert capsys.readouterr().err == "error: unknown parameters for star: ['girth']\n"
 
     def test_malformed_parameter(self):
         assert run_cli("generate", "cycle", "five") == 2
@@ -364,6 +368,13 @@ class TestExitCodes:
     def test_bad_eps_value(self, cycle5):
         assert run_cli("run", "--algo", "approx-graph-matching",
                        "--in", cycle5, "--eps", "zero") == 2
+
+    def test_path_budget_exceeded_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(apps, "PATH_CAP", 2)
+        k4 = write(tmp_path / "k4.gr", io.format_graph(generate.complete(4)))
+        assert run_cli("run", "--algo", "approx-graph-matching", "--in", k4,
+                       "--eps", "1") == 1
+        assert capsys.readouterr().err.startswith("failed: more than 2 ")
 
     def test_oracle_unavailable_for_randomized_run(self, cycle5, tmp_path):
         # rejected before solving, so no solution file is written

@@ -222,6 +222,18 @@ def test_edge_coloring_validation():
     assert not validate_edge_coloring(g, good, lists={0: (1,), 1: (2,), 2: (9,)}).ok
 
 
+def test_edge_coloring_validation_on_rank_three_hypergraph():
+    h = build_hypergraph(5, [{0, 1, 2}, {2, 3, 4}, {0, 3}])
+    lists = {0: (1, 2), 1: (1, 2), 2: (3,)}
+    assert validate_edge_coloring(h, {0: 1, 1: 2, 2: 3}, lists=lists).ok
+    clash = validate_edge_coloring(h, {0: 1, 1: 1, 2: 3}, lists=lists)
+    assert not clash.ok
+    assert "at vertex 2 share color 1" in clash.reason
+    off_list = validate_edge_coloring(h, {0: 1, 1: 2, 2: 4}, lists=lists)
+    assert not off_list.ok
+    assert "not on its list" in off_list.reason
+
+
 def test_vertex_coloring_validation():
     g = build_graph(3, [(0, 1), (1, 2)])
     assert validate_vertex_coloring(g, [1, 2, 1]).ok

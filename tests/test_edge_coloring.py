@@ -27,9 +27,7 @@ from hypermatch.edge_coloring import (
     list_edge_color,
     list_edge_color_hypergraph,
     randomized_edge_color,
-    reduce_edge_coloring,
     reduce_hypergraph_list_edge_coloring,
-    reduce_list_edge_coloring,
     validate_h_partition,
 )
 from hypermatch.oracles import arboricity, enumerate_maximal_matchings
@@ -42,17 +40,25 @@ def petersen():
     return build_graph(10, outer + inner + spokes)
 
 
+def plain_reduction(g):
+    """The reduction with every edge listing the whole 2*max_degree - 1 palette."""
+    h = graph_to_hypergraph(g)
+    return reduce_hypergraph_list_edge_coloring(
+        h, full_palette_lists(h, 2 * g.max_degree - 1)
+    )
+
+
 class TestReduction:
     def test_single_edge_single_copy(self):
         g = build_graph(2, [(0, 1)])
-        red = reduce_edge_coloring(g)
+        red = plain_reduction(g)
         assert red.hypergraph.m == 1
         assert red.hypergraph.rank == 3
         assert red.decode[0] == (0, 1)
 
     def test_triangle_three_copies_per_edge(self):
         g = generate.complete(3)
-        red = reduce_edge_coloring(g)
+        red = plain_reduction(g)
         assert red.hypergraph.m == 9
         # the anchor of each edge sits in all three of its copies
         anchors = [red.hypergraph.n - 3 + i for i in range(3)]
@@ -61,7 +67,7 @@ class TestReduction:
 
     def test_path_decodes_every_maximal_matching(self):
         g = generate.path(3)
-        red = reduce_edge_coloring(g)
+        red = plain_reduction(g)
         assert red.hypergraph.m == 6
         for mm in enumerate_maximal_matchings(red.hypergraph):
             colors = decode_matching(red, g.m, mm)
@@ -69,7 +75,7 @@ class TestReduction:
 
     def test_decode_rejects_missing_and_doubled_edges(self):
         g = generate.path(3)
-        red = reduce_edge_coloring(g)
+        red = plain_reduction(g)
         with pytest.raises(RuntimeError):
             decode_matching(red, g.m, frozenset({0}))
         copies_of_edge_zero = [
@@ -81,7 +87,7 @@ class TestReduction:
     def test_list_reduction_single_edge_single_color(self):
         g = build_graph(2, [(0, 1)])
         inst = build_list_edge_instance(g, {0: (7,)})
-        red = reduce_list_edge_coloring(inst)
+        red = reduce_hypergraph_list_edge_coloring(graph_to_hypergraph(g), inst.lists)
         assert red.hypergraph.m == 1
         assert red.decode[0] == (0, 7)
         out = list_edge_color(inst)
@@ -89,8 +95,9 @@ class TestReduction:
 
     def test_list_reduction_path_with_shared_pair(self):
         g = generate.path(3)
-        inst = build_list_edge_instance(g, {0: (1, 2), 1: (1, 2)})
-        red = reduce_list_edge_coloring(inst)
+        red = reduce_hypergraph_list_edge_coloring(
+            graph_to_hypergraph(g), {0: (1, 2), 1: (1, 2)}
+        )
         for mm in enumerate_maximal_matchings(red.hypergraph):
             colors = decode_matching(red, g.m, mm)
             assert colors[0] != colors[1]
@@ -98,20 +105,11 @@ class TestReduction:
     def test_list_reduction_star_always_proper(self):
         g = generate.star(4)
         lists = {eid: (eid + 1, 5, 6) for eid in range(3)}
-        inst = build_list_edge_instance(g, lists)
-        red = reduce_list_edge_coloring(inst)
+        red = reduce_hypergraph_list_edge_coloring(graph_to_hypergraph(g), lists)
         assert red.hypergraph.m == 9
         for mm in enumerate_maximal_matchings(red.hypergraph):
             colors = decode_matching(red, g.m, mm)
             assert validate_edge_coloring(g, colors, lists=lists).ok
-
-    def test_hypergraph_reduction_consistent_with_graph_one(self):
-        g = generate.path(4)
-        lists = {eid: (1, 2, 3) for eid in range(3)}
-        a = reduce_list_edge_coloring(build_list_edge_instance(g, lists))
-        b = reduce_hypergraph_list_edge_coloring(graph_to_hypergraph(g), lists)
-        assert a.hypergraph.edges == b.hypergraph.edges
-        assert a.decode == b.decode
 
     def test_rank_three_list_instance(self):
         h = build_hypergraph(3, [{0, 1, 2}])
@@ -137,7 +135,7 @@ class TestReduction:
     def test_reduction_size_bounds(self):
         g = generate.random_graph(14, 0.3, seed=13)
         delta = g.max_degree
-        red = reduce_edge_coloring(g)
+        red = plain_reduction(g)
         assert red.hypergraph.m == g.m * (2 * delta - 1)
         assert red.hypergraph.n <= 2 * g.n * delta + g.m
 

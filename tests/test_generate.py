@@ -34,6 +34,15 @@ def test_d_regular_degrees():
         generate.d_regular(5, 3, seed=0)  # odd n * d
 
 
+def test_d_regular_repairs_an_exhausted_pairing_loop():
+    # no simple pairing turns up in 10000 tries here, so switches finish it
+    a = generate.d_regular(10, 8, seed=2)
+    b = generate.d_regular(10, 8, seed=2)
+    assert a.edges == b.edges
+    assert a.m == 40  # build_graph rejects loops and repeated edges
+    assert all(a.degree(v) == 8 for v in range(10))
+
+
 def test_fixed_families():
     star = generate.star(5)
     assert star.m == 4 and star.degree(0) == 4

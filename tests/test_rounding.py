@@ -163,8 +163,11 @@ class TestBasicRound:
             RoundingParams(3, 8).validate()
         with pytest.raises(ValueError):
             RoundingParams(8, 4).validate()
-        with pytest.raises(ValueError):
-            RoundingParams(8, 16).validate(recursive=True)
+        # 8 * log2(8)^2 > 16: the recursive cascade does not fit
+        h = build_hypergraph(2, [{0, 1}])
+        x = build_fractional_assignment({0: Fraction(1, 16)}, Fraction(1, 16))
+        with pytest.raises(ValueError, match="recursive rounding needs"):
+            recursive_round(h, x, RoundingParams(8, 16))
 
 
 class TestRecursiveRound:
