@@ -2,8 +2,10 @@
 
 All fractional values are dyadic rationals (integer numerator over a power
 of two), held as ``fractions.Fraction`` so every comparison in a validator
-is exact.  Instances are immutable after construction; every function here
-is pure, so sharing objects across threads or processes is safe.
+is exact.  Instances are immutable after construction and every function
+here is pure, so sharing objects across threads or processes is safe.  The
+one cache, a hypergraph's line graph, is immutable and deterministic too,
+so a race can at worst build it twice.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Hypergraph:
     ``edges`` is an ordered multiset: parallel hyperedges are first-class
     and keep distinct ids (their list positions).  ``rank`` is the largest
     hyperedge size, ``max_degree`` the largest vertex degree counting
-    multiplicity.
+    multiplicity.  ``line_graph`` keeps its result in ``_line_graph``.
     """
 
     n: int
@@ -48,6 +50,7 @@ class Hypergraph:
     rank: int
     max_degree: int
     incidence: tuple[tuple[int, ...], ...] = field(repr=False)
+    _line_graph: Graph | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -163,15 +166,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def line_graph(h: Hypergraph) -> Graph:
     """Graph on hyperedge ids; two ids adjacent iff the hyperedges intersect.
 
-    Parallel hyperedges intersect, so they come out adjacent.
+    Parallel hyperedges intersect, so they come out adjacent.  Built once
+    per hypergraph and cached on it, so the edge coloring that seeds the
+    rounding and the rounding's conflict graphs share one copy.
     """
-    pairs: set[tuple[int, int]] = set()
-    for inc in h.incidence:
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                a, b = inc[i], inc[j]
-                pairs.add((a, b) if a < b else (b, a))
-    return build_graph(h.m, sorted(pairs))
+    if h._line_graph is None:
+        pairs: set[tuple[int, int]] = set()
+        for inc in h.incidence:
+            for i in range(len(inc)):
+                for j in range(i + 1, len(inc)):
+                    a, b = inc[i], inc[j]
+                    pairs.add((a, b) if a < b else (b, a))
+        object.__setattr__(h, "_line_graph", build_graph(h.m, sorted(pairs)))
+    return h._line_graph
 
 
 def graph_to_hypergraph(g: Graph) -> Hypergraph:

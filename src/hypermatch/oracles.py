@@ -227,39 +227,3 @@ def enumerate_maximal_matchings(
         found.append(frozenset(i for i in range(m) if subset >> i & 1))
     found.sort(key=sorted)
     return found
-
-
-def _max_matching_by_subsets(h: Hypergraph, limit: int = 20) -> int:
-    """Independent check: enumerate every edge subset."""
-    if h.m > limit:
-        raise OverBudgetError(f"edge count {h.m} exceeds subset-enumeration limit {limit}")
-    masks = _edge_masks(h)
-    best = 0
-    for subset in range(1 << h.m):
-        used = 0
-        size = 0
-        ok = True
-        for i in range(h.m):
-            if subset >> i & 1:
-                if masks[i] & used:
-                    ok = False
-                    break
-                used |= masks[i]
-                size += 1
-        if ok and size > best:
-            best = size
-    return best
-
-
-def _max_independent_set_by_subsets(g: Graph, limit: int = 18) -> int:
-    """Independent check: enumerate every vertex subset."""
-    if g.n > limit:
-        raise OverBudgetError(f"node count {g.n} exceeds subset-enumeration limit {limit}")
-    adj = _adjacency_masks(g)
-    best = 0
-    for subset in range(1 << g.n):
-        if subset.bit_count() <= best:
-            continue
-        if all(adj[v] & subset == 0 for v in _bits(subset)):
-            best = subset.bit_count()
-    return best

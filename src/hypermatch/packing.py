@@ -45,6 +45,7 @@ from .rounding import (
     _greedy,
     _LoadModel,
     _loads,
+    _numerators,
     _recursive_round,
 )
 
@@ -65,7 +66,8 @@ class GreedyPacking:
 
 def closed_loads(g: Graph, values: dict[int, Fraction]) -> list[Fraction]:
     """Per-vertex sum over the closed neighborhood."""
-    return _loads(_PackingModel(g), values)
+    nums, scale = _numerators(values)
+    return [Fraction(load, scale) for load in _loads(_PackingModel(g), nums)]
 
 
 def verify_greedy_packing(g: Graph, p: GreedyPacking) -> Verdict:

@@ -15,9 +15,21 @@ its line graph, rho is the rank); `packing` supplies the closed-
 neighborhood model of greedy packings.  Value dicts inside the engine are
 kept in witness order, which only the packing side reads.
 
-Every intermediate assignment is a valid fractional matching and the
-checks below are exact rational arithmetic, so a violated bound raises
-instead of drifting.
+Within one pass every value is k/D for one power of two D (1/denom for
+the greedy pass; multiples of 1/denom for the rounding passes), so the
+engine keeps integer numerators over D: values, loads, and the frozen
+test 2*load >= D.  `Fraction`s are built only for the output, so every
+public value stays an exact `Fraction` and every final validator runs on
+them.
+
+Every intermediate assignment is a valid fractional matching: on the
+matching side, after each color class, doubling round and recursive
+accumulation, the model rechecks the values just raised and re-sums the
+loads of the vertices they touch, in ascending vertex order.  Nothing
+else changed since the previous recheck, so this raises on the same first
+violation a full re-scan would, at the cost of the step rather than of
+the whole instance.  All of it is exact integer arithmetic, so a violated
+bound raises instead of drifting.
 """
 
 from __future__ import annotations
@@ -29,13 +41,13 @@ from fractions import Fraction
 
 from .coloring import VertexColoring, defective_coloring, edge_coloring_init
 from .core import (
-    HALF,
     ONE,
     ZERO,
     FractionalAssignment,
     Hypergraph,
     Matching,
     build_fractional_assignment,
+    induced_subgraph,
     induced_subhypergraph,
     is_power_of_two,
     line_graph,
@@ -84,7 +96,7 @@ class _LoadModel:
     - ``conflict(support)``: the conflict graph of a sorted support, node
       k standing for support[k]; ``base_coloring()`` colors all items;
     - ``verdict(x)``: the validity verdict; ``wrap(values, floor)``: the
-      output, whose values the engine keeps in witness order;
+      output from exact values, which the engine keeps in witness order;
       ``restrict(x, keep)``: a valid x cut down to the items ``keep`` accepts;
     - ``can_recurse(factor, denom)``: the recursive pass's precondition;
     - ``greedy``, ``basic`` and ``recurse``: calls to the side's public
@@ -102,44 +114,61 @@ class _LoadModel:
     recursion_rule: str  # can_recurse, spelled out for messages
     ledger: RoundLedger | None
 
-    def recheck(self, values: dict[int, Fraction], where: str) -> None:
-        """Per-step validity recheck; a side with none leaves this empty."""
+    def recheck(
+        self, values: dict[int, int], scale: int, touched: list[int], where: str
+    ) -> None:
+        """Per-step validity recheck after the ``touched`` items were raised.
+
+        ``values`` are numerators over ``scale``.  A side with no recheck
+        leaves this empty.
+        """
 
     def charge(self, label: str, rounds: int, formula: str) -> None:
         if self.ledger is not None:
             self.ledger.charge(label, rounds, formula)
 
 
-def _loads(model: _LoadModel, values: dict[int, Fraction]) -> list[Fraction]:
-    loads = [ZERO] * model.resources
+def _numerators(values: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Exact values as numerators over their least common denominator."""
+    scale = math.lcm(*(val.denominator for val in values.values()))
+    return {i: val.numerator * (scale // val.denominator) for i, val in values.items()}, scale
+
+
+def _fractions(values: dict[int, int], scale: int) -> dict[int, Fraction]:
+    return {i: Fraction(val, scale) for i, val in values.items()}
+
+
+def _loads(model: _LoadModel, values: dict[int, int]) -> list[int]:
+    loads = [0] * model.resources
     for i, val in values.items():
         for r in model.loaded(i):
             loads[r] += val
     return loads
 
 
-def _frozen(model: _LoadModel, loads: list[Fraction], i: int, past=operator.ge) -> bool:
-    return any(past(loads[r], HALF) for r in model.freezing(i))
+def _frozen(model: _LoadModel, loads: list[int], scale: int, i: int, past=operator.ge) -> bool:
+    """Whether a resource freezing item i carries load past 1/2 (numerators over scale)."""
+    return any(past(2 * loads[r], scale) for r in model.freezing(i))
 
 
-def _double(model: _LoadModel, values: dict[int, Fraction], loads: list[Fraction]):
-    """Double every item that is not frozen; False if none moved.
+def _double(model: _LoadModel, values: dict[int, int], loads: list[int], scale: int):
+    """Double every item that is not frozen; returns the doubled items.
 
     Doubled items move to the end of the witness order in id order.  A
     packing node with closed load sigma < 1/2 can afford its value plus its
     full neighborhood after doubling, since that is at most 2*sigma < 1.
     """
-    movers = [i for i in values if not _frozen(model, loads, i)]
-    for i in sorted(movers):
+    movers = sorted(i for i in values if not _frozen(model, loads, scale, i))
+    for i in movers:
         val = values.pop(i)
         for r in model.loaded(i):
             loads[r] += val
         values[i] = val * 2
-    return bool(movers)
+    return movers
 
 
-def _finish(model: _LoadModel, values: dict[int, Fraction], floor: Fraction, what: str):
-    out = model.wrap(values, floor)
+def _finish(model: _LoadModel, values: dict[int, int], scale: int, floor: Fraction, what: str):
+    out = model.wrap(_fractions(values, scale), floor)
     verdict = model.verdict(out)
     if not verdict:
         raise RuntimeError(f"{what} produced an invalid {model.kind}: {verdict.reason}")
@@ -153,15 +182,15 @@ def _greedy(model: _LoadModel, base: int, denom: int | None):
     if not is_power_of_two(denom) or denom < base:
         raise ValueError(f"denom must be a power of two >= {base}, got {denom}")
     rounds = denom.bit_length() - 1
-    values = {i: Fraction(1, denom) for i in range(model.items)}
-    for _ in range(rounds):
-        if not _double(model, values, _loads(model, values)):
-            break
+    values = dict.fromkeys(range(model.items), 1)  # numerators over denom
     loads = _loads(model, values)
+    for _ in range(rounds):
+        if not _double(model, values, loads, denom):
+            break
     for i in values:
-        if not _frozen(model, loads, i):
+        if not _frozen(model, loads, denom, i):
             raise RuntimeError(f"{model.noun} {i} ended the greedy pass unfrozen")
-    out = _finish(model, values, Fraction(1, denom), "greedy")
+    out = _finish(model, values, denom, Fraction(1, denom), "greedy")
     model.charge("greedy" + model.suffix, rounds, "log2(denom)")
     return out
 
@@ -194,33 +223,33 @@ def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     conflict = model.conflict(support)
     dcol = defective_coloring(conflict, restricted, defect, ledger=model.ledger)
 
-    values: dict[int, Fraction] = {}
-    loads = [ZERO] * model.resources
+    values: dict[int, int] = {}  # numerators over denom
+    loads = [0] * model.resources
     by_color: dict[int, list[int]] = {}
     for k, i in enumerate(support):
         by_color.setdefault(dcol.colors[k], []).append(i)
     past = operator.gt if model.raise_at_half else operator.ge
     for color in sorted(by_color):
-        raised = [i for i in by_color[color] if not _frozen(model, loads, i, past)]
+        raised = [i for i in by_color[color] if not _frozen(model, loads, denom, i, past)]
         for i in raised:
-            values[i] = target
+            values[i] = factor
             for r in model.loaded(i):
-                loads[r] += target
-        model.recheck(values, "basic_round color sweep")
+                loads[r] += factor
+        model.recheck(values, denom, raised, "basic_round color sweep")
     for i in support:
-        if i not in values and not _frozen(model, loads, i):
+        if i not in values and not _frozen(model, loads, denom, i):
             raise RuntimeError(f"{model.noun} {i} skipped its color class")
     doubling = 0
     cap = (denom // factor).bit_length() - 1
-    while _double(model, values, loads):
+    while moved := _double(model, values, loads, denom):
         doubling += 1
         if doubling > cap:
             raise RuntimeError(f"doubling exceeded log2(denom/factor) = {cap}")
-        model.recheck(values, "basic_round doubling")
+        model.recheck(values, denom, moved, "basic_round doubling")
     for i in support:
-        if not _frozen(model, loads, i):
+        if not _frozen(model, loads, denom, i):
             raise RuntimeError(f"support {model.noun} {i} ended unfrozen")
-    out = _finish(model, values, target, "basic rounding")
+    out = _finish(model, values, denom, target, "basic rounding")
     if out.total() * 2 * model.rho < x.total():
         raise RuntimeError(
             f"basic rounding lost more than a 1/(2*{model.rho_name}) share"
@@ -265,12 +294,12 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     total_x = x.total()
     target = Fraction(total_x, 4 * rho)
     s1, s2 = _split_factor(factor)
-    values: dict[int, Fraction] = {}
+    values: dict[int, int] = {}  # numerators over denom
+    loads = [0] * model.resources
     running = ZERO
     iterations = 0
     while running < target and iterations < 16 * rho:
-        loads = _loads(model, values)
-        z = model.restrict(x, lambda i: not _frozen(model, loads, i))
+        z = model.restrict(x, lambda i: not _frozen(model, loads, denom, i))
         if not z.values:
             break
         z1 = model.recurse(z, s1, denom, coloring)
@@ -284,21 +313,27 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
         # Merge keeps a valid witness: items already frozen stay in place,
         # still-open old items go next (their load is below 1/2, so any
         # order works), and the new contribution follows in its own order.
-        added = z2.values
+        # Nested outputs are multiples of 2*factor/denom, so every half is
+        # a whole numerator over denom.
+        added = {i: val * denom / 2 for i, val in z2.values.items()}
+        if any(half.denominator != 1 for half in added.values()):
+            raise RuntimeError(f"nested rounding left a value off the 1/{denom} grid")
         old = [i for i in values if i not in added]
-        old.sort(key=lambda i: not _frozen(model, loads, i))
+        old.sort(key=lambda i: not _frozen(model, loads, denom, i))
         merged = {i: values[i] for i in old}
-        for i, val in added.items():
-            merged[i] = values.get(i, ZERO) + val / 2
+        for i, half in added.items():
+            merged[i] = values.get(i, 0) + half.numerator
+            for r in model.loaded(i):
+                loads[r] += half.numerator
         values = merged
         running += gain
         iterations += 1
-        model.recheck(values, "recursive_round accumulate")
+        model.recheck(values, denom, list(added), "recursive_round accumulate")
     if running < target:
         raise RuntimeError(
             f"recursive rounding kept {running} < {target} after {iterations} iterations"
         )
-    out = _finish(model, values, Fraction(factor, denom), "recursive rounding")
+    out = _finish(model, values, denom, Fraction(factor, denom), "recursive rounding")
     model.charge(
         "recursive_round" + model.suffix, iterations, f"16*{model.rho_name} iterations"
     )
@@ -344,18 +379,6 @@ def _drive(n: int, rho: int, alive: tuple[int, ...], step, limit: int | None = N
     return alive, iterations
 
 
-def _assert_valid(h: Hypergraph, values: dict[int, Fraction], where: str) -> None:
-    loads = [ZERO] * h.n
-    for eid, val in values.items():
-        if val < ZERO or val > ONE:
-            raise RuntimeError(f"{where}: edge {eid} value {val} outside [0,1]")
-        for v in h.edges[eid]:
-            loads[v] += val
-    for v, load in enumerate(loads):
-        if load > ONE:
-            raise RuntimeError(f"{where}: vertex {v} overloaded to {load}")
-
-
 class _MatchingModel(_LoadModel):
     """Hyperedges load their vertices and are frozen by any of them."""
 
@@ -379,7 +402,10 @@ class _MatchingModel(_LoadModel):
     freezing = loaded
 
     def conflict(self, support):
-        return line_graph(induced_subhypergraph(self.h, support)[0])
+        full = line_graph(self.h)
+        if len(support) == self.h.m:
+            return full
+        return induced_subgraph(full, support)[0]
 
     def base_coloring(self):
         return edge_coloring_init(self.h, self.ledger)
@@ -407,8 +433,22 @@ class _MatchingModel(_LoadModel):
         params = RoundingParams(factor, denom)
         return recursive_round(self.h, x, params, coloring, self.ledger)
 
-    def recheck(self, values, where):
-        _assert_valid(self.h, values, where)
+    def recheck(self, values, scale, touched, where):
+        """Check the touched values and re-sum the loads of their vertices.
+
+        Nothing else changed since the last recheck, so this reports the
+        first violation a full scan would: values in witness order, then
+        vertices in ascending id order.
+        """
+        h = self.h
+        for i in touched:
+            if not 0 <= values[i] <= scale:
+                value = Fraction(values[i], scale)
+                raise RuntimeError(f"{where}: edge {i} value {value} outside [0,1]")
+        for v in sorted({v for i in touched for v in h.edges[i]}):
+            load = sum(values.get(e, 0) for e in h.incidence[v])
+            if load > scale:
+                raise RuntimeError(f"{where}: vertex {v} overloaded to {Fraction(load, scale)}")
 
 
 def greedy_doubling_step(
@@ -422,9 +462,9 @@ def greedy_doubling_step(
     freezing.
     """
     model = _MatchingModel(h)
-    values = dict(x.values)
-    _double(model, values, _loads(model, values))
-    return build_fractional_assignment(values, x.floor)
+    values, scale = _numerators(x.values)
+    _double(model, values, _loads(model, values), scale)
+    return build_fractional_assignment(_fractions(values, scale), x.floor)
 
 
 def greedy_fractional_matching(

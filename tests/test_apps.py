@@ -217,6 +217,43 @@ def test_drivers_raise_path_budget_error_above_the_cap(monkeypatch, solve):
         solve(g)
 
 
+def _greedy_mate(g):
+    mate = {}
+    for u, v in g.edges:
+        if u not in mate and v not in mate:
+            mate[u], mate[v] = v, u
+    return mate
+
+
+def _with_matching(n, matched, unmatched):
+    """Graph on n nodes whose ``matched`` edges form the given matching."""
+    mate = {}
+    for u, v in matched:
+        mate[u], mate[v] = v, u
+    return build_graph(n, matched + unmatched), mate
+
+
+def _packed_path_instances():
+    for seed in range(5):
+        g = generate.random_graph(10, 0.35, seed=30 + seed)
+        yield g, _greedy_mate(g)
+    # three length-3 augmenting paths on three disjoint P4s
+    yield _with_matching(12, [(1, 2), (5, 6), (9, 10)],
+                         [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)])
+    # nine overlapping P4s through one matched middle edge (0, 1): three
+    # exposed nodes on each side
+    yield _with_matching(8, [(0, 1)],
+                         [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
+    # an alternating 8-cycle with an exposed pendant at every node, plus one
+    # exposed node 16 seen by three matched nodes: paths share middle edges
+    # and the endpoint 16
+    cycle = [(i, (i + 1) % 8) for i in range(8)]
+    matched = cycle[0::2]
+    unmatched = cycle[1::2] + [(i, 8 + i) for i in range(8)]
+    unmatched += [(0, 16), (2, 16), (5, 16)]
+    yield _with_matching(17, matched, unmatched)
+
+
 def test_no_augmenting_paths_between_packed_paths():
     """Two augmenting paths that share a node always share a packing element.
 
@@ -226,14 +263,8 @@ def test_no_augmenting_paths_between_packed_paths():
     """
     from hypermatch.apps import _simple_paths
 
-    for seed in range(5):
-        g = generate.random_graph(10, 0.35, seed=30 + seed)
-        mate = {}
-        # build some matching greedily to make length-3 paths exist
-        for u, v in g.edges:
-            if u not in mate and v not in mate:
-                mate[u] = v
-                mate[v] = u
+    compared = 0
+    for g, mate in _packed_path_instances():
 
         def step(v, depth):
             if depth % 2:
@@ -248,7 +279,9 @@ def test_no_augmenting_paths_between_packed_paths():
             for j in range(i + 1, len(paths)):
                 p, q = paths[i], paths[j]
                 if set(p) & set(q):
+                    compared += 1
                     share_exposed = p[0] in (q[0], q[-1]) or p[-1] in (q[0], q[-1])
                     p_mids = {tuple(sorted(p[1:3]))}
                     q_mids = {tuple(sorted(q[1:3]))}
                     assert share_exposed or p_mids & q_mids
+    assert compared >= 20

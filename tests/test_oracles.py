@@ -1,8 +1,8 @@
 """Brute-force reference solvers: known values, budgets, cross-checks.
 
 The branch-and-bound solvers are cross-checked against the plain
-subset-enumeration implementations kept alongside them, which share no
-search logic.
+subset-enumeration implementations below, which share no search logic
+with them.
 """
 
 import pytest
@@ -18,8 +18,6 @@ from hypermatch.core import (
 from hypermatch.oracles import (
     OracleBudget,
     OverBudgetError,
-    _max_independent_set_by_subsets,
-    _max_matching_by_subsets,
     arboricity,
     enumerate_maximal_matchings,
     max_graph_matching,
@@ -27,6 +25,27 @@ from hypermatch.oracles import (
     max_matching,
     neighborhood_independence,
 )
+
+
+def _max_matching_by_subsets(h):
+    """Independent check: enumerate every edge subset."""
+    best = 0
+    for subset in range(1 << h.m):
+        picked = [h.edges[i] for i in range(h.m) if subset >> i & 1]
+        used = set().union(*picked)
+        if sum(map(len, picked)) == len(used):
+            best = max(best, len(picked))
+    return best
+
+
+def _max_independent_set_by_subsets(g):
+    """Independent check: enumerate every vertex subset."""
+    best = 0
+    for subset in range(1 << g.n):
+        chosen = {v for v in range(g.n) if subset >> v & 1}
+        if all(not set(g.adjacency[v]) & chosen for v in chosen):
+            best = max(best, len(chosen))
+    return best
 
 
 def test_max_matching_known_values():

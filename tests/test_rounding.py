@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hypermatch import generate
+from hypermatch import generate, rounding
+from hypermatch.coloring import VertexColoring
 from hypermatch.core import (
     Matching,
     build_fractional_assignment,
@@ -168,6 +169,20 @@ class TestBasicRound:
         x = build_fractional_assignment({0: Fraction(1, 16)}, Fraction(1, 16))
         with pytest.raises(ValueError, match="recursive rounding needs"):
             recursive_round(h, x, RoundingParams(8, 16))
+
+    def test_sweep_recheck_catches_an_overloaded_vertex(self, monkeypatch):
+        # a coloring that puts every edge in one class raises adjacent edges
+        # together; the per-class recheck must stop the sweep right there
+        def one_class(conflict, initial, defect, ledger=None):
+            return VertexColoring((0,) * conflict.n, palette_size=1, defect=defect)
+
+        monkeypatch.setattr(rounding, "defective_coloring", one_class)
+        h = graph_to_hypergraph(generate.random_graph(20, 0.3, seed=1))
+        x = greedy_fractional_matching(h, 64)
+        with pytest.raises(
+            RuntimeError, match="^basic_round color sweep: vertex 0 overloaded to 6$"
+        ):
+            basic_round(h, x, RoundingParams(64, 64))
 
 
 class TestRecursiveRound:
