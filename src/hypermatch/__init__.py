@@ -39,7 +39,6 @@ from .core import (
     build_fractional_assignment,
     build_graph,
     build_hypergraph,
-    graph_to_hypergraph,
     line_graph,
     validate_edge_coloring,
     validate_fractional_matching,
@@ -58,7 +57,6 @@ from .edge_coloring import (
     edge_color,
     h_partition,
     list_edge_color,
-    list_edge_color_hypergraph,
     randomized_edge_color,
     reduce_hypergraph_list_edge_coloring,
     validate_h_partition,
@@ -75,7 +73,6 @@ from .oracles import (
     OverBudgetError,
     arboricity,
     enumerate_maximal_matchings,
-    max_graph_matching,
     max_independent_set,
     max_matching,
     neighborhood_independence,

@@ -35,45 +35,30 @@ from .core import (
 )
 from .rounding import greedy_doubling_step, greedy_fractional_matching
 
-Instance = Graph | Hypergraph
 
-
-def ball(instance: Instance, vertex: int, radius: int) -> frozenset[int]:
-    """Vertices within ``radius`` hops; hypergraph hops cross hyperedges."""
-    if not 0 <= vertex < instance.n:
-        raise ValueError(f"vertex {vertex} outside 0..{instance.n - 1}")
+def ball(h: Hypergraph, vertex: int, radius: int) -> frozenset[int]:
+    """Vertices within ``radius`` hops; a hop crosses one (hyper)edge."""
+    if not 0 <= vertex < h.n:
+        raise ValueError(f"vertex {vertex} outside 0..{h.n - 1}")
     seen = {vertex}
     frontier = [vertex]
     for _ in range(radius):
         nxt: list[int] = []
         for v in frontier:
-            if isinstance(instance, Graph):
-                neighbors = instance.adjacency[v]
-            else:
-                neighbors = {
-                    u
-                    for eid in instance.incidence[v]
-                    for u in instance.edges[eid]
-                    if u != v
-                }
-            for u in neighbors:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
+            for eid in h.incidence[v]:
+                for u in h.edges[eid]:
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
         frontier = nxt
     return frozenset(seen)
 
 
 def _incident_view(
-    instance: Instance, nodes: frozenset[int]
+    h: Hypergraph, nodes: frozenset[int]
 ) -> tuple[tuple[int, ...], ...]:
     """Edges with an endpoint among ``nodes``, as an id-free multiset."""
-    if isinstance(instance, Graph):
-        picked = [e for e in instance.edges if e[0] in nodes or e[1] in nodes]
-        return tuple(sorted(picked))
-    picked = [
-        tuple(sorted(e)) for e in instance.edges if any(v in nodes for v in e)
-    ]
+    picked = [tuple(sorted(e)) for e in h.edges if any(v in nodes for v in e)]
     return tuple(sorted(picked))
 
 
@@ -129,8 +114,8 @@ def _defective_output(g: Graph, vertex: int, params: dict):
 class AuditPrimitive:
     """Declared locality radius plus the per-vertex output to compare."""
 
-    radius: Callable[[Instance, dict], int]
-    output_at: Callable[[Instance, int, dict], object]
+    radius: Callable[[Hypergraph, dict], int]
+    output_at: Callable[[Hypergraph, int, dict], object]
 
 
 PRIMITIVES: dict[str, AuditPrimitive] = {
@@ -159,10 +144,10 @@ PRIMITIVES: dict[str, AuditPrimitive] = {
 
 def audit_locality(
     algorithm: str,
-    instance: Instance,
+    instance: Hypergraph,
     vertex: int,
     radius: int,
-    perturbed: Instance,
+    perturbed: Hypergraph,
     params: dict | None = None,
 ) -> Verdict:
     """Rerun ``algorithm`` on two far-apart-differing instances.

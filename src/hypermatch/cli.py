@@ -34,8 +34,8 @@ from .core import (
     Hypergraph,
     Matching,
     Verdict,
-    graph_to_hypergraph,
     induced_subhypergraph,
+    line_graph,
     validate_edge_coloring,
     validate_independent_set,
     validate_matching,
@@ -67,7 +67,7 @@ def _write(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _parse_instance(text: str) -> Graph | Hypergraph:
+def _parse_instance(text: str) -> Hypergraph:
     head = text.split(None, 1)
     if not head:
         raise io.ParseError("empty instance file")
@@ -104,10 +104,6 @@ def _parse(text: str, lists: bool):
     return _parse_graph_with_lists(text) if lists else _parse_instance(text)
 
 
-def _to_hypergraph(instance: Graph | Hypergraph) -> Hypergraph:
-    return graph_to_hypergraph(instance) if isinstance(instance, Graph) else instance
-
-
 def _independence_for(g: Graph, force_oracle: bool) -> tuple[int, str]:
     """Neighborhood independence from the oracle, else the safe bound."""
     try:
@@ -131,14 +127,13 @@ def _to_json(block: dict) -> dict:
     }
 
 
-def _instance_summary(path: str, instance: Graph | Hypergraph) -> dict:
-    graph = isinstance(instance, Graph)
+def _instance_summary(path: str, instance: Hypergraph) -> dict:
     return {
         "path": path,
-        "kind": "graph" if graph else "hypergraph",
+        "kind": "graph" if isinstance(instance, Graph) else "hypergraph",
         "n": instance.n,
         "m": instance.m,
-        "rank": (2 if instance.m else 0) if graph else instance.rank,
+        "rank": instance.rank,
         "max_degree": instance.max_degree,
     }
 
@@ -185,15 +180,10 @@ def _check_reduction_soundness(h, lists) -> Verdict:
     return Verdict(True)
 
 
-def _soundness_oracle(g: Graph, lists_of):
-    """Oracle block: every maximal matching of the list reduction of g, with
-    lists `lists_of(h)` on its hypergraph h, decodes to a proper coloring."""
-
-    def oracle():
-        h = graph_to_hypergraph(g)
-        return {"reduction_soundness": _check_reduction_soundness(h, lists_of(h))}
-
-    return oracle
+def _soundness_oracle(g: Graph, lists):
+    """Oracle block: every maximal matching of the list reduction of g
+    decodes to a proper coloring."""
+    return lambda: {"reduction_soundness": _check_reduction_soundness(g, lists)}
 
 
 def _edge_colored(g: Graph, res, oracle, palette=None, lists=None):
@@ -208,8 +198,7 @@ def _edge_colored(g: Graph, res, oracle, palette=None, lists=None):
     return io.format_coloring(res.colors), summary, {name: verdict}, oracle
 
 
-def _run_maximal_matching(instance, args, ledger):
-    h = _to_hypergraph(instance)
+def _run_maximal_matching(h, args, ledger):
     if args.slack is None:
         m = rounding.maximal_matching(h, ledger)
         verdicts = {"matching_maximal": validate_matching(h, m, require_maximal=True)}
@@ -235,8 +224,7 @@ def _run_maximal_matching(instance, args, ledger):
     return _matched(m, verdicts, oracle, unblocked=sorted(unblocked))
 
 
-def _run_approx_matching(instance, args, ledger):
-    h = _to_hypergraph(instance)
+def _run_approx_matching(h, args, ledger):
     m = rounding.approx_max_matching(h, ledger) if h.m else Matching(frozenset())
     verdicts = {"matching_valid": validate_matching(h, m)}
     return _matched(m, verdicts, _optimum_oracle(h, m))
@@ -245,15 +233,13 @@ def _run_approx_matching(instance, args, ledger):
 def _run_edge_color(g, args, ledger):
     res = edge_coloring.edge_color(g, ledger)
     palette = 2 * g.max_degree - 1
-    oracle = _soundness_oracle(
-        g, lambda h: edge_coloring.full_palette_lists(h, palette)
-    )
+    oracle = _soundness_oracle(g, edge_coloring.full_palette_lists(g, palette))
     return _edge_colored(g, res, oracle, palette=palette)
 
 
 def _run_list_edge_color(inst, args, ledger):
-    res = edge_coloring.list_edge_color(inst, ledger)
-    oracle = _soundness_oracle(inst.g, lambda h: inst.lists)
+    res = edge_coloring.list_edge_color(inst.g, inst.lists, ledger)
+    oracle = _soundness_oracle(inst.g, inst.lists)
     return _edge_colored(inst.g, res, oracle, lists=inst.lists)
 
 
@@ -307,10 +293,10 @@ def _run_vertex_color(g, args, ledger):
 
 def _run_approx_graph_matching(g, args, ledger):
     m = apps.approx_max_graph_matching(g, args.eps, ledger=ledger)
-    valid = validate_matching(graph_to_hypergraph(g), m) if g.m else Verdict(True)
+    valid = validate_matching(g, m)
 
     def oracle():
-        opt = oracles.max_graph_matching(g).size
+        opt = oracles.max_matching(g).size
         need = math.ceil(opt / (1 + args.eps))
         verdict = _check(len(m) >= need, f"size {len(m)} below {need}")
         return {"optimum": opt, "required": need, "size": len(m),
@@ -385,7 +371,7 @@ def _cmd_run(args) -> int:
     if args.oracle and not algo.oracle:
         raise UsageError(f"{args.algo} has no oracle comparison")
     parsed = _parse(_read(args.infile), algo.lists)
-    instance: Graph | Hypergraph = parsed.g if algo.lists else parsed
+    instance: Hypergraph = parsed.g if algo.lists else parsed
     if algo.graph and not isinstance(instance, Graph):
         raise UsageError(f"{args.algo} needs a gr instance, got a hypergraph")
     for flag in algo.flags:
@@ -440,9 +426,7 @@ def _solution(parse):
 
 
 def _matching_check(maximal: bool):
-    return lambda h, m, _: validate_matching(
-        _to_hypergraph(h), m, require_maximal=maximal
-    )
+    return lambda h, m, _: validate_matching(h, m, require_maximal=maximal)
 
 
 def _independent_check(maximal: bool):
@@ -562,7 +546,7 @@ _FAMILIES = {
     "cycle": _Family(generate.cycle, (("n", int),)),
     "path": _Family(generate.path, (("n", int),)),
     "complete": _Family(generate.complete, (("n", int),)),
-    "line-graph-of": _Family(generate.line_graph_of, source=True),
+    "line-graph-of": _Family(line_graph, source=True),
 }
 
 # parameter type -> (placeholder, noun) in its error messages

@@ -129,36 +129,37 @@ def _check_initial(g: Graph, colors: tuple[int, ...], palette: int) -> None:
                 raise ValueError(f"input coloring is improper: nodes {v},{u} share {c}")
 
 
-def _apply_proper_step(g: Graph, colors: list[int], k: int, q: int) -> list[int]:
+def _apply_step(
+    g: Graph, colors: list[int], k: int, q: int, defect: int
+) -> list[int]:
+    """One reduction step: each node takes the first point of its polynomial
+    with the fewest agreeing neighbors, and raises if all have more than
+    ``defect``.
+
+    Counting at a point stops once it reaches the best count so far
+    (``defect + 1`` until a point qualifies), and a node stops at its first
+    conflict-free point: when one exists, it is the first with the fewest.
+    """
     values = {c: _poly_values(c, k, q) for c in set(colors)}
     new: list[int] = []
     for v in range(g.n):
         own = values[colors[v]]
         taken = [values[colors[u]] for u in g.adjacency[v]]
-        choice = -1
+        choice, best = -1, defect + 1
         for a in range(q):
-            if all(t[a] != own[a] for t in taken):
-                choice = a
-                break
+            agree = 0
+            for t in taken:
+                if t[a] == own[a]:
+                    agree += 1
+                    if agree == best:
+                        break
+            if agree < best:
+                choice, best = a, agree
+                if not agree:
+                    break
         if choice < 0:
             raise RuntimeError("cover-free family exhausted; degree cap too small")
         new.append(choice * q + own[choice])
-    return new
-
-
-def _apply_defective_step(
-    g: Graph, colors: list[int], k: int, q: int
-) -> list[int]:
-    values = {c: _poly_values(c, k, q) for c in set(colors)}
-    new: list[int] = []
-    for v in range(g.n):
-        own = values[colors[v]]
-        best_a, best_conflicts = 0, g.n + 1
-        for a in range(q):
-            conflicts = sum(1 for u in g.adjacency[v] if values[colors[u]][a] == own[a])
-            if conflicts < best_conflicts:
-                best_a, best_conflicts = a, conflicts
-        new.append(best_a * q + own[best_a])
     return new
 
 
@@ -199,7 +200,7 @@ def linial_coloring(
     colors = list(initial.colors)
     schedule = reduction_schedule(palette, cap)
     for k, q in schedule:
-        colors = _apply_proper_step(g, colors, k, q)
+        colors = _apply_step(g, colors, k, q, 0)
         palette = q * q
     if ledger is not None:
         ledger.charge("linial", len(schedule), "logstar(palette_bound)")
@@ -234,12 +235,11 @@ def defective_coloring(
         if ledger is not None:
             ledger.charge("defective", 1, "defect >= degree cap, one color")
         return VertexColoring(colors=tuple(0 for _ in range(g.n)), palette_size=1, defect=defect)
-    if defect == 0:
-        proper = linial_coloring(g, initial, palette_bound, cap, ledger)
-        return VertexColoring(proper.colors, proper.palette_size, defect=0)
     proper = linial_coloring(g, initial, palette_bound, cap, ledger)
+    if defect == 0:
+        return proper
     k, q = _step_params(proper.palette_size, cap, defect)
-    colors = _apply_defective_step(g, list(proper.colors), k, q)
+    colors = _apply_step(g, list(proper.colors), k, q, defect)
     if ledger is not None:
         ledger.charge("defective", 1, "one conflict-tolerant reduction step")
     palette = q * q

@@ -1,5 +1,12 @@
 """Hypergraph and graph data model with exact-rational validators.
 
+A graph is a hypergraph of rank 2 (rank 0 when it has no edges) that also
+keeps adjacency lists, so every function taking a ``Hypergraph`` takes a
+``Graph`` as it is.  Hyperedges are frozensets; graph edges are
+normalized ``(u, v)`` tuples with u < v.  Functions written for
+hypergraphs only iterate over an edge's vertices and never depend on
+their order, so they read both alike.
+
 All fractional values are dyadic rationals (integer numerator over a power
 of two), held as ``fractions.Fraction`` so every comparison in a validator
 is exact.  Instances are immutable after construction and every function
@@ -40,13 +47,15 @@ class Hypergraph:
     """A hypergraph on vertex ids 0..n-1.
 
     ``edges`` is an ordered multiset: parallel hyperedges are first-class
-    and keep distinct ids (their list positions).  ``rank`` is the largest
-    hyperedge size, ``max_degree`` the largest vertex degree counting
-    multiplicity.  ``line_graph`` keeps its result in ``_line_graph``.
+    and keep distinct ids (their list positions).  Each edge is a frozenset,
+    or a normalized ``(u, v)`` tuple in a ``Graph``.  ``rank`` is the
+    largest hyperedge size, ``max_degree`` the largest vertex degree
+    counting multiplicity, ``incidence[v]`` the ids of the edges at v in
+    ascending order.  ``line_graph`` keeps its result in ``_line_graph``.
     """
 
     n: int
-    edges: tuple[frozenset[int], ...]
+    edges: tuple[frozenset[int] | tuple[int, int], ...]
     rank: int
     max_degree: int
     incidence: tuple[tuple[int, ...], ...] = field(repr=False)
@@ -98,38 +107,14 @@ def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
 
 
 @dataclass(frozen=True)
-class Graph:
-    """A simple undirected graph; edge ids are positions in ``edges``."""
+class Graph(Hypergraph):
+    """A simple undirected graph: a rank-2 hypergraph with adjacency lists.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    Edges are normalized ``(u, v)`` tuples with u < v; edge ids are their
+    positions in ``edges``.
+    """
+
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
-    max_degree: int
-    incident: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return self.incident[v]
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Edge id of {u, v}; raises KeyError if absent."""
-        key = (u, v) if u < v else (v, u)
-        for eid in self.incident[key[0]]:
-            if self.edges[eid] == key:
-                return eid
-        raise KeyError(f"no edge {key}")
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -139,7 +124,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     norm: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    incident: list[list[int]] = [[] for _ in range(n)]
+    incidence: list[list[int]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(edges):
         if u == v:
             raise ValueError(f"edge {eid} is a self-loop at {u}")
@@ -152,14 +137,15 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         norm.append(key)
         adjacency[u].append(v)
         adjacency[v].append(u)
-        incident[u].append(eid)
-        incident[v].append(eid)
+        incidence[u].append(eid)
+        incidence[v].append(eid)
     return Graph(
         n=n,
         edges=tuple(norm),
-        adjacency=tuple(tuple(sorted(a)) for a in adjacency),
+        rank=2 if norm else 0,
         max_degree=max((len(a) for a in adjacency), default=0),
-        incident=tuple(tuple(inc) for inc in incident),
+        incidence=tuple(tuple(inc) for inc in incidence),
+        adjacency=tuple(tuple(sorted(a)) for a in adjacency),
     )
 
 
@@ -179,11 +165,6 @@ def line_graph(h: Hypergraph) -> Graph:
                     pairs.add((a, b) if a < b else (b, a))
         object.__setattr__(h, "_line_graph", build_graph(h.m, sorted(pairs)))
     return h._line_graph
-
-
-def graph_to_hypergraph(g: Graph) -> Hypergraph:
-    """Rank-2 hypergraph with the same edge ids."""
-    return build_hypergraph(g.n, [list(e) for e in g.edges])
 
 
 @dataclass(frozen=True)
@@ -360,27 +341,27 @@ def validate_independent_set(
 
 
 def validate_edge_coloring(
-    g: Graph | Hypergraph,
+    h: Hypergraph,
     colors: dict[int, int],
     palette: int | None = None,
     lists: dict[int, tuple[int, ...]] | None = None,
 ) -> Verdict:
     """Proper edge coloring check; optional palette cap and list membership.
 
-    Works on a graph or a hypergraph: edges sharing any vertex must differ.
+    Edges sharing any vertex must differ.
     """
-    if set(colors) != set(range(g.m)):
-        missing = sorted(set(range(g.m)) - set(colors))
-        extra = sorted(set(colors) - set(range(g.m)))
+    if set(colors) != set(range(h.m)):
+        missing = sorted(set(range(h.m)) - set(colors))
+        extra = sorted(set(colors) - set(range(h.m)))
         return Verdict(False, f"colored edge ids mismatch (missing {missing[:5]}, extra {extra[:5]})")
     for eid, c in colors.items():
         if palette is not None and not 1 <= c <= palette:
             return Verdict(False, f"edge {eid} uses color {c} outside 1..{palette}")
         if lists is not None and c not in lists[eid]:
             return Verdict(False, f"edge {eid} uses color {c} not on its list")
-    for v in range(g.n):
+    for v in range(h.n):
         seen: dict[int, int] = {}
-        for eid in g.incident_edges(v):
+        for eid in h.incident_edges(v):
             c = colors[eid]
             if c in seen:
                 return Verdict(False, f"edges {seen[c]} and {eid} at vertex {v} share color {c}")

@@ -28,7 +28,6 @@ from .core import (
     Hypergraph,
     Verdict,
     build_hypergraph,
-    graph_to_hypergraph,
     induced_subhypergraph,
     line_graph,
     validate_edge_coloring,
@@ -46,7 +45,8 @@ class PeelingStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class ListEdgeInstance:
-    """A graph plus an ordered color list per edge."""
+    """A graph plus an ordered color list per edge: what a
+    `list-edge-color` instance file holds."""
 
     g: Graph
     lists: dict[int, tuple[int, ...]]
@@ -93,7 +93,7 @@ def _check_lists(h: Hypergraph, lists: dict[int, tuple[int, ...]]) -> None:
 def build_list_edge_instance(
     g: Graph, lists: dict[int, tuple[int, ...]]
 ) -> ListEdgeInstance:
-    _check_lists(graph_to_hypergraph(g), lists)
+    _check_lists(g, lists)
     return ListEdgeInstance(g=g, lists=dict(lists))
 
 
@@ -146,12 +146,12 @@ def decode_matching(
     return colors
 
 
-def list_edge_color_hypergraph(
+def list_edge_color(
     h: Hypergraph,
     lists: dict[int, tuple[int, ...]],
     ledger: RoundLedger | None = None,
 ) -> EdgeColoringResult:
-    """Proper list edge coloring of a hypergraph via one maximal matching."""
+    """Proper list edge coloring via one maximal matching of the reduction."""
     if h.m == 0:
         return EdgeColoringResult(colors={}, palette=None, stats={
             "reduced_vertices": 0, "reduced_edges": 0, "reduced_rank": 0,
@@ -168,17 +168,10 @@ def list_edge_color_hypergraph(
     })
 
 
-def list_edge_color(
-    inst: ListEdgeInstance, ledger: RoundLedger | None = None
-) -> EdgeColoringResult:
-    return list_edge_color_hypergraph(graph_to_hypergraph(inst.g), inst.lists, ledger)
-
-
 def edge_color(g: Graph, ledger: RoundLedger | None = None) -> EdgeColoringResult:
     """Proper edge coloring with colors in 1..2*max_degree - 1."""
     palette = max(0, 2 * g.max_degree - 1)
-    h = graph_to_hypergraph(g)
-    result = list_edge_color_hypergraph(h, full_palette_lists(h, palette), ledger)
+    result = list_edge_color(g, full_palette_lists(g, palette), ledger)
     return replace(result, palette=palette)
 
 
@@ -190,7 +183,7 @@ def _color_batch(
 ) -> dict[int, int]:
     """List-color the edges `eids` of h, with lists keyed by edge id."""
     sub, kept = induced_subhypergraph(h, eids)
-    finished = list_edge_color_hypergraph(
+    finished = list_edge_color(
         sub, {k: lists[eid] for k, eid in enumerate(kept)}, ledger
     )
     return {eid: finished.colors[k] for k, eid in enumerate(kept)}
@@ -237,8 +230,7 @@ def randomized_edge_color(
         })
     trials = max(1, math.ceil(RANDOM_TRIAL_FACTOR * math.log2(max(2, g.max_degree))))
     rng = random.Random(seed)
-    h = graph_to_hypergraph(g)
-    adjacent = line_graph(h).adjacency
+    adjacent = line_graph(g).adjacency
     residual: list[set[int]] = [set(range(1, palette + 1)) for _ in range(g.m)]
     colors: dict[int, int] = {}
     for _ in range(trials):
@@ -259,7 +251,7 @@ def randomized_edge_color(
     components = _uncolored_components(leftovers, adjacent)
     for comp in components:
         lists = {eid: tuple(sorted(residual[eid])) for eid in comp}
-        colors.update(_color_batch(h, comp, lists, ledger))
+        colors.update(_color_batch(g, comp, lists, ledger))
     verdict = validate_edge_coloring(g, colors, palette=palette)
     if not verdict:
         raise RuntimeError(f"randomized coloring invalid: {verdict.reason}")
@@ -367,7 +359,6 @@ def arboricity_edge_color(
     batches: dict[int, list[int]] = {}
     for eid, (u, v) in enumerate(g.edges):
         batches.setdefault(min(layer_of[u], layer_of[v]), []).append(eid)
-    h = graph_to_hypergraph(g)
     used: list[set[int]] = [set() for _ in range(g.n)]
     colors: dict[int, int] = {}
     for i in sorted(batches, reverse=True):
@@ -377,7 +368,7 @@ def arboricity_edge_color(
             lists[eid] = tuple(
                 c for c in range(1, palette + 1) if c not in used[u] and c not in used[v]
             )
-        for eid, c in _color_batch(h, batches[i], lists, ledger).items():
+        for eid, c in _color_batch(g, batches[i], lists, ledger).items():
             colors[eid] = c
             for v in g.edges[eid]:
                 used[v].add(c)

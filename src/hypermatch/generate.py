@@ -12,14 +12,7 @@ import math
 import random
 from collections import Counter
 
-from .core import (
-    Graph,
-    Hypergraph,
-    build_graph,
-    build_hypergraph,
-    graph_to_hypergraph,
-    line_graph,
-)
+from .core import Graph, Hypergraph, build_graph, build_hypergraph
 
 SWITCH_TRIES_PER_EDGE = 100
 
@@ -142,10 +135,3 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def line_graph_of(instance: Graph | Hypergraph) -> Graph:
-    """Line graph: a node per edge, joined when the edges intersect."""
-    if isinstance(instance, Graph):
-        instance = graph_to_hypergraph(instance)
-    return line_graph(instance)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Graph, Hypergraph, graph_to_hypergraph
+from .core import Graph, Hypergraph
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,6 @@ def max_matching(
 
     descend(0, 0, ())
     return OracleAnswer(size=best, witness=frozenset(best_set))
-
-
-def max_graph_matching(
-    g: Graph, budget: OracleBudget = DEFAULT_BUDGET
-) -> OracleAnswer:
-    return max_matching(graph_to_hypergraph(g), budget)
 
 
 def _adjacency_masks(g: Graph) -> list[int]:

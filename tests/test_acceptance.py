@@ -22,7 +22,6 @@ from hypermatch.core import (
     Matching,
     build_graph,
     build_hypergraph,
-    graph_to_hypergraph,
     is_power_of_two,
     line_graph,
     next_power_of_two,
@@ -145,7 +144,7 @@ def test_criterion_02_basic_rounding_factor(small_hypergraphs):
 
 def test_criterion_03_recursive_rounding_factor_and_round_bound():
     # fixed node count, doubling degrees: 4-regular through 32-regular
-    family = {d: graph_to_hypergraph(circulant(48, d)) for d in (4, 8, 16, 32)}
+    family = {d: circulant(48, d) for d in (4, 8, 16, 32)}
 
     # factor and validity for each large rounding factor, including the
     # two nested stages the recursion works through
@@ -223,23 +222,21 @@ def test_criterion_05_edge_coloring_lists_and_reduction_soundness():
         assert validate_edge_coloring(g, res.colors, palette=palette)
 
         # adversarial minimum-size lists: heavily shared low colors
-        h = graph_to_hypergraph(g)
         lists = {}
         for eid in range(g.m):
-            need = edge_coloring.adjacent_edge_count(h, eid) + 1
+            need = edge_coloring.adjacent_edge_count(g, eid) + 1
             start = (idx + eid) % 3
             lists[eid] = tuple(range(start, start + need))
-        inst = edge_coloring.build_list_edge_instance(g, lists)
-        out = edge_coloring.list_edge_color(inst)
+        out = edge_coloring.list_edge_color(g, lists)
         assert validate_edge_coloring(g, out.colors, lists=lists)
 
         reduced = edge_coloring.reduce_hypergraph_list_edge_coloring(
-            h, edge_coloring.full_palette_lists(h, palette)
+            g, edge_coloring.full_palette_lists(g, palette)
         )
         if reduced.hypergraph.m <= oracles.DEFAULT_BUDGET.enumerate_edges:
             for mm in oracles.enumerate_maximal_matchings(reduced.hypergraph):
-                colors = edge_coloring.decode_matching(reduced, h.m, mm)
-                assert sorted(colors) == list(range(h.m))
+                colors = edge_coloring.decode_matching(reduced, g.m, mm)
+                assert sorted(colors) == list(range(g.m))
             soundness_checked += 1
     assert soundness_checked >= 3
 
@@ -312,7 +309,7 @@ def test_criterion_08_approx_matching_factor():
     assert all(g.n <= 24 for g in corpus)
 
     for g in corpus:
-        opt = oracles.max_graph_matching(g).size
+        opt = oracles.max_matching(g).size
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
             found = apps.approx_max_graph_matching(g, eps)
             assert len(found) >= math.ceil(Fraction(opt) / (1 + eps))

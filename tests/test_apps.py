@@ -17,9 +17,9 @@ from hypermatch.apps import (
     validate_path_set,
     validate_pseudo_forest,
 )
-from hypermatch.core import build_graph, validate_matching, graph_to_hypergraph
+from hypermatch.core import build_graph, validate_matching
 from hypermatch.ledger import RoundLedger
-from hypermatch.oracles import arboricity, max_graph_matching
+from hypermatch.oracles import arboricity, max_matching
 
 
 def ceil_div(opt: int, eps: Fraction) -> int:
@@ -30,7 +30,7 @@ class TestApproxMatching:
     def test_three_edge_path_single_phase(self):
         g = generate.path(4)
         m = approx_max_graph_matching(g, 1)
-        assert validate_matching(graph_to_hypergraph(g), m).ok
+        assert validate_matching(g, m).ok
         assert len(m) >= 1  # ceil(2 / 2)
 
     def test_three_edge_path_reaches_optimum(self):
@@ -53,17 +53,17 @@ class TestApproxMatching:
     def test_factor_on_random_instances(self, eps):
         for seed in range(6):
             g = generate.random_graph(12, 0.3, seed=seed)
-            opt = max_graph_matching(g).size
+            opt = max_matching(g).size
             m = approx_max_graph_matching(g, eps)
-            assert validate_matching(graph_to_hypergraph(g), m).ok
+            assert validate_matching(g, m).ok
             assert len(m) >= ceil_div(opt, eps)
 
     def test_almost_maximal_mode_stays_close(self):
         for seed in range(3):
             g = generate.random_graph(12, 0.3, seed=10 + seed)
-            opt = max_graph_matching(g).size
+            opt = max_matching(g).size
             m = approx_max_graph_matching(g, Fraction(1, 2), almost_maximal=True)
-            assert validate_matching(graph_to_hypergraph(g), m).ok
+            assert validate_matching(g, m).ok
             # slack-weakened factor: OPT/(1 + 2*eps)
             assert len(m) * 2 >= opt
 

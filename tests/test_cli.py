@@ -5,6 +5,7 @@ whatever the command left on disk or stdout.  Exit codes: 0 pass, 1 failed
 verdict, 2 usage or parse error, 3 oracle over budget.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,38 @@ ALGORITHM_CASES = {
                        ("--lambda", "2", "--eps", "1/2")),
     "arb-edge-color": (io.format_graph(generate.path(6)),
                        ("--arboricity", "1", "--eps", "1")),
+}
+
+# Every --algo case above, plus the hypergraph algorithms and edge-color on
+# a gr instance whose vertex ids pass 8, where a frozenset of two vertices
+# may list them out of order.
+GRAPH12 = io.format_graph(generate.random_graph(12, 0.3, seed=2))
+PINNED_CASES = {
+    **{algo: (algo, *case) for algo, case in ALGORITHM_CASES.items()},
+    "maximal-matching-gr": ("maximal-matching", GRAPH12, ()),
+    "maximal-matching-slack-gr": ("maximal-matching", GRAPH12, ("--slack", "1/4")),
+    "approx-matching-gr": ("approx-matching", GRAPH12, ()),
+    "edge-color-gr": ("edge-color", GRAPH12, ()),
+}
+
+# SHA-256 of the --json report followed by the --out solution, run in the
+# instance's directory so that the report's path is "instance"
+PINNED_DIGESTS = {
+    "maximal-matching": "47fa35b6d19f6973a3f3ace38a34173de7a81bbd6579f03bd0c0a0bcd4d81337",
+    "approx-matching": "769e032ddaee08b8253ba932d16ae82ca30876db8b6435f458478ce42d019803",
+    "edge-color": "a7d4db8a4d966bf06302be4e741690f9b575e0cc3edcd3aeba151d2ee78e0f87",
+    "list-edge-color": "478347da58b38a202164cbbe5e8a0ecea729dfb30bc9597859ffed82f48fe2cf",
+    "rand-edge-color": "723a0c1921f465d52f44b6a518ad36651711ca85f8cda0968302a9a61547820e",
+    "mis": "982729488713e2b848f80bb44f6b07259a113c638a7ba2e8f793e51099462e06",
+    "vertex-color": "d850f463cf6d8407a2fb803c3c8003c8fa91ccfb16ae9e1e76cbc60f3802ef3a",
+    "approx-graph-matching": "ac1e484649e69f7315c391b196ff69b224f960b2a27d152e5236acf7cb609b90",
+    "orientation": "4c194319449278d4cae34182aa2f00903c30488bad96c9a6855ca63a26f4202f",
+    "pseudo-forests": "ea26f0d264424c3269848b0765d5afe8ba8cf221d605dc49ca7485e337b63b10",
+    "arb-edge-color": "9d57b225316575897fe5ead841dd23764e470330ae16f11bd7c239a1ec5b2a51",
+    "maximal-matching-gr": "610bf14ca398159734e0df7970010ec260ff54cd0c4695db5a37bf586a19b88b",
+    "maximal-matching-slack-gr": "a170fb28367c844a03dd868b7b8506b0ff3b2f189bfff62d2a112f0e3ff86db0",
+    "approx-matching-gr": "f64bacbd4cec006d144f746c9e8e2424c2f86af3f62d48edf0facef6aea39353",
+    "edge-color-gr": "1cf084bcd4360bd983205b7f22727b0d279432c87551945e7b997d91442a4a84",
 }
 
 
@@ -218,6 +251,16 @@ class TestJsonReport:
         assert run_cli(*args, "--json", str(r2), "--out", str(s2)) == 0
         assert r1.read_bytes() == r2.read_bytes()
         assert s1.read_bytes() == s2.read_bytes()
+
+    @pytest.mark.parametrize("case", list(PINNED_CASES))
+    def test_report_and_solution_bytes_are_pinned(self, case, tmp_path, monkeypatch):
+        algo, text, options = PINNED_CASES[case]
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "instance", text)
+        assert run_cli("run", "--algo", algo, "--in", "instance", *options,
+                       "--json", "report.json", "--out", "solution") == 0
+        blob = (tmp_path / "report.json").read_bytes() + (tmp_path / "solution").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_DIGESTS[case]
 
     def test_report_shape(self, triangle, tmp_path):
         rpt = tmp_path / "r.json"

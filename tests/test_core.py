@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from hypermatch import generate
+from hypermatch.audit import ball
 from hypermatch.core import (
     FractionalAssignment,
+    Hypergraph,
     Matching,
     build_fractional_assignment,
     build_graph,
     build_hypergraph,
-    graph_to_hypergraph,
     induced_subgraph,
     induced_subhypergraph,
     is_dyadic,
@@ -25,6 +27,10 @@ from hypermatch.core import (
     validate_vertex_coloring,
     vertex_loads,
 )
+from hypermatch.edge_coloring import full_palette_lists, list_edge_color
+from hypermatch.ledger import RoundLedger
+from hypermatch.oracles import max_matching
+from hypermatch.rounding import approx_max_matching, maximal_matching
 
 
 def triangle():
@@ -81,8 +87,6 @@ def test_build_hypergraph_rejects_bad_input(n, edges):
 def test_build_graph_normalizes_and_rejects():
     g = build_graph(4, [(2, 0), (1, 3)])
     assert g.edges == ((0, 2), (1, 3))
-    assert g.edge_id(3, 1) == 1
-    assert g.has_edge(0, 2) and not g.has_edge(0, 1)
     with pytest.raises(ValueError):
         build_graph(3, [(0, 0)])
     with pytest.raises(ValueError):
@@ -110,11 +114,35 @@ def test_line_graph_path_plus_isolated():
     assert lg.edges == ((0, 1),)
 
 
-def test_graph_to_hypergraph_keeps_edge_ids():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    h = graph_to_hypergraph(g)
-    assert h.edges == (frozenset({0, 1}), frozenset({1, 2}))
-    assert h.rank == 2
+def _rank_two_results(h):
+    """What the hypergraph algorithms make of h, with their ledger records."""
+    ledger = RoundLedger()
+    colored = list_edge_color(h, full_palette_lists(h, 2 * h.max_degree - 1), ledger)
+    return {
+        "maximal": maximal_matching(h, ledger),
+        "approx": approx_max_matching(h, ledger),
+        "colors": colored.colors,
+        "proper": validate_edge_coloring(h, colored.colors),
+        "optimum": max_matching(h),
+        "line_graph": line_graph(h),
+        "balls": [ball(h, v, 2) for v in range(h.n)],
+        "ledger": ledger.as_records(),
+    }
+
+
+@pytest.mark.parametrize("g", [
+    generate.cycle(5),
+    generate.star(6),
+    generate.random_graph(12, 0.25, seed=3),
+    generate.random_graph(16, 0.15, seed=8),
+    build_graph(4, []),
+], ids=["cycle5", "star6", "random12", "random16", "edgeless"])
+def test_graph_is_a_rank_two_hypergraph(g):
+    assert isinstance(g, Hypergraph)
+    assert g.rank == (2 if g.m else 0)
+    h = build_hypergraph(g.n, g.edges)
+    assert (h.rank, h.max_degree, h.incidence) == (g.rank, g.max_degree, g.incidence)
+    assert _rank_two_results(g) == _rank_two_results(h)
 
 
 def test_matching_validation_on_triangle():

@@ -10,7 +10,6 @@ from hypermatch.core import (
     Matching,
     build_graph,
     build_hypergraph,
-    graph_to_hypergraph,
     validate_edge_coloring,
 )
 from hypermatch.edge_coloring import (
@@ -25,7 +24,6 @@ from hypermatch.edge_coloring import (
     full_palette_lists,
     h_partition,
     list_edge_color,
-    list_edge_color_hypergraph,
     randomized_edge_color,
     reduce_hypergraph_list_edge_coloring,
     validate_h_partition,
@@ -42,9 +40,8 @@ def petersen():
 
 def plain_reduction(g):
     """The reduction with every edge listing the whole 2*max_degree - 1 palette."""
-    h = graph_to_hypergraph(g)
     return reduce_hypergraph_list_edge_coloring(
-        h, full_palette_lists(h, 2 * g.max_degree - 1)
+        g, full_palette_lists(g, 2 * g.max_degree - 1)
     )
 
 
@@ -87,16 +84,16 @@ class TestReduction:
     def test_list_reduction_single_edge_single_color(self):
         g = build_graph(2, [(0, 1)])
         inst = build_list_edge_instance(g, {0: (7,)})
-        red = reduce_hypergraph_list_edge_coloring(graph_to_hypergraph(g), inst.lists)
+        red = reduce_hypergraph_list_edge_coloring(g, inst.lists)
         assert red.hypergraph.m == 1
         assert red.decode[0] == (0, 7)
-        out = list_edge_color(inst)
+        out = list_edge_color(inst.g, inst.lists)
         assert out.colors == {0: 7}
 
     def test_list_reduction_path_with_shared_pair(self):
         g = generate.path(3)
         red = reduce_hypergraph_list_edge_coloring(
-            graph_to_hypergraph(g), {0: (1, 2), 1: (1, 2)}
+            g, {0: (1, 2), 1: (1, 2)}
         )
         for mm in enumerate_maximal_matchings(red.hypergraph):
             colors = decode_matching(red, g.m, mm)
@@ -105,7 +102,7 @@ class TestReduction:
     def test_list_reduction_star_always_proper(self):
         g = generate.star(4)
         lists = {eid: (eid + 1, 5, 6) for eid in range(3)}
-        red = reduce_hypergraph_list_edge_coloring(graph_to_hypergraph(g), lists)
+        red = reduce_hypergraph_list_edge_coloring(g, lists)
         assert red.hypergraph.m == 9
         for mm in enumerate_maximal_matchings(red.hypergraph):
             colors = decode_matching(red, g.m, mm)
@@ -116,7 +113,7 @@ class TestReduction:
         red = reduce_hypergraph_list_edge_coloring(h, {0: (5,)})
         assert red.hypergraph.m == 1
         assert red.hypergraph.rank == 4
-        out = list_edge_color_hypergraph(h, {0: (5,)})
+        out = list_edge_color(h, {0: (5,)})
         assert out.colors == {0: 5}
 
     def test_intersecting_rank_three_edges_get_distinct_colors(self):
@@ -162,7 +159,7 @@ class TestEdgeColor:
         assert out.colors == {}
 
     def test_adjacent_edge_count(self):
-        h = graph_to_hypergraph(generate.star(4))
+        h = generate.star(4)
         assert adjacent_edge_count(h, 0) == 2
         lonely = build_hypergraph(4, [{0, 1}, {2, 3}])
         assert adjacent_edge_count(lonely, 0) == 0
@@ -171,12 +168,11 @@ class TestEdgeColor:
         # every edge gets exactly one more color than it has neighbors
         for seed in (0, 1):
             g = generate.random_graph(10, 0.35, seed=seed)
-            h = graph_to_hypergraph(g)
             lists = {
-                eid: tuple(range(10 + eid, 10 + eid + adjacent_edge_count(h, eid) + 1))
+                eid: tuple(range(10 + eid, 10 + eid + adjacent_edge_count(g, eid) + 1))
                 for eid in range(g.m)
             }
-            out = list_edge_color(build_list_edge_instance(g, lists))
+            out = list_edge_color(g, lists)
             assert validate_edge_coloring(g, out.colors, lists=lists).ok
 
 
@@ -276,7 +272,7 @@ class TestArboricityColor:
 
 
 def test_full_palette_lists_shape():
-    h = graph_to_hypergraph(generate.path(3))
+    h = generate.path(3)
     lists = full_palette_lists(h, 3)
     assert lists == {0: (1, 2, 3), 1: (1, 2, 3)}
 

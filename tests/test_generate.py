@@ -1,7 +1,7 @@
 import pytest
 
 from hypermatch import generate
-from hypermatch.core import build_hypergraph
+from hypermatch.core import build_hypergraph, line_graph
 
 
 def test_random_hypergraph_shape_and_determinism():
@@ -57,10 +57,10 @@ def test_fixed_families():
 
 
 def test_line_graph_of_graph_and_hypergraph():
-    lg = generate.line_graph_of(generate.path(4))
+    lg = line_graph(generate.path(4))
     assert lg.n == 3
     assert lg.edges == ((0, 1), (1, 2))
     h = build_hypergraph(6, [{0, 1, 2}, {2, 3, 4}, {4, 5, 0}])
-    lh = generate.line_graph_of(h)
+    lh = line_graph(h)
     assert lh.n == 3
     assert lh.m == 3

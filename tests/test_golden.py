@@ -17,7 +17,7 @@ import random
 import pytest
 
 from hypermatch import generate
-from hypermatch.core import build_hypergraph
+from hypermatch.core import build_hypergraph, line_graph
 from hypermatch.edge_coloring import edge_color
 from hypermatch.ledger import RoundLedger
 from hypermatch.packing import maximal_independent_set
@@ -45,7 +45,7 @@ def hub_matching_case(ledger):
 
 
 def line_graph_mis_case(ledger):
-    g = generate.line_graph_of(generate.random_hypergraph(200, 600, 3, seed=4))
+    g = line_graph(generate.random_hypergraph(200, 600, 3, seed=4))
     return sorted(maximal_independent_set(g, 3, ledger))
 
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from hypermatch import generate
-from hypermatch.core import graph_to_hypergraph
 from hypermatch.ledger import (
     RoundLedger,
     check_recurrence_bound,
@@ -36,7 +35,7 @@ def test_negative_charge_rejected():
 
 
 def test_full_run_charges_a_finite_total():
-    h = graph_to_hypergraph(generate.random_graph(24, 0.2, seed=5))
+    h = generate.random_graph(24, 0.2, seed=5)
     assert h.m >= 40  # the seed is fixed; keep the instance honest
     led = RoundLedger()
     maximal_matching(h, led)

@@ -12,7 +12,7 @@ from hypermatch.core import (
     Matching,
     build_graph,
     build_hypergraph,
-    graph_to_hypergraph,
+    line_graph,
     validate_matching,
 )
 from hypermatch.oracles import (
@@ -20,7 +20,6 @@ from hypermatch.oracles import (
     OverBudgetError,
     arboricity,
     enumerate_maximal_matchings,
-    max_graph_matching,
     max_independent_set,
     max_matching,
     neighborhood_independence,
@@ -50,7 +49,8 @@ def _max_independent_set_by_subsets(g):
 
 def test_max_matching_known_values():
     assert max_matching(build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])).size == 1
-    assert max_matching(graph_to_hypergraph(generate.complete(4))).size == 2
+    assert max_matching(generate.complete(4)).size == 2
+    assert max_matching(generate.cycle(5)).size == 2
     three = build_hypergraph(9, [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}])
     answer = max_matching(three)
     assert answer.size == 3
@@ -58,7 +58,7 @@ def test_max_matching_known_values():
 
 
 def test_max_matching_witness_is_a_matching():
-    h = graph_to_hypergraph(generate.random_graph(10, 0.4, seed=3))
+    h = generate.random_graph(10, 0.4, seed=3)
     answer = max_matching(h)
     assert validate_matching(h, Matching(answer.witness)).ok
     assert len(answer.witness) == answer.size
@@ -68,10 +68,6 @@ def test_max_matching_agrees_with_subset_enumeration():
     for seed in range(12):
         h = generate.random_hypergraph(9, 10, 2 + seed % 3, seed=seed)
         assert max_matching(h).size == _max_matching_by_subsets(h)
-
-
-def test_max_graph_matching_wrapper():
-    assert max_graph_matching(generate.cycle(5)).size == 2
 
 
 def test_mis_known_values():
@@ -124,7 +120,7 @@ def test_line_graphs_have_bounded_neighborhood_independence():
     # than 3 independent nodes
     for seed in range(6):
         h = generate.random_hypergraph(12, 14, 3, seed=seed)
-        lg = generate.line_graph_of(h)
+        lg = line_graph(h)
         if max(len(a) for a in lg.adjacency) <= 26:
             assert neighborhood_independence(lg) <= 3
 
@@ -148,7 +144,7 @@ def test_enumerated_matchings_are_maximal():
 
 
 def test_budget_guards():
-    big = graph_to_hypergraph(generate.random_graph(30, 0.4, seed=0))
+    big = generate.random_graph(30, 0.4, seed=0)
     assert big.m > 24
     with pytest.raises(OverBudgetError):
         max_matching(big)
@@ -159,7 +155,7 @@ def test_budget_guards():
     with pytest.raises(OverBudgetError):
         enumerate_maximal_matchings(big)
     # a raised budget admits an instance just over the default limit
-    over = graph_to_hypergraph(generate.random_graph(12, 0.5, seed=0))
+    over = generate.random_graph(12, 0.5, seed=0)
     assert over.m > 24
     with pytest.raises(OverBudgetError):
         max_matching(over)

@@ -10,7 +10,6 @@ from hypermatch.core import (
     Matching,
     build_fractional_assignment,
     build_hypergraph,
-    graph_to_hypergraph,
     unblocked_edges,
     validate_fractional_matching,
     validate_matching,
@@ -90,7 +89,7 @@ class TestGreedy:
             if seed % 2:
                 h = generate.random_hypergraph(12, 16, 3, seed=seed)
             else:
-                h = graph_to_hypergraph(generate.random_graph(12, 0.35, seed=seed))
+                h = generate.random_graph(12, 0.35, seed=seed)
             denom = 16
             x = build_fractional_assignment(
                 {eid: Fraction(1, denom) for eid in range(h.m)}, Fraction(1, denom)
@@ -135,7 +134,7 @@ class TestBasicRound:
             assert val >= HALF
 
     def test_factor_equal_denom_gives_integral_support(self):
-        h = graph_to_hypergraph(generate.random_graph(10, 0.3, seed=2))
+        h = generate.random_graph(10, 0.3, seed=2)
         x = greedy_fractional_matching(h)
         denom = x.values and max(v.denominator for v in x.values.values())
         if denom and denom > 1:
@@ -143,7 +142,7 @@ class TestBasicRound:
             assert all(val == 1 for val in y.values.values())
 
     def test_support_never_grows(self):
-        h = graph_to_hypergraph(generate.random_graph(14, 0.3, seed=7))
+        h = generate.random_graph(14, 0.3, seed=7)
         x = greedy_fractional_matching(h, denom=16)
         y = basic_round(h, x, RoundingParams(4, 16))
         assert set(y.values) <= set(x.values)
@@ -177,7 +176,7 @@ class TestBasicRound:
             return VertexColoring((0,) * conflict.n, palette_size=1, defect=defect)
 
         monkeypatch.setattr(rounding, "defective_coloring", one_class)
-        h = graph_to_hypergraph(generate.random_graph(20, 0.3, seed=1))
+        h = generate.random_graph(20, 0.3, seed=1)
         x = greedy_fractional_matching(h, 64)
         with pytest.raises(
             RuntimeError, match="^basic_round color sweep: vertex 0 overloaded to 6$"
@@ -199,8 +198,7 @@ class TestRecursiveRound:
         assert y.values == {}
 
     def test_thirty_edge_instance_with_factor_eight(self):
-        g = generate.random_graph(18, 0.2, seed=11)
-        h = graph_to_hypergraph(g)
+        h = generate.random_graph(18, 0.2, seed=11)
         assert h.m >= 25
         x = greedy_fractional_matching(h, denom=128)
         y = recursive_round(h, x, RoundingParams(8, 128))
@@ -215,7 +213,7 @@ class TestDrivers:
         assert approx_max_matching(h).edges == frozenset({0})
 
     def test_k4_keeps_at_least_one_edge(self):
-        h = graph_to_hypergraph(generate.complete(4))
+        h = generate.complete(4)
         m = approx_max_matching(h)
         assert len(m) >= 1
         assert validate_matching(h, m).ok
