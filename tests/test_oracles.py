@@ -50,7 +50,6 @@ def _max_independent_set_by_subsets(g):
 def test_max_matching_known_values():
     assert max_matching(build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])).size == 1
     assert max_matching(generate.complete(4)).size == 2
-    assert max_matching(generate.cycle(5)).size == 2
     three = build_hypergraph(9, [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}])
     answer = max_matching(three)
     assert answer.size == 3
@@ -68,6 +67,12 @@ def test_max_matching_agrees_with_subset_enumeration():
     for seed in range(12):
         h = generate.random_hypergraph(9, 10, 2 + seed % 3, seed=seed)
         assert max_matching(h).size == _max_matching_by_subsets(h)
+
+
+def test_max_graph_matching_wrapper():
+    # A Graph is a rank-2 Hypergraph, so max_matching takes it as it is
+    # and no separate graph wrapper is needed.
+    assert max_matching(generate.cycle(5)).size == 2
 
 
 def test_mis_known_values():
