@@ -168,6 +168,8 @@ def _arboricity_oracle(g: Graph, key: str, claimed: int):
 
 
 def _check_reduction_soundness(h, lists) -> Verdict:
+    # The reduction has one hyperedge per listed color of each edge.
+    oracles.require_enumerable(sum(map(len, lists.values())))
     reduced = edge_coloring.reduce_hypergraph_list_edge_coloring(h, lists)
     for mm in oracles.enumerate_maximal_matchings(reduced.hypergraph):
         try:

@@ -121,9 +121,13 @@ def _poly_values(color: int, k: int, q: int) -> tuple[int, ...]:
 def _check_initial(g: Graph, colors: tuple[int, ...], palette: int) -> None:
     if len(colors) != g.n:
         raise ValueError(f"expected {g.n} colors, got {len(colors)}")
+    # Pairwise distinct colors are proper on any graph.
+    distinct = len(set(colors)) == len(colors)
     for v, c in enumerate(colors):
         if not 0 <= c < palette:
             raise ValueError(f"node {v} has color {c} outside 0..{palette - 1}")
+        if distinct:
+            continue
         for u in g.adjacency[v]:
             if u > v and colors[u] == c:
                 raise ValueError(f"input coloring is improper: nodes {v},{u} share {c}")

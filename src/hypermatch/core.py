@@ -7,6 +7,11 @@ normalized ``(u, v)`` tuples with u < v.  Functions written for
 hypergraphs only iterate over an edge's vertices and never depend on
 their order, so they read both alike.
 
+``build_hypergraph`` and ``build_graph`` validate input from outside the
+library.  Graphs the library derives itself, line graphs and induced
+subgraphs, are frozen from adjacency lists it built sorted and unique,
+under a cheaper check whose failure is a library bug.
+
 All fractional values are dyadic rationals (integer numerator over a power
 of two), held as ``fractions.Fraction`` so every comparison in a validator
 is exact.  Instances are immutable after construction and every function
@@ -17,9 +22,12 @@ so a race can at worst build it twice.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import ge
+from typing import Iterable, Iterator, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -149,6 +157,52 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     )
 
 
+def _freeze_graph(adjacency: list[list[int]]) -> Graph:
+    """Freeze adjacency lists that the library derived itself.
+
+    Each list must be strictly ascending, within 0..n-1 and free of its
+    own node, and v must list u exactly when u lists v.  A violation is a
+    library bug, so it raises RuntimeError.  Edges come out in
+    lexicographic order and each incidence list in ascending edge id:
+    the graph ``build_graph`` makes of the sorted edge list.
+    """
+    n = len(adjacency)
+    edges: list[tuple[int, int]] = []
+    incidence: list[tuple[int, ...]] = []
+    # For each node w already frozen: (edge id, v) for each neighbor v
+    # above w that has not yet listed w, ascending.
+    pending: list[Iterator[tuple[int, int]]] = []
+    for u, adj in enumerate(adjacency):
+        if adj and (adj[0] < 0 or adj[-1] >= n or any(map(ge, adj, adj[1:]))):
+            raise RuntimeError(f"adjacency of {u} is not strictly ascending in 0..{n - 1}")
+        split = bisect_left(adj, u)
+        if split < len(adj) and adj[split] == u:
+            raise RuntimeError(f"adjacency of {u} lists {u} itself")
+        own: list[int] = []
+        for w in adj[:split]:
+            eid, v = next(pending[w], (0, -1))
+            if v != u:
+                raise RuntimeError(f"adjacency of {u} is not symmetric")
+            own.append(eid)
+        upper = adj[split:]
+        base = len(edges)
+        pending.append(enumerate(upper, base))
+        own.extend(range(base, base + len(upper)))
+        incidence.append(tuple(own))
+        edges.extend(zip(repeat(u), upper))
+    for w, rest in enumerate(pending):
+        if next(rest, None) is not None:
+            raise RuntimeError(f"adjacency of {w} is not symmetric")
+    return Graph(
+        n=n,
+        edges=tuple(edges),
+        rank=2 if edges else 0,
+        max_degree=max(map(len, adjacency), default=0),
+        incidence=tuple(incidence),
+        adjacency=tuple(map(tuple, adjacency)),
+    )
+
+
 def line_graph(h: Hypergraph) -> Graph:
     """Graph on hyperedge ids; two ids adjacent iff the hyperedges intersect.
 
@@ -157,13 +211,15 @@ def line_graph(h: Hypergraph) -> Graph:
     rounding and the rounding's conflict graphs share one copy.
     """
     if h._line_graph is None:
-        pairs: set[tuple[int, int]] = set()
-        for inc in h.incidence:
-            for i in range(len(inc)):
-                for j in range(i + 1, len(inc)):
-                    a, b = inc[i], inc[j]
-                    pairs.add((a, b) if a < b else (b, a))
-        object.__setattr__(h, "_line_graph", build_graph(h.m, sorted(pairs)))
+        inc = h.incidence
+        adjacency = []
+        for eid, members in enumerate(h.edges):
+            near: set[int] = set()
+            for v in members:
+                near.update(inc[v])
+            near.discard(eid)
+            adjacency.append(sorted(near))
+        object.__setattr__(h, "_line_graph", _freeze_graph(adjacency))
     return h._line_graph
 
 
@@ -311,16 +367,20 @@ def induced_subhypergraph(h: Hypergraph, keep_edges: Iterable[int]) -> tuple[Hyp
 def induced_subgraph(g: Graph, keep_nodes: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on the given nodes, relabeled 0..k-1.
 
-    Returns the new graph and the old node ids in new-id order.
+    Returns the new graph and the old node ids in new-id order.  Keeping
+    every node returns ``g`` itself.
+
+    Raises:
+        ValueError: on a node id outside 0..n-1.
     """
     kept = tuple(sorted(set(keep_nodes)))
+    if kept and not (0 <= kept[0] and kept[-1] < g.n):
+        raise ValueError(f"node ids {kept[0]}..{kept[-1]} outside 0..{g.n - 1}")
+    if len(kept) == g.n:
+        return g, kept
     pos = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (pos[u], pos[v])
-        for u, v in g.edges
-        if u in pos and v in pos
-    ]
-    return build_graph(len(kept), edges), kept
+    # Relabeling is monotone, so each relabeled list stays ascending.
+    return _freeze_graph([[pos[u] for u in g.adjacency[v] if u in pos] for v in kept]), kept
 
 
 def validate_independent_set(

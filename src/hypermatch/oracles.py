@@ -195,11 +195,17 @@ def neighborhood_independence(
     return best
 
 
+def require_enumerable(edge_count: int, budget: OracleBudget = DEFAULT_BUDGET) -> None:
+    """Raise OverBudgetError where enumerate_maximal_matchings would refuse
+    a hypergraph with this many edges."""
+    _require(edge_count, budget.enumerate_edges, "edge count")
+
+
 def enumerate_maximal_matchings(
     h: Hypergraph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> list[frozenset[int]]:
     """All maximal matchings, as sorted frozensets of edge ids."""
-    _require(h.m, budget.enumerate_edges, "edge count")
+    require_enumerable(h.m, budget)
     masks = _edge_masks(h)
     m = h.m
     found: list[frozenset[int]] = []

@@ -402,10 +402,7 @@ class _MatchingModel(_LoadModel):
     freezing = loaded
 
     def conflict(self, support):
-        full = line_graph(self.h)
-        if len(support) == self.h.m:
-            return full
-        return induced_subgraph(full, support)[0]
+        return induced_subgraph(line_graph(self.h), support)[0]
 
     def base_coloring(self):
         return edge_coloring_init(self.h, self.ledger)

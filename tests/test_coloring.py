@@ -84,6 +84,21 @@ def test_initial_coloring_must_be_proper():
         linial_coloring(g, initial=bad)
 
 
+@pytest.mark.parametrize("colors, message", [
+    ((0, 5, 1), "node 1 has color 5 outside 0..2"),
+    ((7, 0, 0), "node 0 has color 7 outside 0..2"),
+    ((0, 0, 7), "input coloring is improper: nodes 0,1 share 0"),
+    ((1, 2, 2), "input coloring is improper: nodes 1,2 share 2"),
+], ids=["distinct-range", "repeated-range-first", "repeated-improper-first",
+        "repeated-improper"])
+def test_initial_coloring_errors_come_in_node_order(colors, message):
+    g = generate.path(3)
+    bad = VertexColoring(colors=colors, palette_size=3)
+    with pytest.raises(ValueError) as err:
+        linial_coloring(g, initial=bad)
+    assert str(err.value) == message
+
+
 def test_line_graph_coloring_single_hyperedge():
     h = build_hypergraph(3, [{0, 1, 2}])
     out = edge_coloring_init(h)

@@ -1,15 +1,17 @@
 """Data model and validator behavior on small hand-checked instances."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from hypermatch import generate
+from hypermatch import core, generate, packing
 from hypermatch.audit import ball
 from hypermatch.core import (
     FractionalAssignment,
     Hypergraph,
     Matching,
+    _freeze_graph,
     build_fractional_assignment,
     build_graph,
     build_hypergraph,
@@ -226,6 +228,90 @@ def test_induced_subgraph_relabels():
     assert old == (1, 2, 4)
     assert sub.n == 3
     assert sub.edges == ((0, 1),)
+
+
+def _fields(g):
+    return (g.n, g.edges, g.incidence, g.adjacency, g.rank, g.max_degree)
+
+
+def _hypergraphs():
+    """Edge cases first, then seeded random hypergraphs of rank 1 to 4."""
+    yield build_hypergraph(0, [])
+    yield build_hypergraph(4, [])
+    yield build_hypergraph(3, [{0}, {0}, {2}])
+    yield build_hypergraph(6, [{0, 1, 2}, {0, 1, 2}, {3, 4}, {4, 3}])
+    yield generate.cycle(6)
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        rank = rng.randint(1, min(4, n))
+        yield build_hypergraph(n, [
+            rng.sample(range(n), rng.randint(1, rank)) for _ in range(rng.randint(0, 20))
+        ])
+
+
+def test_line_graph_equals_the_validated_build():
+    for h in _hypergraphs():
+        pairs = {
+            (a, b) for inc in h.incidence for i, a in enumerate(inc) for b in inc[i + 1:]
+        }
+        assert _fields(line_graph(h)) == _fields(build_graph(h.m, sorted(pairs)))
+
+
+def test_induced_subgraph_equals_the_validated_build():
+    rng = random.Random(12)
+    # a cycle lists its closing edge (0, n-1) last; a proper subgraph
+    # numbers its edges in lexicographic order
+    for g in [generate.cycle(6), *map(line_graph, _hypergraphs())]:
+        for keep in ([], rng.sample(range(g.n), g.n // 2), range(1, g.n)):
+            sub, kept = induced_subgraph(g, keep)
+            assert kept == tuple(sorted(keep))
+            pos = {v: i for i, v in enumerate(kept)}
+            pairs = sorted((pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos)
+            assert _fields(sub) == _fields(build_graph(len(kept), pairs))
+        assert induced_subgraph(g, range(g.n))[0] is g
+
+
+def test_induced_subgraph_rejects_unknown_nodes():
+    g = generate.path(4)
+    for keep in ([0, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            induced_subgraph(g, keep)
+
+
+@pytest.mark.parametrize("adjacency, what", [
+    ([[2, 1], [0], [0]], "ascending"),
+    ([[1, 1], [0]], "ascending"),
+    ([[1], [0, 2]], "ascending"),
+    ([[-1], []], "ascending"),
+    ([[0]], "itself"),
+    ([[1, 2], [0, 1], [0]], "itself"),
+    ([[1], []], "symmetric"),
+    ([[], [0]], "symmetric"),
+    # every list has as many ids above as below its node, yet 1 misses 2
+    ([[2], [], [1]], "symmetric"),
+], ids=["descending", "repeat", "range", "negative", "loop", "loop-mid",
+        "one-way-up", "one-way-down", "balanced-counts"])
+def test_freeze_graph_rejects_broken_lists(adjacency, what):
+    with pytest.raises(RuntimeError, match=what):
+        _freeze_graph(adjacency)
+
+
+def test_derived_graphs_never_call_build_graph(monkeypatch):
+    def refuse(n, edges):
+        raise AssertionError("build_graph is for outside input only")
+
+    monkeypatch.setattr(core, "build_graph", refuse)
+    monkeypatch.setattr(packing, "build_graph", refuse)
+    # the two-hub instance of tests/test_golden.py: a 271 756-edge line graph
+    rng = random.Random(5)
+    hub = build_hypergraph(600, [[i % 2, *rng.sample(range(2, 600), 2)] for i in range(1040)])
+    assert line_graph(hub).m == 271756
+    h = generate.random_hypergraph(60, 120, 3, seed=4)
+    assert validate_matching(h, maximal_matching(h), require_maximal=True).ok
+    g = line_graph(h)
+    found = packing.maximal_independent_set(g, 3)
+    assert validate_independent_set(g, found, require_maximal=True).ok
 
 
 def test_independent_set_validation():

@@ -7,7 +7,7 @@ with them.
 
 import pytest
 
-from hypermatch import generate
+from hypermatch import cli, edge_coloring, generate, io
 from hypermatch.core import (
     Matching,
     build_graph,
@@ -179,3 +179,25 @@ def test_neighborhood_budget_counts_neighbors_not_nodes():
 def test_budget_errors_are_not_value_errors():
     # the command line maps budget overruns to their own exit code
     assert not issubclass(OverBudgetError, ValueError)
+
+
+def test_soundness_oracle_refuses_before_building_the_reduction(
+    tmp_path, monkeypatch, capsys
+):
+    built = []
+    reduce = edge_coloring.reduce_hypergraph_list_edge_coloring
+
+    def counted(h, lists):
+        built.append(h.m)
+        return reduce(h, lists)
+
+    monkeypatch.setattr(edge_coloring, "reduce_hypergraph_list_edge_coloring", counted)
+    # four edges with seven colors each: 28 reduced hyperedges
+    inst = tmp_path / "star.gr"
+    inst.write_text(io.format_graph(generate.star(5)))
+    argv = ["run", "--algo", "edge-color", "--in", str(inst),
+            "--out", str(tmp_path / "star.col")]
+    assert cli.main(argv + ["--oracle"]) == 3
+    assert capsys.readouterr().err == "oracle budget: edge count 28 exceeds oracle budget 12\n"
+    # only edge_color itself reduced the instance
+    assert built == [4]
