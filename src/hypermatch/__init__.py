@@ -69,7 +69,6 @@ from .ledger import (
 )
 from .oracles import (
     OracleAnswer,
-    OracleBudget,
     OverBudgetError,
     arboricity,
     enumerate_maximal_matchings,
@@ -78,7 +77,6 @@ from .oracles import (
     neighborhood_independence,
 )
 from .packing import (
-    GreedyPacking,
     approx_mis,
     basic_round_packing,
     closed_loads,
@@ -89,7 +87,6 @@ from .packing import (
     vertex_color,
 )
 from .rounding import (
-    RoundingParams,
     almost_maximal_matching,
     approx_max_matching,
     basic_round,

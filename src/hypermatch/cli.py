@@ -227,16 +227,15 @@ def _run_maximal_matching(h, args, ledger):
 
 
 def _run_approx_matching(h, args, ledger):
-    m = rounding.approx_max_matching(h, ledger) if h.m else Matching(frozenset())
+    m = rounding.approx_max_matching(h, ledger)
     verdicts = {"matching_valid": validate_matching(h, m)}
     return _matched(m, verdicts, _optimum_oracle(h, m))
 
 
 def _run_edge_color(g, args, ledger):
     res = edge_coloring.edge_color(g, ledger)
-    palette = 2 * g.max_degree - 1
-    oracle = _soundness_oracle(g, edge_coloring.full_palette_lists(g, palette))
-    return _edge_colored(g, res, oracle, palette=palette)
+    oracle = _soundness_oracle(g, edge_coloring.full_palette_lists(g, res.palette))
+    return _edge_colored(g, res, oracle, palette=res.palette)
 
 
 def _run_list_edge_color(inst, args, ledger):
@@ -247,7 +246,7 @@ def _run_list_edge_color(inst, args, ledger):
 
 def _run_rand_edge_color(g, args, ledger):
     res = edge_coloring.randomized_edge_color(g, args.seed, ledger)
-    return _edge_colored(g, res, None, palette=2 * g.max_degree - 1)
+    return _edge_colored(g, res, None, palette=res.palette)
 
 
 def _run_arb_edge_color(g, args, ledger):

@@ -239,10 +239,13 @@ class Matching:
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Sparse map hyperedge id -> dyadic value in (0, 1], with a floor.
+    """Sparse map item id -> dyadic value in (0, 1], with a floor.
 
-    ``floor`` is the promised minimum of all stored values: the assignment
-    is (floor)-fractional.  Zero values are never stored.
+    The items are hyperedges of a fractional matching or vertices of a
+    greedy packing.  ``floor`` is the promised minimum of all stored
+    values: the assignment is (floor)-fractional.  Zero values are never
+    stored.  ``values`` keeps insertion order, which for a packing is its
+    witness order; ``==`` compares dicts and so ignores that order.
     """
 
     values: dict[int, Fraction]
@@ -357,9 +360,17 @@ def unblocked_edges(h: Hypergraph, m: Matching) -> frozenset[int]:
 def induced_subhypergraph(h: Hypergraph, keep_edges: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...]]:
     """Hypergraph with the given edge ids only (same vertex set).
 
-    Returns the new hypergraph and the old ids in new-id order.
+    Returns the new hypergraph and the old ids in new-id order.  Keeping
+    every edge returns ``h`` itself.
+
+    Raises:
+        ValueError: on an edge id outside 0..m-1.
     """
     kept = tuple(sorted(set(keep_edges)))
+    if kept and not (0 <= kept[0] and kept[-1] < h.m):
+        raise ValueError(f"edge ids {kept[0]}..{kept[-1]} outside 0..{h.m - 1}")
+    if len(kept) == h.m:
+        return h, kept
     sub = build_hypergraph(h.n, [sorted(h.edges[eid]) for eid in kept])
     return sub, kept
 

@@ -14,18 +14,12 @@ from dataclasses import dataclass
 from .core import Graph, Hypergraph
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard instance-size limits for the exhaustive baselines."""
-
-    matching_edges: int = 24
-    mis_nodes: int = 26
-    arboricity_nodes: int = 14
-    neighborhood_nodes: int = 26
-    enumerate_edges: int = 12
-
-
-DEFAULT_BUDGET = OracleBudget()
+# Hard instance-size limits for the exhaustive baselines.
+MATCHING_EDGES = 24
+MIS_NODES = 26
+ARBORICITY_NODES = 14
+NEIGHBORHOOD_NODES = 26
+ENUMERATE_EDGES = 12
 
 
 class OverBudgetError(Exception):
@@ -55,11 +49,9 @@ def _edge_masks(h: Hypergraph) -> list[int]:
     return masks
 
 
-def max_matching(
-    h: Hypergraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> OracleAnswer:
+def max_matching(h: Hypergraph) -> OracleAnswer:
     """Maximum matching (size and edge ids) by branch and bound."""
-    _require(h.m, budget.matching_edges, "edge count")
+    _require(h.m, MATCHING_EDGES, "edge count")
     masks = _edge_masks(h)
     m = len(masks)
     order = sorted(range(m), key=lambda i: masks[i])
@@ -141,11 +133,9 @@ def _mis_witness(mask: int, adj: list[int], memo: dict[int, int]) -> int:
     return picked
 
 
-def max_independent_set(
-    g: Graph, budget: OracleBudget = DEFAULT_BUDGET
-) -> OracleAnswer:
+def max_independent_set(g: Graph) -> OracleAnswer:
     """Maximum independent set by branching on a max-degree vertex."""
-    _require(g.n, budget.mis_nodes, "node count")
+    _require(g.n, MIS_NODES, "node count")
     adj = _adjacency_masks(g)
     memo: dict[int, int] = {}
     size = _mis_mask((1 << g.n) - 1, adj, memo)
@@ -155,13 +145,13 @@ def max_independent_set(
     return OracleAnswer(size=size, witness=witness)
 
 
-def arboricity(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def arboricity(g: Graph) -> int:
     """Smallest number of forests covering the edges.
 
     Computed as max over vertex subsets S of ceil(|E(S)| / (|S| - 1)),
     which is exact by the Nash-Williams formula.
     """
-    _require(g.n, budget.arboricity_nodes, "node count")
+    _require(g.n, ARBORICITY_NODES, "node count")
     if g.m == 0:
         return 0
     emasks = [(1 << u) | (1 << v) for u, v in g.edges]
@@ -176,14 +166,12 @@ def arboricity(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     return best
 
 
-def neighborhood_independence(
-    g: Graph, budget: OracleBudget = DEFAULT_BUDGET
-) -> int:
+def neighborhood_independence(g: Graph) -> int:
     """Largest independent set inside any single vertex neighborhood."""
     best = 0
     for v in range(g.n):
         nbrs = g.adjacency[v]
-        _require(len(nbrs), budget.neighborhood_nodes, "neighborhood size")
+        _require(len(nbrs), NEIGHBORHOOD_NODES, "neighborhood size")
         index = {u: i for i, u in enumerate(nbrs)}
         adj = [0] * len(nbrs)
         for i, u in enumerate(nbrs):
@@ -195,17 +183,15 @@ def neighborhood_independence(
     return best
 
 
-def require_enumerable(edge_count: int, budget: OracleBudget = DEFAULT_BUDGET) -> None:
+def require_enumerable(edge_count: int) -> None:
     """Raise OverBudgetError where enumerate_maximal_matchings would refuse
     a hypergraph with this many edges."""
-    _require(edge_count, budget.enumerate_edges, "edge count")
+    _require(edge_count, ENUMERATE_EDGES, "edge count")
 
 
-def enumerate_maximal_matchings(
-    h: Hypergraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> list[frozenset[int]]:
+def enumerate_maximal_matchings(h: Hypergraph) -> list[frozenset[int]]:
     """All maximal matchings, as sorted frozensets of edge ids."""
-    require_enumerable(h.m, budget)
+    require_enumerable(h.m)
     masks = _edge_masks(h)
     m = h.m
     found: list[frozenset[int]] = []

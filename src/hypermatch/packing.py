@@ -1,8 +1,8 @@
 """Greedy fractional packings and their rounding to independent sets.
 
 This is the matching pipeline on the vertex side.  A greedy packing is a
-nonnegative vertex assignment together with a witness order of its
-support under which every vertex fits its closed unit budget:
+`FractionalAssignment` of vertex values whose insertion order is a
+witness order: under it every vertex fits its closed unit budget,
 
     x_v + sum of x_u over earlier neighbors u  <=  1.
 
@@ -21,15 +21,16 @@ closed load is exactly 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import VertexColoring, linial_coloring
 from .core import (
     ONE,
     ZERO,
+    FractionalAssignment,
     Graph,
     Verdict,
+    build_fractional_assignment,
     build_graph,
     induced_subgraph,
     is_dyadic,
@@ -50,32 +51,14 @@ from .rounding import (
 )
 
 
-@dataclass(frozen=True)
-class GreedyPacking:
-    """Vertex values plus the witness order certifying them."""
-
-    values: dict[int, Fraction]
-    witness: tuple[int, ...]
-
-    def total(self) -> Fraction:
-        return sum(self.values.values(), ZERO)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
-
-
 def closed_loads(g: Graph, values: dict[int, Fraction]) -> list[Fraction]:
     """Per-vertex sum over the closed neighborhood."""
     nums, scale = _numerators(values)
     return [Fraction(load, scale) for load in _loads(_PackingModel(g), nums)]
 
 
-def verify_greedy_packing(g: Graph, p: GreedyPacking) -> Verdict:
-    """Check values are dyadic in (0,1] and the witness order is valid."""
-    if len(set(p.witness)) != len(p.witness):
-        return Verdict(False, "witness lists a vertex twice")
-    if set(p.witness) != set(p.values):
-        return Verdict(False, "witness does not cover the support exactly")
+def verify_greedy_packing(g: Graph, p: FractionalAssignment) -> Verdict:
+    """Check values are dyadic in (0,1] and their order is a valid witness."""
     for v, val in p.values.items():
         if not 0 <= v < g.n:
             return Verdict(False, f"vertex id {v} outside 0..{g.n - 1}")
@@ -83,8 +66,8 @@ def verify_greedy_packing(g: Graph, p: GreedyPacking) -> Verdict:
             return Verdict(False, f"vertex {v} has value {val} outside (0,1]")
         if not is_dyadic(val):
             return Verdict(False, f"vertex {v} has non-dyadic value {val}")
-    position = {v: i for i, v in enumerate(p.witness)}
-    for v in p.witness:
+    position = {v: i for i, v in enumerate(p.values)}
+    for v in p.values:
         budget = p.values[v]
         for u in g.adjacency[v]:
             if u in position and position[u] < position[v]:
@@ -128,12 +111,6 @@ class _PackingModel(_LoadModel):
     def verdict(self, x):
         return verify_greedy_packing(self.g, x)
 
-    def wrap(self, values, floor):
-        return GreedyPacking(values=values, witness=tuple(values))
-
-    def restrict(self, x, keep):
-        return self.wrap({v: x.values[v] for v in x.witness if keep(v)}, None)
-
     def can_recurse(self, factor, denom):
         return 2 * factor < denom
 
@@ -153,7 +130,7 @@ class _PackingModel(_LoadModel):
 
 def initial_packing(
     g: Graph, denom: int | None = None, ledger: RoundLedger | None = None
-) -> GreedyPacking:
+) -> FractionalAssignment:
     """Uniform 1/denom start, then double under-loaded vertices.
 
     ``denom`` defaults to the smallest power of two >= max_degree + 1 (so
@@ -161,20 +138,20 @@ def initial_packing(
     overridden upwards.  Ends with every closed load >= 1/2.
     """
     if g.n == 0:
-        return GreedyPacking(values={}, witness=())
+        return build_fractional_assignment({}, ONE)
     model = _PackingModel(g, ledger=ledger)
     return _greedy(model, next_power_of_two(g.max_degree + 1), denom)
 
 
 def basic_round_packing(
     g: Graph,
-    x: GreedyPacking,
+    x: FractionalAssignment,
     factor: int,
     denom: int,
     independence: int,
     base_coloring: VertexColoring | None = None,
     ledger: RoundLedger | None = None,
-) -> GreedyPacking:
+) -> FractionalAssignment:
     """Round a (1/denom)-fractional packing up to floor factor/denom.
 
     Defective-colors the support subgraph with defect denom/(2*factor)-1,
@@ -189,13 +166,13 @@ def basic_round_packing(
 
 def recursive_round_packing(
     g: Graph,
-    x: GreedyPacking,
+    x: FractionalAssignment,
     factor: int,
     denom: int,
     independence: int,
     base_coloring: VertexColoring | None = None,
     ledger: RoundLedger | None = None,
-) -> GreedyPacking:
+) -> FractionalAssignment:
     """Round a packing by a large factor, keeping a 1/(4*rho) share.
 
     Requires factor < denom/2.  Recurses through two nested factors with

@@ -12,8 +12,10 @@ load resources; an item is frozen once a resource that freezes it carries
 load at least 1/2.  This module supplies the matching model (hyperedges
 load and are frozen by their vertices, the conflict graph of a support is
 its line graph, rho is the rank); `packing` supplies the closed-
-neighborhood model of greedy packings.  Value dicts inside the engine are
-kept in witness order, which only the packing side reads.
+neighborhood model of greedy packings.  Both sides take and return a
+`FractionalAssignment` that the engine builds and restricts itself.  Value
+dicts inside the engine are kept in witness order, which only the packing
+side reads.
 
 Within one pass every value is k/D for one power of two D (1/denom for
 the greedy pass; multiples of 1/denom for the rounding passes), so the
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import VertexColoring, defective_coloring, edge_coloring_init
@@ -64,24 +65,15 @@ def _cascade_fits(factor: int, denom: int) -> bool:
     return factor * j * j <= denom
 
 
-@dataclass(frozen=True)
-class RoundingParams:
-    """Rounding factor and input denominator, both powers of two.
-
-    The output of a rounding step is (factor/denom)-fractional.  The
-    recursive cascade additionally needs factor * log2(factor)^2 <= denom.
-    """
-
-    factor: int
-    denom: int
-
-    def validate(self) -> None:
-        if not is_power_of_two(self.factor):
-            raise ValueError(f"factor must be a power of two, got {self.factor}")
-        if not is_power_of_two(self.denom):
-            raise ValueError(f"denom must be a power of two, got {self.denom}")
-        if self.factor > self.denom:
-            raise ValueError(f"factor {self.factor} exceeds denom {self.denom}")
+def _check_params(factor: int, denom: int) -> None:
+    """A rounding pass's factor and input denominator: powers of two, with
+    factor <= denom, so that its output is (factor/denom)-fractional."""
+    if not is_power_of_two(factor):
+        raise ValueError(f"factor must be a power of two, got {factor}")
+    if not is_power_of_two(denom):
+        raise ValueError(f"denom must be a power of two, got {denom}")
+    if factor > denom:
+        raise ValueError(f"factor {factor} exceeds denom {denom}")
 
 
 class _LoadModel:
@@ -95,9 +87,7 @@ class _LoadModel:
       the resources that freeze it;
     - ``conflict(support)``: the conflict graph of a sorted support, node
       k standing for support[k]; ``base_coloring()`` colors all items;
-    - ``verdict(x)``: the validity verdict; ``wrap(values, floor)``: the
-      output from exact values, which the engine keeps in witness order;
-      ``restrict(x, keep)``: a valid x cut down to the items ``keep`` accepts;
+    - ``verdict(x)``: the validity verdict of an assignment;
     - ``can_recurse(factor, denom)``: the recursive pass's precondition;
     - ``greedy``, ``basic`` and ``recurse``: calls to the side's public
       passes, so that nested passes re-enter through them.
@@ -168,7 +158,7 @@ def _double(model: _LoadModel, values: dict[int, int], loads: list[int], scale: 
 
 
 def _finish(model: _LoadModel, values: dict[int, int], scale: int, floor: Fraction, what: str):
-    out = model.wrap(_fractions(values, scale), floor)
+    out = build_fractional_assignment(_fractions(values, scale), floor)
     verdict = model.verdict(out)
     if not verdict:
         raise RuntimeError(f"{what} produced an invalid {model.kind}: {verdict.reason}")
@@ -207,12 +197,12 @@ def _check_input(model: _LoadModel, x, denom: int) -> None:
 
 def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     """Defective-color sweep to factor/denom, then doubling; see basic_round."""
-    RoundingParams(factor, denom).validate()
+    _check_params(factor, denom)
     _check_input(model, x, denom)
     target = Fraction(factor, denom)
     support = x.support()
     if not support:
-        return model.wrap({}, target)
+        return build_fractional_assignment({}, target)
     if coloring is None:
         coloring = model.base_coloring()
     restricted = VertexColoring(
@@ -277,7 +267,7 @@ def _split_factor(factor: int) -> tuple[int, int]:
 
 def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     """Square-root split recursion keeping a 1/(4*rho) share; see recursive_round."""
-    RoundingParams(factor, denom).validate()
+    _check_params(factor, denom)
     if not model.can_recurse(factor, denom):
         raise ValueError(
             f"recursive rounding needs {model.recursion_rule}, "
@@ -299,7 +289,10 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     running = ZERO
     iterations = 0
     while running < target and iterations < 16 * rho:
-        z = model.restrict(x, lambda i: not _frozen(model, loads, denom, i))
+        z = build_fractional_assignment(
+            {i: val for i, val in x.values.items() if not _frozen(model, loads, denom, i)},
+            Fraction(1, denom),
+        )
         if not z.values:
             break
         z1 = model.recurse(z, s1, denom, coloring)
@@ -340,13 +333,12 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     return out
 
 
-def _approx(model: _LoadModel, denom: int, coloring=None) -> frozenset[int]:
+def _approx(model: _LoadModel, denom: int) -> frozenset[int]:
     """Greedy start, a recursive stage when the degree allows it, and one
     basic stage down to integrality; returns the items valued 1."""
     x = model.greedy(denom)
     if denom > 1:
-        if coloring is None:
-            coloring = model.base_coloring()
+        coloring = model.base_coloring()
         lg = denom.bit_length() - 1
         stage = denom // (lg * lg)
         left = 1 << (stage.bit_length() - 1) if stage >= 1 else 1
@@ -410,12 +402,6 @@ class _MatchingModel(_LoadModel):
     def verdict(self, x):
         return validate_fractional_matching(self.h, x)
 
-    def wrap(self, values, floor):
-        return build_fractional_assignment(values, floor)
-
-    def restrict(self, x, keep):
-        return self.wrap({i: val for i, val in x.values.items() if keep(i)}, x.floor)
-
     def can_recurse(self, factor, denom):
         return _cascade_fits(factor, denom)
 
@@ -423,12 +409,10 @@ class _MatchingModel(_LoadModel):
         return greedy_fractional_matching(self.h, denom, self.ledger)
 
     def basic(self, x, factor, denom, coloring):
-        params = RoundingParams(factor, denom)
-        return basic_round(self.h, x, params, coloring, self.ledger)
+        return basic_round(self.h, x, factor, denom, coloring, self.ledger)
 
     def recurse(self, x, factor, denom, coloring):
-        params = RoundingParams(factor, denom)
-        return recursive_round(self.h, x, params, coloring, self.ledger)
+        return recursive_round(self.h, x, factor, denom, coloring, self.ledger)
 
     def recheck(self, values, scale, touched, where):
         """Check the touched values and re-sum the loads of their vertices.
@@ -485,12 +469,14 @@ def greedy_fractional_matching(
 def basic_round(
     h: Hypergraph,
     x: FractionalAssignment,
-    params: RoundingParams,
+    factor: int,
+    denom: int,
     edge_coloring: VertexColoring | None = None,
     ledger: RoundLedger | None = None,
 ) -> FractionalAssignment:
     """Round a (1/denom)-fractional matching up to floor factor/denom.
 
+    ``factor`` and ``denom`` are powers of two with factor <= denom.
     Defective-colors the support line graph with defect denom/(2*factor)-1,
     sweeps the color classes raising unfrozen edges to factor/denom (then
     freezing around newly half-tight vertices), and finishes with doubling
@@ -498,33 +484,31 @@ def basic_round(
     shrinks the support.
     """
     model = _MatchingModel(h, ledger)
-    return _basic_round(model, x, params.factor, params.denom, edge_coloring)
+    return _basic_round(model, x, factor, denom, edge_coloring)
 
 
 def recursive_round(
     h: Hypergraph,
     x: FractionalAssignment,
-    params: RoundingParams,
+    factor: int,
+    denom: int,
     edge_coloring: VertexColoring | None = None,
     ledger: RoundLedger | None = None,
 ) -> FractionalAssignment:
     """Round by a large factor, losing at most 3/4 of the input total.
 
-    Factors <= 4 delegate to basic_round.  Otherwise each iteration drops
-    the edges already blocked by a half-tight vertex, rounds the rest by
-    two nested factors multiplying to 2*factor, and adds half of the
-    result; it stops as soon as the running total reaches a 1/(4*rank)
-    share of the input.
+    Takes ``factor`` and ``denom`` as basic_round does, and additionally
+    needs factor * log2(factor)^2 <= denom.  Factors <= 4 delegate to
+    basic_round.  Otherwise each iteration drops the edges already blocked
+    by a half-tight vertex, rounds the rest by two nested factors
+    multiplying to 2*factor, and adds half of the result; it stops as soon
+    as the running total reaches a 1/(4*rank) share of the input.
     """
     model = _MatchingModel(h, ledger)
-    return _recursive_round(model, x, params.factor, params.denom, edge_coloring)
+    return _recursive_round(model, x, factor, denom, edge_coloring)
 
 
-def approx_max_matching(
-    h: Hypergraph,
-    ledger: RoundLedger | None = None,
-    edge_coloring: VertexColoring | None = None,
-) -> Matching:
+def approx_max_matching(h: Hypergraph, ledger: RoundLedger | None = None) -> Matching:
     """Integral matching of size at least OPT / (32 * rank^3).
 
     Greedy start, a recursive rounding stage when the degree allows a
@@ -533,7 +517,7 @@ def approx_max_matching(
     if h.m == 0:
         return Matching(edges=frozenset())
     model = _MatchingModel(h, ledger)
-    m = Matching(edges=_approx(model, next_power_of_two(h.max_degree), edge_coloring))
+    m = Matching(edges=_approx(model, next_power_of_two(h.max_degree)))
     verdict = validate_matching(h, m)
     if not verdict:
         raise RuntimeError(f"extracted edges are not disjoint: {verdict.reason}")

@@ -31,7 +31,6 @@ from hypermatch.core import (
     validate_matching,
 )
 from hypermatch.ledger import RoundLedger, check_recurrence_bound
-from hypermatch.rounding import RoundingParams
 
 
 # ---------------------------------------------------------------- helpers
@@ -119,7 +118,7 @@ def test_criterion_01_greedy_fractional_factor(small_hypergraphs):
 def test_criterion_02_basic_rounding_factor(small_hypergraphs):
     def check(h, factor, denom):
         x = rounding.greedy_fractional_matching(h, denom)
-        y = rounding.basic_round(h, x, RoundingParams(factor, denom))
+        y = rounding.basic_round(h, x, factor, denom)
         assert validate_fractional_matching(h, y)
         floor = Fraction(factor, denom)
         for val in y.values.values():
@@ -151,16 +150,16 @@ def test_criterion_03_recursive_rounding_factor_and_round_bound():
     h = family[8]
     for factor, denom in ((8, 128), (16, 256), (32, 1024)):
         x = rounding.greedy_fractional_matching(h, denom)
-        y = rounding.recursive_round(h, x, RoundingParams(factor, denom))
+        y = rounding.recursive_round(h, x, factor, denom)
         assert validate_fractional_matching(h, y)
         assert y.total() * 4 * h.rank >= x.total()
         floor = Fraction(factor, denom)
         assert all(val >= floor for val in y.values.values())
         j = factor.bit_length()
         s1, s2 = 1 << ((j + 1) // 2), 1 << (j // 2)
-        z1 = rounding.recursive_round(h, x, RoundingParams(s1, denom))
+        z1 = rounding.recursive_round(h, x, s1, denom)
         assert validate_fractional_matching(h, z1)
-        z2 = rounding.recursive_round(h, z1, RoundingParams(s2, denom // s1))
+        z2 = rounding.recursive_round(h, z1, s2, denom // s1)
         assert validate_fractional_matching(h, z2)
 
     # round totals across the degree family against the closed form,
@@ -170,7 +169,7 @@ def test_criterion_03_recursive_rounding_factor_and_round_bound():
     for degree, hg in family.items():
         x = rounding.greedy_fractional_matching(hg, denom)
         ledger = RoundLedger()
-        rounding.recursive_round(hg, x, RoundingParams(factor, denom), ledger=ledger)
+        rounding.recursive_round(hg, x, factor, denom, ledger=ledger)
         measured[degree] = ledger.total
     unit = {
         degree: check_recurrence_bound(0, factor, 2, degree, alpha, 1).bound
@@ -233,7 +232,7 @@ def test_criterion_05_edge_coloring_lists_and_reduction_soundness():
         reduced = edge_coloring.reduce_hypergraph_list_edge_coloring(
             g, edge_coloring.full_palette_lists(g, palette)
         )
-        if reduced.hypergraph.m <= oracles.DEFAULT_BUDGET.enumerate_edges:
+        if reduced.hypergraph.m <= oracles.ENUMERATE_EDGES:
             for mm in oracles.enumerate_maximal_matchings(reduced.hypergraph):
                 colors = edge_coloring.decode_matching(reduced, g.m, mm)
                 assert sorted(colors) == list(range(g.m))

@@ -58,6 +58,21 @@ class TestApproxMatching:
             assert validate_matching(g, m).ok
             assert len(m) >= ceil_div(opt, eps)
 
+    @pytest.mark.parametrize("p", [0.015, 0.02, 0.03])
+    def test_factor_against_networkx_beyond_the_oracle_budget(self, p):
+        # 200 nodes and 300-650 edges: far past the 24-edge brute force
+        nx = pytest.importorskip("networkx")
+        for seed in (1, 2):
+            g = generate.random_graph(200, p, seed=seed)
+            ref = nx.Graph()
+            ref.add_nodes_from(range(g.n))
+            ref.add_edges_from(g.edges)
+            opt = len(nx.max_weight_matching(ref, maxcardinality=True))
+            for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
+                m = approx_max_graph_matching(g, eps)
+                assert validate_matching(g, m).ok
+                assert len(m) >= ceil_div(opt, eps)
+
     def test_almost_maximal_mode_stays_close(self):
         for seed in range(3):
             g = generate.random_graph(12, 0.3, seed=10 + seed)

@@ -222,6 +222,27 @@ def test_induced_subhypergraph_maps_ids():
     assert sub.edges[1] == frozenset({4, 5})
 
 
+def test_induced_subhypergraph_rejects_unknown_edges():
+    h = build_hypergraph(6, [{0, 1}, {2, 3}, {4, 5}])
+    for keep in ([-1], [3], [0, 3], [-1, 1]):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            induced_subhypergraph(h, keep)
+
+
+def test_induced_subhypergraph_keeping_every_edge_is_h():
+    for h in [generate.cycle(6), generate.random_hypergraph(12, 16, 3, seed=5),
+              build_hypergraph(3, [])]:
+        sub, kept = induced_subhypergraph(h, reversed(range(h.m)))
+        assert sub is h
+        assert kept == tuple(range(h.m))
+        # the matching driver's first step runs on h itself, which must give
+        # the matching and ledger of a rebuilt copy
+        copy = build_hypergraph(h.n, [sorted(e) for e in h.edges])
+        own, rebuilt = RoundLedger(), RoundLedger()
+        assert maximal_matching(h, own) == maximal_matching(copy, rebuilt)
+        assert own.as_records() == rebuilt.as_records()
+
+
 def test_induced_subgraph_relabels():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     sub, old = induced_subgraph(g, [1, 2, 4])

@@ -6,6 +6,8 @@ import pytest
 
 from hypermatch import generate
 from hypermatch.core import (
+    FractionalAssignment,
+    build_fractional_assignment,
     build_graph,
     validate_independent_set,
     validate_vertex_coloring,
@@ -13,7 +15,6 @@ from hypermatch.core import (
 from hypermatch.ledger import RoundLedger
 from hypermatch.oracles import max_independent_set, neighborhood_independence
 from hypermatch.packing import (
-    GreedyPacking,
     approx_mis,
     basic_round_packing,
     closed_loads,
@@ -30,11 +31,11 @@ HALF = Fraction(1, 2)
 class TestVerify:
     def test_all_zero_values_pass(self):
         g = generate.cycle(4)
-        assert verify_greedy_packing(g, GreedyPacking(values={}, witness=())).ok
+        assert verify_greedy_packing(g, build_fractional_assignment({}, HALF)).ok
 
     def test_single_node_full_value(self):
         g = build_graph(1, [])
-        p = GreedyPacking(values={0: Fraction(1)}, witness=(0,))
+        p = build_fractional_assignment({0: Fraction(1)}, HALF)
         assert verify_greedy_packing(g, p).ok
 
     def test_triangle_of_ones_fails_every_order(self):
@@ -42,19 +43,22 @@ class TestVerify:
 
         g = generate.complete(3)
         for order in itertools.permutations(range(3)):
-            p = GreedyPacking(
-                values={v: Fraction(1) for v in range(3)}, witness=order
-            )
+            p = build_fractional_assignment({v: Fraction(1) for v in order}, HALF)
             assert not verify_greedy_packing(g, p).ok
 
-    def test_witness_must_cover_support(self):
-        g = generate.cycle(4)
-        p = GreedyPacking(values={0: HALF, 2: HALF}, witness=(0,))
-        assert not verify_greedy_packing(g, p).ok
+    def test_value_order_is_the_witness(self):
+        # a star's center fits before its leaves, not after both of them
+        g = generate.star(3)
+        early = build_fractional_assignment({0: HALF, 1: HALF, 2: HALF}, HALF)
+        assert verify_greedy_packing(g, early).ok
+        late = build_fractional_assignment({1: HALF, 2: HALF, 0: HALF}, HALF)
+        verdict = verify_greedy_packing(g, late)
+        assert verdict.reason == "vertex 0 exceeds its prefix budget: 3/2"
 
     def test_non_dyadic_value_rejected(self):
         g = build_graph(1, [])
-        p = GreedyPacking(values={0: Fraction(1, 3)}, witness=(0,))
+        # build_fractional_assignment would refuse it, so build it directly
+        p = FractionalAssignment(values={0: Fraction(1, 3)}, floor=Fraction(1, 4))
         assert not verify_greedy_packing(g, p).ok
 
 
@@ -97,7 +101,7 @@ class TestInitialPacking:
 class TestPackingRounds:
     def test_single_node_doubles_once(self):
         g = build_graph(1, [])
-        x = GreedyPacking(values={0: Fraction(1, 4)}, witness=(0,))
+        x = build_fractional_assignment({0: Fraction(1, 4)}, Fraction(1, 4))
         y = basic_round_packing(g, x, 2, 4, independence=1)
         assert y.values == {0: HALF}
 
@@ -105,8 +109,8 @@ class TestPackingRounds:
         # the second node's closed load is exactly 1/2 when its class comes
         # up; the packing side still raises it, filling the budget to 1
         g = build_graph(2, [(0, 1)])
-        x = GreedyPacking(
-            values={0: Fraction(1, 4), 1: Fraction(1, 4)}, witness=(0, 1)
+        x = build_fractional_assignment(
+            {0: Fraction(1, 4), 1: Fraction(1, 4)}, Fraction(1, 4)
         )
         y = basic_round_packing(g, x, 2, 4, 1)
         assert y.values == {0: HALF, 1: HALF}
@@ -124,8 +128,8 @@ class TestPackingRounds:
 
     def test_k4_support_saturates_one_neighborhood(self):
         g = generate.complete(4)
-        x = GreedyPacking(
-            values={v: Fraction(1, 4) for v in range(4)}, witness=(0, 1, 2, 3)
+        x = build_fractional_assignment(
+            {v: Fraction(1, 4) for v in range(4)}, Fraction(1, 4)
         )
         # complete-graph neighborhoods are cliques: independence 1
         y = basic_round_packing(g, x, 2, 4, independence=1)
@@ -144,9 +148,17 @@ class TestPackingRounds:
 
     def test_recursive_empty_input(self):
         g = generate.cycle(6)
-        x = GreedyPacking(values={}, witness=())
+        x = build_fractional_assignment({}, Fraction(1, 1024))
         y = recursive_round_packing(g, x, 8, 1024, 2)
         assert y.values == {}
+
+    def test_recursion_checks_values_against_denom_not_the_floor_field(self):
+        # the floor field promises more than the values hold; the input
+        # check reads 1/denom, and so does every restriction after it
+        g = generate.cycle(6)
+        x = FractionalAssignment(values={v: Fraction(1, 64) for v in range(6)}, floor=HALF)
+        y = recursive_round_packing(g, x, 8, 64, 2)
+        assert verify_greedy_packing(g, y).ok
 
     def test_random_instance_factor_eight(self):
         g = generate.random_graph(12, 0.3, seed=9)

@@ -18,7 +18,6 @@ from hypermatch.core import (
 from hypermatch.ledger import RoundLedger
 from hypermatch.oracles import max_matching
 from hypermatch.rounding import (
-    RoundingParams,
     almost_maximal_matching,
     approx_max_matching,
     basic_round,
@@ -110,7 +109,7 @@ class TestBasicRound:
     def test_single_edge_halves_then_freezes(self):
         h = build_hypergraph(2, [{0, 1}])
         x = build_fractional_assignment({0: Fraction(1, 4)}, Fraction(1, 4))
-        y = basic_round(h, x, RoundingParams(2, 4))
+        y = basic_round(h, x, 2, 4)
         assert y.values == {0: HALF}
 
     def test_sweep_skips_an_edge_at_exactly_half(self):
@@ -120,7 +119,7 @@ class TestBasicRound:
         x = build_fractional_assignment(
             {0: Fraction(1, 4), 1: Fraction(1, 4)}, Fraction(1, 4)
         )
-        y = basic_round(h, x, RoundingParams(2, 4))
+        y = basic_round(h, x, 2, 4)
         assert y.values == {0: HALF}
 
     def test_star_keeps_a_quarter_of_the_total(self):
@@ -128,7 +127,7 @@ class TestBasicRound:
         x = build_fractional_assignment(
             {eid: Fraction(1, 4) for eid in range(4)}, Fraction(1, 4)
         )
-        y = basic_round(h, x, RoundingParams(2, 4))
+        y = basic_round(h, x, 2, 4)
         assert y.total() >= x.total() / 4
         for val in y.values.values():
             assert val >= HALF
@@ -138,13 +137,13 @@ class TestBasicRound:
         x = greedy_fractional_matching(h)
         denom = x.values and max(v.denominator for v in x.values.values())
         if denom and denom > 1:
-            y = basic_round(h, x, RoundingParams(denom, denom))
+            y = basic_round(h, x, denom, denom)
             assert all(val == 1 for val in y.values.values())
 
     def test_support_never_grows(self):
         h = generate.random_graph(14, 0.3, seed=7)
         x = greedy_fractional_matching(h, denom=16)
-        y = basic_round(h, x, RoundingParams(4, 16))
+        y = basic_round(h, x, 4, 16)
         assert set(y.values) <= set(x.values)
         assert y.total() * 2 * h.rank >= x.total()
         verdict = validate_fractional_matching(h, y)
@@ -156,18 +155,20 @@ class TestBasicRound:
         h = build_hypergraph(2, [{0, 1}])
         x = build_fractional_assignment({0: Fraction(1, 8)}, Fraction(1, 8))
         with pytest.raises(ValueError):
-            basic_round(h, x, RoundingParams(2, 4))
+            basic_round(h, x, 2, 4)
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            RoundingParams(3, 8).validate()
-        with pytest.raises(ValueError):
-            RoundingParams(8, 4).validate()
-        # 8 * log2(8)^2 > 16: the recursive cascade does not fit
         h = build_hypergraph(2, [{0, 1}])
         x = build_fractional_assignment({0: Fraction(1, 16)}, Fraction(1, 16))
+        with pytest.raises(ValueError, match="^factor must be a power of two, got 3$"):
+            basic_round(h, x, 3, 8)
+        with pytest.raises(ValueError, match="^denom must be a power of two, got 12$"):
+            recursive_round(h, x, 2, 12)
+        with pytest.raises(ValueError, match="^factor 8 exceeds denom 4$"):
+            basic_round(h, x, 8, 4)
+        # 8 * log2(8)^2 > 16: the recursive cascade does not fit
         with pytest.raises(ValueError, match="recursive rounding needs"):
-            recursive_round(h, x, RoundingParams(8, 16))
+            recursive_round(h, x, 8, 16)
 
     def test_sweep_recheck_catches_an_overloaded_vertex(self, monkeypatch):
         # a coloring that puts every edge in one class raises adjacent edges
@@ -181,27 +182,27 @@ class TestBasicRound:
         with pytest.raises(
             RuntimeError, match="^basic_round color sweep: vertex 0 overloaded to 6$"
         ):
-            basic_round(h, x, RoundingParams(64, 64))
+            basic_round(h, x, 64, 64)
 
 
 class TestRecursiveRound:
     def test_small_factor_delegates_to_basic(self):
         h = build_hypergraph(2, [{0, 1}])
         x = build_fractional_assignment({0: Fraction(1, 4)}, Fraction(1, 4))
-        y = recursive_round(h, x, RoundingParams(2, 4))
-        assert y.values == basic_round(h, x, RoundingParams(2, 4)).values
+        y = recursive_round(h, x, 2, 4)
+        assert y.values == basic_round(h, x, 2, 4).values
 
     def test_empty_support_stays_empty(self):
         h = triangle()
         x = build_fractional_assignment({}, Fraction(1, 1024))
-        y = recursive_round(h, x, RoundingParams(8, 1024))
+        y = recursive_round(h, x, 8, 1024)
         assert y.values == {}
 
     def test_thirty_edge_instance_with_factor_eight(self):
         h = generate.random_graph(18, 0.2, seed=11)
         assert h.m >= 25
         x = greedy_fractional_matching(h, denom=128)
-        y = recursive_round(h, x, RoundingParams(8, 128))
+        y = recursive_round(h, x, 8, 128)
         assert validate_fractional_matching(h, y).ok
         assert all(val >= Fraction(8, 128) for val in y.values.values())
         assert y.total() * 4 * h.rank >= x.total()
