@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, Hypergraph, line_graph
+from .core import Graph
 from .ledger import RoundLedger
 
 PALETTE_FACTOR_PROPER = 16
@@ -264,14 +264,3 @@ def defective_radius(palette: int, degree_cap: int, defect: int) -> int:
         return 0
     steps = len(reduction_schedule(palette, degree_cap))
     return steps + (1 if defect > 0 else 0)
-
-
-def edge_coloring_init(
-    h: Hypergraph, ledger: RoundLedger | None = None
-) -> VertexColoring:
-    """Proper coloring of the line graph of ``h`` from scratch.
-
-    Output palette is O((rank * max_degree)^2); this is the coloring the
-    rounding steps consume.
-    """
-    return linial_coloring(line_graph(h), ledger=ledger)

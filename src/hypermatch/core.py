@@ -8,9 +8,13 @@ hypergraphs only iterate over an edge's vertices and never depend on
 their order, so they read both alike.
 
 ``build_hypergraph`` and ``build_graph`` validate input from outside the
-library.  Graphs the library derives itself, line graphs and induced
-subgraphs, are frozen from adjacency lists it built sorted and unique,
-under a cheaper check whose failure is a library bug.
+library, and also freeze instances the library builds itself: the
+hypergraphs of ``induced_subhypergraph``, of the edge-coloring reduction
+and of the two path hypergraphs in ``apps``, and the product graph of
+``packing.vertex_color``.  A failure there on a derived instance is a
+library bug that still raises ValueError.  Line graphs and induced
+subgraphs are frozen from adjacency lists the library built sorted and
+unique, under a cheaper check whose failure raises RuntimeError.
 
 All fractional values are dyadic rationals (integer numerator over a power
 of two), held as ``fractions.Fraction`` so every comparison in a validator
@@ -239,17 +243,15 @@ class Matching:
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Sparse map item id -> dyadic value in (0, 1], with a floor.
+    """Sparse map item id -> dyadic value in (0, 1].
 
     The items are hyperedges of a fractional matching or vertices of a
-    greedy packing.  ``floor`` is the promised minimum of all stored
-    values: the assignment is (floor)-fractional.  Zero values are never
-    stored.  ``values`` keeps insertion order, which for a packing is its
-    witness order; ``==`` compares dicts and so ignores that order.
+    greedy packing.  Zero values are never stored.  ``values`` keeps
+    insertion order, which for a packing is its witness order; ``==``
+    compares dicts and so ignores that order.
     """
 
     values: dict[int, Fraction]
-    floor: Fraction
 
     def get(self, eid: int) -> Fraction:
         return self.values.get(eid, ZERO)
@@ -264,19 +266,22 @@ class FractionalAssignment:
 def build_fractional_assignment(
     values: dict[int, Fraction], floor: Fraction
 ) -> FractionalAssignment:
-    """Drop zeros, then enforce dyadicity, bounds and the floor."""
+    """Drop zeros, then enforce dyadicity and the bounds [floor, 1].
+
+    The result is (floor)-fractional; ``floor`` itself is not stored.
+    """
     if not (ZERO < floor <= ONE) or not is_dyadic(floor):
         raise ValueError(f"floor must be a dyadic value in (0,1], got {floor}")
     kept: dict[int, Fraction] = {}
-    for eid, val in values.items():
+    for i, val in values.items():
         if val == ZERO:
             continue
         if not is_dyadic(val):
-            raise ValueError(f"value of edge {eid} is not dyadic: {val}")
+            raise ValueError(f"value of item {i} is not dyadic: {val}")
         if not (floor <= val <= ONE):
-            raise ValueError(f"value of edge {eid} outside [{floor}, 1]: {val}")
-        kept[eid] = val
-    return FractionalAssignment(values=kept, floor=floor)
+            raise ValueError(f"value of item {i} outside [{floor}, 1]: {val}")
+        kept[i] = val
+    return FractionalAssignment(values=kept)
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,17 @@ Rounding a packing to an integral one yields an independent set.
 
 The rounding algorithm itself lives once, in `rounding`.  This module
 supplies its load model: nodes load their closed neighborhood and are
-frozen by their own closed load, the conflict graph of a support is the
-induced subgraph, rho is the independence bound, validity is
-`verify_greedy_packing`, and the color sweep also raises a node whose
-closed load is exactly 1/2.
+frozen by their own closed load, the conflict graph is the graph itself,
+the greedy base is max_degree + 1 rounded up to a power of two, rho is
+the independence bound, validity is `verify_greedy_packing`, and the
+color sweep also raises a node whose closed load is exactly 1/2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .coloring import VertexColoring, linial_coloring
+from .coloring import VertexColoring
 from .core import (
     ONE,
     ZERO,
@@ -90,41 +90,36 @@ class _PackingModel(_LoadModel):
     def __init__(
         self, g: Graph, independence: int = 1, ledger: RoundLedger | None = None
     ) -> None:
-        self.g = g
+        self.graph = g
         self.independence = independence
         self.ledger = ledger
+        self.base = next_power_of_two(g.max_degree + 1)
         self.items = self.resources = g.n
         self.rho = max(1, independence)
 
     def loaded(self, i):
-        return (i, *self.g.adjacency[i])
+        return (i, *self.graph.adjacency[i])
 
     def freezing(self, i):
         return (i,)
 
-    def conflict(self, support):
-        return induced_subgraph(self.g, support)[0]
-
-    def base_coloring(self):
-        return linial_coloring(self.g, ledger=self.ledger)
-
     def verdict(self, x):
-        return verify_greedy_packing(self.g, x)
+        return verify_greedy_packing(self.graph, x)
 
     def can_recurse(self, factor, denom):
         return 2 * factor < denom
 
     def greedy(self, denom):
-        return initial_packing(self.g, denom, self.ledger)
+        return initial_packing(self.graph, denom, self.ledger)
 
     def basic(self, x, factor, denom, coloring):
         return basic_round_packing(
-            self.g, x, factor, denom, self.independence, coloring, self.ledger
+            self.graph, x, factor, denom, self.independence, coloring, self.ledger
         )
 
     def recurse(self, x, factor, denom, coloring):
         return recursive_round_packing(
-            self.g, x, factor, denom, self.independence, coloring, self.ledger
+            self.graph, x, factor, denom, self.independence, coloring, self.ledger
         )
 
 
@@ -139,8 +134,7 @@ def initial_packing(
     """
     if g.n == 0:
         return build_fractional_assignment({}, ONE)
-    model = _PackingModel(g, ledger=ledger)
-    return _greedy(model, next_power_of_two(g.max_degree + 1), denom)
+    return _greedy(_PackingModel(g, ledger=ledger), denom)
 
 
 def basic_round_packing(
@@ -190,8 +184,7 @@ def approx_mis(
     """Independent set of size at least MIS / (32 * max(independence,1)^3)."""
     if g.n == 0:
         return frozenset()
-    model = _PackingModel(g, independence, ledger)
-    chosen = _approx(model, next_power_of_two(g.max_degree + 1))
+    chosen = _approx(_PackingModel(g, independence, ledger))
     verdict = validate_independent_set(g, chosen)
     if not verdict:
         raise RuntimeError(f"rounded packing is not independent: {verdict.reason}")

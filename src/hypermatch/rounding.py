@@ -9,13 +9,14 @@ a driver extracts integral matchings and iterates to maximality.
 The rounding algorithm is written once here, as the underscore-private
 engine below, and runs on a load model.  Items carry dyadic values and
 load resources; an item is frozen once a resource that freezes it carries
-load at least 1/2.  This module supplies the matching model (hyperedges
-load and are frozen by their vertices, the conflict graph of a support is
-its line graph, rho is the rank); `packing` supplies the closed-
-neighborhood model of greedy packings.  Both sides take and return a
-`FractionalAssignment` that the engine builds and restricts itself.  Value
-dicts inside the engine are kept in witness order, which only the packing
-side reads.
+load at least 1/2.  A side is data the engine reads: its conflict graph
+of all items, its greedy base denominator, its loads and its checks.  This
+module supplies the matching side (hyperedges load and are frozen by their
+vertices, the conflict graph is the line graph, rho is the rank);
+`packing` supplies the closed-neighborhood model of greedy packings.  Both
+sides take and return a `FractionalAssignment` that the engine builds and
+restricts itself.  Value dicts inside the engine are kept in witness
+order, which only the packing side reads.
 
 Within one pass every value is k/D for one power of two D (1/denom for
 the greedy pass; multiples of 1/denom for the rounding passes), so the
@@ -40,11 +41,12 @@ import math
 import operator
 from fractions import Fraction
 
-from .coloring import VertexColoring, defective_coloring, edge_coloring_init
+from .coloring import VertexColoring, defective_coloring, linial_coloring
 from .core import (
     ONE,
     ZERO,
     FractionalAssignment,
+    Graph,
     Hypergraph,
     Matching,
     build_fractional_assignment,
@@ -81,18 +83,21 @@ class _LoadModel:
 
     Items 0..items-1 carry dyadic values and load resources
     0..resources-1; an item is frozen once a resource that freezes it
-    carries load >= 1/2.  Besides the attributes below a side supplies:
+    carries load >= 1/2.  Among the attributes below, ``graph`` is the
+    conflict graph of all items, node i standing for item i: the engine
+    colors it from scratch for the base coloring and restricts it to each
+    support.  Besides the attributes a side supplies:
 
     - ``loaded(i)`` and ``freezing(i)``: the resources item i loads and
       the resources that freeze it;
-    - ``conflict(support)``: the conflict graph of a sorted support, node
-      k standing for support[k]; ``base_coloring()`` colors all items;
     - ``verdict(x)``: the validity verdict of an assignment;
     - ``can_recurse(factor, denom)``: the recursive pass's precondition;
     - ``greedy``, ``basic`` and ``recurse``: calls to the side's public
       passes, so that nested passes re-enter through them.
     """
 
+    graph: Graph
+    base: int  # the default greedy denominator, a power of two
     items: int
     resources: int
     rho: int  # the loss parameter, >= 1
@@ -157,6 +162,23 @@ def _double(model: _LoadModel, values: dict[int, int], loads: list[int], scale: 
     return movers
 
 
+def _double_rounds(model: _LoadModel, values, loads, scale: int, cap: int, items, where: str) -> int:
+    """Double until nothing moves, rechecking each round; returns the round count.
+
+    Raises past ``cap`` rounds, and unless every one of ``items`` ends frozen.
+    """
+    rounds = 0
+    while moved := _double(model, values, loads, scale):
+        rounds += 1
+        if rounds > cap:
+            raise RuntimeError(f"{where} exceeded {cap} rounds")
+        model.recheck(values, scale, moved, where)
+    for i in items:
+        if not _frozen(model, loads, scale, i):
+            raise RuntimeError(f"{model.noun} {i} ended {where} unfrozen")
+    return rounds
+
+
 def _finish(model: _LoadModel, values: dict[int, int], scale: int, floor: Fraction, what: str):
     out = build_fractional_assignment(_fractions(values, scale), floor)
     verdict = model.verdict(out)
@@ -165,21 +187,16 @@ def _finish(model: _LoadModel, values: dict[int, int], scale: int, floor: Fracti
     return out
 
 
-def _greedy(model: _LoadModel, base: int, denom: int | None):
+def _greedy(model: _LoadModel, denom: int | None):
     """Uniform start at 1/denom, then freeze-and-double for log2(denom) rounds."""
     if denom is None:
-        denom = base
-    if not is_power_of_two(denom) or denom < base:
-        raise ValueError(f"denom must be a power of two >= {base}, got {denom}")
-    rounds = denom.bit_length() - 1
+        denom = model.base
+    if not is_power_of_two(denom) or denom < model.base:
+        raise ValueError(f"denom must be a power of two >= {model.base}, got {denom}")
+    rounds = denom.bit_length() - 1  # after this many doublings an item holds 1: frozen
     values = dict.fromkeys(range(model.items), 1)  # numerators over denom
     loads = _loads(model, values)
-    for _ in range(rounds):
-        if not _double(model, values, loads, denom):
-            break
-    for i in values:
-        if not _frozen(model, loads, denom, i):
-            raise RuntimeError(f"{model.noun} {i} ended the greedy pass unfrozen")
+    _double_rounds(model, values, loads, denom, rounds, values, "greedy doubling")
     out = _finish(model, values, denom, Fraction(1, denom), "greedy")
     model.charge("greedy" + model.suffix, rounds, "log2(denom)")
     return out
@@ -204,13 +221,13 @@ def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     if not support:
         return build_fractional_assignment({}, target)
     if coloring is None:
-        coloring = model.base_coloring()
+        coloring = linial_coloring(model.graph, ledger=model.ledger)
     restricted = VertexColoring(
         colors=tuple(coloring.colors[i] for i in support),
         palette_size=coloring.palette_size,
     )
     defect = max(0, denom // (2 * factor) - 1)
-    conflict = model.conflict(support)
+    conflict = induced_subgraph(model.graph, support)[0]
     dcol = defective_coloring(conflict, restricted, defect, ledger=model.ledger)
 
     values: dict[int, int] = {}  # numerators over denom
@@ -229,16 +246,8 @@ def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     for i in support:
         if i not in values and not _frozen(model, loads, denom, i):
             raise RuntimeError(f"{model.noun} {i} skipped its color class")
-    doubling = 0
     cap = (denom // factor).bit_length() - 1
-    while moved := _double(model, values, loads, denom):
-        doubling += 1
-        if doubling > cap:
-            raise RuntimeError(f"doubling exceeded log2(denom/factor) = {cap}")
-        model.recheck(values, denom, moved, "basic_round doubling")
-    for i in support:
-        if not _frozen(model, loads, denom, i):
-            raise RuntimeError(f"support {model.noun} {i} ended unfrozen")
+    doubling = _double_rounds(model, values, loads, denom, cap, support, "basic_round doubling")
     out = _finish(model, values, denom, target, "basic rounding")
     if out.total() * 2 * model.rho < x.total():
         raise RuntimeError(
@@ -273,13 +282,13 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
             f"recursive rounding needs {model.recursion_rule}, "
             f"got factor {factor}, denom {denom}"
         )
-    _check_input(model, x, denom)
     # Below this a single basic pass is valid and loses less; it also keeps
-    # every nested call inside its own precondition.
+    # every nested call inside its own precondition.  It checks the input.
     if factor <= 4 or 4 * factor >= denom:
         return model.basic(x, factor, denom, coloring)
+    _check_input(model, x, denom)
     if coloring is None:
-        coloring = model.base_coloring()
+        coloring = linial_coloring(model.graph, ledger=model.ledger)
     rho = model.rho
     total_x = x.total()
     target = Fraction(total_x, 4 * rho)
@@ -333,12 +342,13 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     return out
 
 
-def _approx(model: _LoadModel, denom: int) -> frozenset[int]:
-    """Greedy start, a recursive stage when the degree allows it, and one
-    basic stage down to integrality; returns the items valued 1."""
+def _approx(model: _LoadModel) -> frozenset[int]:
+    """Greedy start at the base denominator, a recursive stage when it allows
+    one, and one basic stage down to integrality; returns the items valued 1."""
+    denom = model.base
     x = model.greedy(denom)
     if denom > 1:
-        coloring = model.base_coloring()
+        coloring = linial_coloring(model.graph, ledger=model.ledger)
         lg = denom.bit_length() - 1
         stage = denom // (lg * lg)
         left = 1 << (stage.bit_length() - 1) if stage >= 1 else 1
@@ -384,20 +394,20 @@ class _MatchingModel(_LoadModel):
     def __init__(self, h: Hypergraph, ledger: RoundLedger | None = None) -> None:
         self.h = h
         self.ledger = ledger
+        self.base = next_power_of_two(h.max_degree)
         self.items = h.m
         self.resources = h.n
         self.rho = max(1, h.rank)
+
+    @property
+    def graph(self):
+        """The line graph, built on first use: the greedy pass never reads it."""
+        return line_graph(self.h)
 
     def loaded(self, i):
         return self.h.edges[i]
 
     freezing = loaded
-
-    def conflict(self, support):
-        return induced_subgraph(line_graph(self.h), support)[0]
-
-    def base_coloring(self):
-        return edge_coloring_init(self.h, self.ledger)
 
     def verdict(self, x):
         return validate_fractional_matching(self.h, x)
@@ -445,7 +455,7 @@ def greedy_doubling_step(
     model = _MatchingModel(h)
     values, scale = _numerators(x.values)
     _double(model, values, _loads(model, values), scale)
-    return build_fractional_assignment(_fractions(values, scale), x.floor)
+    return build_fractional_assignment(_fractions(values, scale), Fraction(1, scale))
 
 
 def greedy_fractional_matching(
@@ -463,7 +473,7 @@ def greedy_fractional_matching(
     """
     if h.max_degree < 1:
         raise ValueError("hypergraph has no edges")
-    return _greedy(_MatchingModel(h, ledger), next_power_of_two(h.max_degree), denom)
+    return _greedy(_MatchingModel(h, ledger), denom)
 
 
 def basic_round(
@@ -516,8 +526,7 @@ def approx_max_matching(h: Hypergraph, ledger: RoundLedger | None = None) -> Mat
     """
     if h.m == 0:
         return Matching(edges=frozenset())
-    model = _MatchingModel(h, ledger)
-    m = Matching(edges=_approx(model, next_power_of_two(h.max_degree)))
+    m = Matching(edges=_approx(_MatchingModel(h, ledger)))
     verdict = validate_matching(h, m)
     if not verdict:
         raise RuntimeError(f"extracted edges are not disjoint: {verdict.reason}")

@@ -10,11 +10,10 @@ from hypermatch.coloring import (
     count_defect,
     defective_coloring,
     defective_radius,
-    edge_coloring_init,
     linial_coloring,
     reduction_schedule,
 )
-from hypermatch.core import build_graph, build_hypergraph
+from hypermatch.core import build_graph, build_hypergraph, line_graph
 from hypermatch.ledger import RoundLedger
 
 
@@ -101,20 +100,20 @@ def test_initial_coloring_errors_come_in_node_order(colors, message):
 
 def test_line_graph_coloring_single_hyperedge():
     h = build_hypergraph(3, [{0, 1, 2}])
-    out = edge_coloring_init(h)
+    out = linial_coloring(line_graph(h))
     assert out.colors == (0,)
 
 
 def test_line_graph_coloring_triangle():
     h = build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
-    out = edge_coloring_init(h)
+    out = linial_coloring(line_graph(h))
     assert len(set(out.colors)) == 3
     assert out.palette_size <= PALETTE_FACTOR_PROPER * 16
 
 
 def test_line_graph_coloring_disjoint_edges_may_share():
     h = build_hypergraph(6, [{0, 1, 2}, {3, 4, 5}])
-    out = edge_coloring_init(h)
+    out = linial_coloring(line_graph(h))
     assert out.colors[0] == out.colors[1] == 0
 
 

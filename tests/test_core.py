@@ -169,9 +169,9 @@ def test_fractional_assignment_builder():
     assert x.support() == (0,)
     assert x.get(1) == 0
     assert x.total() == Fraction(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^value of item 0 is not dyadic: 1/3$"):
         build_fractional_assignment({0: Fraction(1, 3)}, Fraction(1, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^value of item 0 outside \[1/4, 1\]: 1/8$"):
         build_fractional_assignment({0: Fraction(1, 8)}, Fraction(1, 4))
     with pytest.raises(ValueError):
         build_fractional_assignment({}, Fraction(0))
@@ -179,7 +179,7 @@ def test_fractional_assignment_builder():
 
 def test_fractional_validation_zero_assignment():
     h = triangle()
-    x = FractionalAssignment(values={}, floor=Fraction(1, 2))
+    x = FractionalAssignment(values={})
     verdict = validate_fractional_matching(h, x)
     assert verdict.ok
     assert verdict.half_tight == frozenset()
@@ -199,9 +199,7 @@ def test_fractional_validation_half_on_triangle():
 def test_fractional_validation_overloaded_center():
     # four edges at one center carrying 1/3 each: the center sums to 4/3
     h = build_hypergraph(5, [{0, 1}, {0, 2}, {0, 3}, {0, 4}])
-    x = FractionalAssignment(
-        values={eid: Fraction(1, 3) for eid in range(4)}, floor=Fraction(1, 3)
-    )
+    x = FractionalAssignment(values={eid: Fraction(1, 3) for eid in range(4)})
     verdict = validate_fractional_matching(h, x)
     assert not verdict.ok
     assert "vertex 0" in verdict.reason

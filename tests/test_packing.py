@@ -58,7 +58,7 @@ class TestVerify:
     def test_non_dyadic_value_rejected(self):
         g = build_graph(1, [])
         # build_fractional_assignment would refuse it, so build it directly
-        p = FractionalAssignment(values={0: Fraction(1, 3)}, floor=Fraction(1, 4))
+        p = FractionalAssignment(values={0: Fraction(1, 3)})
         assert not verify_greedy_packing(g, p).ok
 
 
@@ -140,11 +140,26 @@ class TestPackingRounds:
         g = generate.cycle(6)
         x = initial_packing(g, denom=16)
         rho = 2
-        y1 = recursive_round_packing(g, x, 4, 16, rho)
-        y2 = basic_round_packing(g, x, 4, 16, rho)
+        led1, led2 = RoundLedger(), RoundLedger()
+        y1 = recursive_round_packing(g, x, 4, 16, rho, ledger=led1)
+        y2 = basic_round_packing(g, x, 4, 16, rho, ledger=led2)
         assert y1.values == y2.values
+        assert led1.as_records() == led2.as_records()
         with pytest.raises(ValueError):
             recursive_round_packing(g, x, 16, 16, rho)
+        # invalid inputs: the delegated pass raises the basic pass's own message
+        low = build_fractional_assignment({0: Fraction(1, 32)}, Fraction(1, 32))
+        over = build_fractional_assignment({0: HALF, 1: Fraction(3, 4)}, Fraction(1, 4))
+        for bad, message in (
+            (low, "vertex 0 has value 1/32 below 1/16"),
+            (over, "input is not a greedy packing: vertex 1 exceeds its prefix budget: 5/4"),
+        ):
+            with pytest.raises(ValueError) as basic_err:
+                basic_round_packing(g, bad, 4, 16, rho)
+            with pytest.raises(ValueError) as rec_err:
+                recursive_round_packing(g, bad, 4, 16, rho)
+            assert str(basic_err.value) == message
+            assert str(rec_err.value) == message
 
     def test_recursive_empty_input(self):
         g = generate.cycle(6)
@@ -152,11 +167,11 @@ class TestPackingRounds:
         y = recursive_round_packing(g, x, 8, 1024, 2)
         assert y.values == {}
 
-    def test_recursion_checks_values_against_denom_not_the_floor_field(self):
-        # the floor field promises more than the values hold; the input
-        # check reads 1/denom, and so does every restriction after it
+    def test_recursion_checks_values_against_denom(self):
+        # values built directly, with no floor behind them; the input check
+        # reads 1/denom, and so does every restriction after it
         g = generate.cycle(6)
-        x = FractionalAssignment(values={v: Fraction(1, 64) for v in range(6)}, floor=HALF)
+        x = FractionalAssignment(values={v: Fraction(1, 64) for v in range(6)})
         y = recursive_round_packing(g, x, 8, 64, 2)
         assert verify_greedy_packing(g, y).ok
 

@@ -189,8 +189,24 @@ class TestRecursiveRound:
     def test_small_factor_delegates_to_basic(self):
         h = build_hypergraph(2, [{0, 1}])
         x = build_fractional_assignment({0: Fraction(1, 4)}, Fraction(1, 4))
-        y = recursive_round(h, x, 2, 4)
-        assert y.values == basic_round(h, x, 2, 4).values
+        led_rec, led_basic = RoundLedger(), RoundLedger()
+        y = recursive_round(h, x, 2, 4, ledger=led_rec)
+        assert y.values == basic_round(h, x, 2, 4, ledger=led_basic).values
+        assert led_rec.as_records() == led_basic.as_records()
+        # invalid inputs: the delegated pass raises basic_round's own message
+        h = build_hypergraph(3, [{0, 1}, {1, 2}])
+        low = build_fractional_assignment({0: Fraction(1, 8)}, Fraction(1, 8))
+        over = build_fractional_assignment({0: Fraction(3, 4), 1: HALF}, Fraction(1, 4))
+        for bad, message in (
+            (low, "edge 0 has value 1/8 below 1/4"),
+            (over, "input is not a fractional matching: vertex 1 carries load 5/4 > 1"),
+        ):
+            with pytest.raises(ValueError) as basic_err:
+                basic_round(h, bad, 2, 4)
+            with pytest.raises(ValueError) as rec_err:
+                recursive_round(h, bad, 2, 4)
+            assert str(basic_err.value) == message
+            assert str(rec_err.value) == message
 
     def test_empty_support_stays_empty(self):
         h = triangle()
