@@ -17,25 +17,30 @@ subgraphs are frozen from adjacency lists the library built sorted and
 unique, under a cheaper check whose failure raises RuntimeError.
 
 All fractional values are dyadic rationals (integer numerator over a power
-of two), held as ``fractions.Fraction`` so every comparison in a validator
-is exact.  Instances are immutable after construction and every function
-here is pure, so sharing objects across threads or processes is safe.  The
-one cache, a hypergraph's line graph, is immutable and deterministic too,
-so a race can at worst build it twice.
+of two), held as ``fractions.Fraction``.  The validators compare them
+exactly in integers: each derives the numerators of an assignment's values
+over one scale, the least common denominator (the largest denominator once
+every value is dyadic), and tests loads as ``load > scale`` and
+``2*load >= scale``.  A ``Fraction`` is built only for a message.
+Instances and assignments are immutable after construction and every
+function here is pure, so sharing objects across threads or processes is
+safe.  The one cache, a hypergraph's line graph, is immutable and
+deterministic too, so a race can at worst build it twice.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import ge
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def is_power_of_two(value: int) -> bool:
@@ -246,25 +251,46 @@ class FractionalAssignment:
     """Sparse map item id -> dyadic value in (0, 1].
 
     The items are hyperedges of a fractional matching or vertices of a
-    greedy packing.  Zero values are never stored.  ``values`` keeps
-    insertion order, which for a packing is its witness order; ``==``
-    compares dicts and so ignores that order.
+    greedy packing.  Zero values are never stored.  ``values`` is a
+    read-only view of a copy of the given dict and keeps its insertion
+    order, which for a packing is its witness order; ``==`` compares the
+    values and so ignores that order.  Since the values cannot change, a
+    verdict on them stands: the rounding engine records in ``_valid_on``
+    the side and instance its validator passed the assignment on, and
+    ``==``, ``repr``, copies and pickles leave that record out.
     """
 
-    values: dict[int, Fraction]
+    values: Mapping[int, Fraction]
+    _valid_on: tuple[str, Hypergraph] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+
+    def __repr__(self) -> str:
+        return f"FractionalAssignment(values={dict(self.values)!r})"
+
+    def __reduce__(self):
+        return FractionalAssignment, (dict(self.values),)
 
     def get(self, eid: int) -> Fraction:
         return self.values.get(eid, ZERO)
 
     def total(self) -> Fraction:
-        return sum(self.values.values(), ZERO)
+        nums, scale = _numerators(self.values)
+        return Fraction(sum(nums.values()), scale)
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.values))
 
 
+def _numerators(values: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Exact values as integer numerators over their least common denominator."""
+    scale = math.lcm(*(val.denominator for val in values.values()))
+    return {i: val.numerator * (scale // val.denominator) for i, val in values.items()}, scale
+
+
 def build_fractional_assignment(
-    values: dict[int, Fraction], floor: Fraction
+    values: Mapping[int, Fraction], floor: Fraction
 ) -> FractionalAssignment:
     """Drop zeros, then enforce dyadicity and the bounds [floor, 1].
 
@@ -272,13 +298,15 @@ def build_fractional_assignment(
     """
     if not (ZERO < floor <= ONE) or not is_dyadic(floor):
         raise ValueError(f"floor must be a dyadic value in (0,1], got {floor}")
+    low, low_den = floor.numerator, floor.denominator
     kept: dict[int, Fraction] = {}
     for i, val in values.items():
-        if val == ZERO:
+        num, den = val.numerator, val.denominator
+        if num == 0:
             continue
-        if not is_dyadic(val):
+        if not is_power_of_two(den):
             raise ValueError(f"value of item {i} is not dyadic: {val}")
-        if not (floor <= val <= ONE):
+        if not (low * den <= num * low_den and num <= den):  # floor <= val <= 1
             raise ValueError(f"value of item {i} outside [{floor}, 1]: {val}")
         kept[i] = val
     return FractionalAssignment(values=kept)
@@ -305,29 +333,40 @@ class FractionalVerdict:
         return self.ok
 
 
-def vertex_loads(h: Hypergraph, x: FractionalAssignment) -> list[Fraction]:
-    loads = [ZERO] * h.n
-    for eid, val in x.values.items():
-        for v in h.edges[eid]:
-            loads[v] += val
+def _edge_loads(h: Hypergraph, nums: dict[int, int]) -> list[int]:
+    loads = [0] * h.n
+    edges = h.edges
+    for eid, num in nums.items():
+        for v in edges[eid]:
+            loads[v] += num
     return loads
+
+
+def vertex_loads(h: Hypergraph, x: FractionalAssignment) -> list[Fraction]:
+    nums, scale = _numerators(x.values)
+    return [Fraction(load, scale) for load in _edge_loads(h, nums)]
 
 
 def validate_fractional_matching(
     h: Hypergraph, x: FractionalAssignment
 ) -> FractionalVerdict:
-    """Exact check: ids in range and every vertex load sum <= 1.
+    """Exact check: ids in range, values in (0,1] and every vertex load <= 1.
 
-    Also reports the half-tight vertices (load >= 1/2).
+    Also reports the half-tight vertices (load >= 1/2).  Values need not
+    be dyadic here.
     """
     for eid in x.values:
         if not 0 <= eid < h.m:
             return FractionalVerdict(False, f"edge id {eid} outside 0..{h.m - 1}")
-    loads = vertex_loads(h, x)
+    nums, scale = _numerators(x.values)
+    for eid, num in nums.items():
+        if not 0 < num <= scale:
+            return FractionalVerdict(False, f"edge {eid} has value {x.values[eid]} outside (0,1]")
+    loads = _edge_loads(h, nums)
     for v, load in enumerate(loads):
-        if load > ONE:
-            return FractionalVerdict(False, f"vertex {v} carries load {load} > 1")
-    half = frozenset(v for v, load in enumerate(loads) if load >= HALF)
+        if load > scale:
+            return FractionalVerdict(False, f"vertex {v} carries load {Fraction(load, scale)} > 1")
+    half = frozenset(v for v, load in enumerate(loads) if 2 * load >= scale)
     return FractionalVerdict(True, half_tight=half)
 
 

@@ -22,14 +22,15 @@ color sweep also raises a node whose closed load is exactly 1/2.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from .coloring import VertexColoring
 from .core import (
     ONE,
-    ZERO,
     FractionalAssignment,
     Graph,
     Verdict,
+    _numerators,
     build_fractional_assignment,
     build_graph,
     induced_subgraph,
@@ -46,34 +47,35 @@ from .rounding import (
     _greedy,
     _LoadModel,
     _loads,
-    _numerators,
     _recursive_round,
 )
 
 
-def closed_loads(g: Graph, values: dict[int, Fraction]) -> list[Fraction]:
+def closed_loads(g: Graph, values: Mapping[int, Fraction]) -> list[Fraction]:
     """Per-vertex sum over the closed neighborhood."""
     nums, scale = _numerators(values)
     return [Fraction(load, scale) for load in _loads(_PackingModel(g), nums)]
 
 
 def verify_greedy_packing(g: Graph, p: FractionalAssignment) -> Verdict:
-    """Check values are dyadic in (0,1] and their order is a valid witness."""
+    """Check values are dyadic in (0,1] and their order is a valid witness.
+
+    Budgets are summed as integer numerators over the largest denominator.
+    """
     for v, val in p.values.items():
         if not 0 <= v < g.n:
             return Verdict(False, f"vertex id {v} outside 0..{g.n - 1}")
-        if not ZERO < val <= ONE:
+        if not 0 < val.numerator <= val.denominator:
             return Verdict(False, f"vertex {v} has value {val} outside (0,1]")
         if not is_dyadic(val):
             return Verdict(False, f"vertex {v} has non-dyadic value {val}")
-    position = {v: i for i, v in enumerate(p.values)}
-    for v in p.values:
-        budget = p.values[v]
-        for u in g.adjacency[v]:
-            if u in position and position[u] < position[v]:
-                budget += p.values[u]
-        if budget > ONE:
-            return Verdict(False, f"vertex {v} exceeds its prefix budget: {budget}")
+    nums, scale = _numerators(p.values)
+    placed = [0] * g.n  # numerators of the vertices met so far in witness order
+    for v, num in nums.items():
+        budget = num + sum(map(placed.__getitem__, g.adjacency[v]))
+        if budget > scale:
+            return Verdict(False, f"vertex {v} exceeds its prefix budget: {Fraction(budget, scale)}")
+        placed[v] = num
     return Verdict(True)
 
 
@@ -90,7 +92,7 @@ class _PackingModel(_LoadModel):
     def __init__(
         self, g: Graph, independence: int = 1, ledger: RoundLedger | None = None
     ) -> None:
-        self.graph = g
+        self.graph = self.instance = g
         self.independence = independence
         self.ledger = ledger
         self.base = next_power_of_two(g.max_degree + 1)

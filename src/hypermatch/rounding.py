@@ -25,6 +25,14 @@ test 2*load >= D.  `Fraction`s are built only for the output, so every
 public value stays an exact `Fraction` and every final validator runs on
 them.
 
+Every assignment the engine builds is validated exactly once.  Each
+output is validated as the pass finishes and marked with the side and
+instance it passed on; its values are read-only, so a later pass on that
+side and instance skips the verdict in its input check (the greedy output
+that `_approx` rounds next, the nested outputs of the recursion).  Every
+assignment from outside, and every restriction the recursion builds, is
+validated by the pass it enters.
+
 Every intermediate assignment is a valid fractional matching: on the
 matching side, after each color class, doubling round and recursive
 accumulation, the model rechecks the values just raised and re-sums the
@@ -49,6 +57,7 @@ from .core import (
     Graph,
     Hypergraph,
     Matching,
+    _numerators,
     build_fractional_assignment,
     induced_subgraph,
     induced_subhypergraph,
@@ -96,6 +105,7 @@ class _LoadModel:
       passes, so that nested passes re-enter through them.
     """
 
+    instance: Hypergraph  # what ``verdict`` reads: the hypergraph or the graph
     graph: Graph
     base: int  # the default greedy denominator, a power of two
     items: int
@@ -121,12 +131,6 @@ class _LoadModel:
     def charge(self, label: str, rounds: int, formula: str) -> None:
         if self.ledger is not None:
             self.ledger.charge(label, rounds, formula)
-
-
-def _numerators(values: dict[int, Fraction]) -> tuple[dict[int, int], int]:
-    """Exact values as numerators over their least common denominator."""
-    scale = math.lcm(*(val.denominator for val in values.values()))
-    return {i: val.numerator * (scale // val.denominator) for i, val in values.items()}, scale
 
 
 def _fractions(values: dict[int, int], scale: int) -> dict[int, Fraction]:
@@ -184,6 +188,9 @@ def _finish(model: _LoadModel, values: dict[int, int], scale: int, floor: Fracti
     verdict = model.verdict(out)
     if not verdict:
         raise RuntimeError(f"{what} produced an invalid {model.kind}: {verdict.reason}")
+    # The values are read-only, so the next pass on this instance need not
+    # validate them again.
+    object.__setattr__(out, "_valid_on", (model.kind, model.instance))
     return out
 
 
@@ -203,10 +210,13 @@ def _greedy(model: _LoadModel, denom: int | None):
 
 
 def _check_input(model: _LoadModel, x, denom: int) -> None:
-    floor = Fraction(1, denom)
+    """Values at least 1/denom, and the side's verdict unless a pass of this
+    side already validated x on this instance or an equal one."""
     for i, val in x.values.items():
-        if val < floor:
+        if val.numerator * denom < val.denominator:
             raise ValueError(f"{model.noun} {i} has value {val} below 1/{denom}")
+    if x._valid_on == (model.kind, model.instance):
+        return
     verdict = model.verdict(x)
     if not verdict:
         raise ValueError(f"input is not a {model.kind}: {verdict.reason}")
@@ -392,7 +402,7 @@ class _MatchingModel(_LoadModel):
     recursion_rule = "factor*log2(factor)^2 <= denom"
 
     def __init__(self, h: Hypergraph, ledger: RoundLedger | None = None) -> None:
-        self.h = h
+        self.h = self.instance = h
         self.ledger = ledger
         self.base = next_power_of_two(h.max_degree)
         self.items = h.m
