@@ -145,7 +145,7 @@ def approx_max_graph_matching(
     dead: set[int] = set()
     # (neighbor, edge id) pairs of each node, by neighbor
     adj = [
-        sorted((sum(g.edges[eid]) - v, eid) for eid in g.incident_edges(v))
+        sorted((sum(g.edges[eid]) - v, eid) for eid in g.incidence[v])
         for v in range(g.n)
     ]
 

@@ -24,8 +24,9 @@ every value is dyadic), and tests loads as ``load > scale`` and
 ``2*load >= scale``.  A ``Fraction`` is built only for a message.
 Instances and assignments are immutable after construction and every
 function here is pure, so sharing objects across threads or processes is
-safe.  The one cache, a hypergraph's line graph, is immutable and
-deterministic too, so a race can at worst build it twice.
+safe.  A hypergraph has two derived views, its incidence lists and its
+line graph.  Each is built on first read and kept; both are immutable
+and deterministic too, so a race can at worst build one twice.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from operator import ge
 from types import MappingProxyType
@@ -67,16 +69,14 @@ class Hypergraph:
     and keep distinct ids (their list positions).  Each edge is a frozenset,
     or a normalized ``(u, v)`` tuple in a ``Graph``.  ``rank`` is the
     largest hyperedge size, ``max_degree`` the largest vertex degree
-    counting multiplicity, ``incidence[v]`` the ids of the edges at v in
-    ascending order.  ``line_graph`` keeps its result in ``_line_graph``.
+    counting multiplicity.  ``incidence`` and ``_line_graph`` derive from
+    ``edges`` on first read and are kept outside ``==``, ``repr`` and ``hash``.
     """
 
     n: int
     edges: tuple[frozenset[int] | tuple[int, int], ...]
     rank: int
     max_degree: int
-    incidence: tuple[tuple[int, ...], ...] = field(repr=False)
-    _line_graph: Graph | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -85,8 +85,26 @@ class Hypergraph:
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return self.incidence[v]
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """``incidence[v]``: the ids of the edges at v, in ascending order."""
+        incidence: list[list[int]] = [[] for _ in range(self.n)]
+        for eid, members in enumerate(self.edges):
+            for v in members:
+                incidence[v].append(eid)
+        return tuple(map(tuple, incidence))
+
+    @cached_property
+    def _line_graph(self) -> Graph:
+        inc = self.incidence
+        adjacency = []
+        for eid, members in enumerate(self.edges):
+            near: set[int] = set()
+            for v in members:
+                near.update(inc[v])
+            near.discard(eid)
+            adjacency.append(sorted(near))
+        return _freeze_graph(adjacency)
 
 
 def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -99,7 +117,7 @@ def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
     frozen: list[frozenset[int]] = []
-    incidence: list[list[int]] = [[] for _ in range(n)]
+    degree = [0] * n
     for eid, raw in enumerate(edges):
         members = list(raw)
         if not members:
@@ -110,17 +128,10 @@ def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
         for v in members:
             if not 0 <= v < n:
                 raise ValueError(f"hyperedge {eid} uses vertex {v} outside 0..{n - 1}")
-            incidence[v].append(eid)
+            degree[v] += 1
         frozen.append(seen)
     rank = max((len(e) for e in frozen), default=0)
-    max_degree = max((len(inc) for inc in incidence), default=0)
-    return Hypergraph(
-        n=n,
-        edges=tuple(frozen),
-        rank=rank,
-        max_degree=max_degree,
-        incidence=tuple(tuple(inc) for inc in incidence),
-    )
+    return Hypergraph(n=n, edges=tuple(frozen), rank=rank, max_degree=max(degree, default=0))
 
 
 @dataclass(frozen=True)
@@ -141,7 +152,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     norm: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    incidence: list[list[int]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(edges):
         if u == v:
             raise ValueError(f"edge {eid} is a self-loop at {u}")
@@ -154,14 +164,11 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         norm.append(key)
         adjacency[u].append(v)
         adjacency[v].append(u)
-        incidence[u].append(eid)
-        incidence[v].append(eid)
     return Graph(
         n=n,
         edges=tuple(norm),
         rank=2 if norm else 0,
         max_degree=max((len(a) for a in adjacency), default=0),
-        incidence=tuple(tuple(inc) for inc in incidence),
         adjacency=tuple(tuple(sorted(a)) for a in adjacency),
     )
 
@@ -172,32 +179,24 @@ def _freeze_graph(adjacency: list[list[int]]) -> Graph:
     Each list must be strictly ascending, within 0..n-1 and free of its
     own node, and v must list u exactly when u lists v.  A violation is a
     library bug, so it raises RuntimeError.  Edges come out in
-    lexicographic order and each incidence list in ascending edge id:
-    the graph ``build_graph`` makes of the sorted edge list.
+    lexicographic order: the graph ``build_graph`` makes of the sorted
+    edge list.
     """
     n = len(adjacency)
     edges: list[tuple[int, int]] = []
-    incidence: list[tuple[int, ...]] = []
-    # For each node w already frozen: (edge id, v) for each neighbor v
-    # above w that has not yet listed w, ascending.
-    pending: list[Iterator[tuple[int, int]]] = []
+    # pending[w]: the neighbors above w that have not yet listed w, ascending
+    pending: list[Iterator[int]] = []
     for u, adj in enumerate(adjacency):
         if adj and (adj[0] < 0 or adj[-1] >= n or any(map(ge, adj, adj[1:]))):
             raise RuntimeError(f"adjacency of {u} is not strictly ascending in 0..{n - 1}")
         split = bisect_left(adj, u)
         if split < len(adj) and adj[split] == u:
             raise RuntimeError(f"adjacency of {u} lists {u} itself")
-        own: list[int] = []
         for w in adj[:split]:
-            eid, v = next(pending[w], (0, -1))
-            if v != u:
+            if next(pending[w], -1) != u:
                 raise RuntimeError(f"adjacency of {u} is not symmetric")
-            own.append(eid)
         upper = adj[split:]
-        base = len(edges)
-        pending.append(enumerate(upper, base))
-        own.extend(range(base, base + len(upper)))
-        incidence.append(tuple(own))
+        pending.append(iter(upper))
         edges.extend(zip(repeat(u), upper))
     for w, rest in enumerate(pending):
         if next(rest, None) is not None:
@@ -207,7 +206,6 @@ def _freeze_graph(adjacency: list[list[int]]) -> Graph:
         edges=tuple(edges),
         rank=2 if edges else 0,
         max_degree=max(map(len, adjacency), default=0),
-        incidence=tuple(incidence),
         adjacency=tuple(map(tuple, adjacency)),
     )
 
@@ -219,16 +217,6 @@ def line_graph(h: Hypergraph) -> Graph:
     per hypergraph and cached on it, so the edge coloring that seeds the
     rounding and the rounding's conflict graphs share one copy.
     """
-    if h._line_graph is None:
-        inc = h.incidence
-        adjacency = []
-        for eid, members in enumerate(h.edges):
-            near: set[int] = set()
-            for v in members:
-                near.update(inc[v])
-            near.discard(eid)
-            adjacency.append(sorted(near))
-        object.__setattr__(h, "_line_graph", _freeze_graph(adjacency))
     return h._line_graph
 
 
@@ -241,9 +229,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.edges))
 
 
 @dataclass(frozen=True)
@@ -476,7 +461,7 @@ def validate_edge_coloring(
             return Verdict(False, f"edge {eid} uses color {c} not on its list")
     for v in range(h.n):
         seen: dict[int, int] = {}
-        for eid in h.incident_edges(v):
+        for eid in h.incidence[v]:
             c = colors[eid]
             if c in seen:
                 return Verdict(False, f"edges {seen[c]} and {eid} at vertex {v} share color {c}")

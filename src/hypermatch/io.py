@@ -7,7 +7,8 @@ Instance formats:
 * graph: header ``gr <n> <m>`` then one ``u v`` line per edge.
 
 Edge ids are line positions.  Parsers are strict: wrong counts, ids out of
-range, rank mismatch or trailing garbage raise ParseError.
+range, rank mismatch or trailing garbage raise ParseError.  Body tokens go
+through labeled ``_int`` only after plain ``int()`` failed on them.
 
 Solution formats (one record per line):
 
@@ -62,7 +63,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
     body = rows[1:]
     if len(body) != m:
         raise ParseError(f"header announces {m} hyperedges, found {len(body)}")
-    edges = [[_int(tok, f"hyperedge {i}") for tok in row] for i, row in enumerate(body)]
+    try:
+        edges = [list(map(int, row)) for row in body]
+    except ValueError:
+        edges = [[_int(tok, f"hyperedge {i}") for tok in row] for i, row in enumerate(body)]
     try:
         h = build_hypergraph(n, edges)
     except ValueError as exc:
@@ -90,11 +94,14 @@ def parse_graph(text: str) -> Graph:
     body = rows[1:]
     if len(body) != m:
         raise ParseError(f"header announces {m} edges, found {len(body)}")
-    edges = []
-    for i, row in enumerate(body):
-        if len(row) != 2:
-            raise ParseError(f"edge {i}: expected 'u v', got {' '.join(row)!r}")
-        edges.append((_int(row[0], f"edge {i}"), _int(row[1], f"edge {i}")))
+    try:
+        edges = [(int(u), int(v)) for u, v in body]
+    except ValueError:
+        edges = []
+        for i, row in enumerate(body):
+            if len(row) != 2:
+                raise ParseError(f"edge {i}: expected 'u v', got {' '.join(row)!r}")
+            edges.append((_int(row[0], f"edge {i}"), _int(row[1], f"edge {i}")))
     try:
         return build_graph(n, edges)
     except ValueError as exc:
@@ -161,7 +168,10 @@ def parse_lists(text: str) -> dict[int, tuple[int, ...]]:
         key = _int(head.strip(), "list id")
         if key in out:
             raise ParseError(f"id {key} listed twice")
-        colors = tuple(_int(tok, f"list of {key}") for tok in tail.split())
+        try:
+            colors = tuple(map(int, tail.split()))
+        except ValueError:
+            colors = tuple(_int(tok, f"list of {key}") for tok in tail.split())
         if len(set(colors)) != len(colors):
             raise ParseError(f"list of {key} repeats a color")
         out[key] = colors
@@ -185,7 +195,10 @@ def parse_orientation(text: str, g: Graph) -> tuple[int, ...]:
     for i, row in enumerate(rows):
         if len(row) != 2:
             raise ParseError(f"line {i}: expected '<tail> <head>'")
-        tail, head = _int(row[0], f"line {i}"), _int(row[1], f"line {i}")
+        try:
+            tail, head = int(row[0]), int(row[1])
+        except ValueError:
+            tail, head = _int(row[0], f"line {i}"), _int(row[1], f"line {i}")
         key = (tail, head) if tail < head else (head, tail)
         if key != g.edges[i]:
             raise ParseError(f"line {i}: {tail}->{head} is not edge {i} = {g.edges[i]}")

@@ -1,11 +1,14 @@
 """Data model and validator behavior on small hand-checked instances."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from test_golden import hub_hypergraph
 
-from hypermatch import core, generate, packing
+from hypermatch import core, generate, packing, rounding
 from hypermatch.audit import ball
 from hypermatch.core import (
     FractionalAssignment,
@@ -62,7 +65,7 @@ def test_build_hypergraph_triangle():
     h = triangle()
     assert h.rank == 2
     assert h.max_degree == 2
-    assert h.incident_edges(1) == (0, 1)
+    assert h.incidence[1] == (0, 1)
 
 
 def test_build_hypergraph_parallel_edges_keep_ids():
@@ -296,6 +299,51 @@ def test_induced_subgraph_rejects_unknown_nodes():
     for keep in ([0, 4], [-1, 2]):
         with pytest.raises(ValueError):
             induced_subgraph(g, keep)
+
+
+def _incidence_from_edges(h):
+    pairs = sorted((v, eid) for eid, members in enumerate(h.edges) for v in members)
+    incidence = [[] for _ in range(h.n)]
+    for v, eid in pairs:
+        incidence[v].append(eid)
+    return tuple(map(tuple, incidence))
+
+
+def test_incidence_is_derived_on_first_read(monkeypatch):
+    """MIS and maximal matching read only the adjacency of a graph, so the
+    input graph, the line graph and a support restriction build no
+    incidence lists; where incidence is read, it equals the lists derived
+    from ``edges``."""
+    rng = random.Random(13)
+    g = build_graph(60, rng.sample([(u, v) for u in range(60) for v in range(u + 1, 60)], 150))
+    packing.maximal_independent_set(g, 2)
+    assert "incidence" not in vars(g)
+
+    restrictions = []
+
+    def recording(graph, keep):
+        sub, kept = induced_subgraph(graph, keep)
+        restrictions.append(sub)
+        return sub, kept
+
+    monkeypatch.setattr(rounding, "induced_subgraph", recording)
+    h = hub_hypergraph()
+    maximal_matching(h)
+    lg = line_graph(h)
+    sub = next(sub for sub in restrictions if sub is not lg)
+    assert "incidence" not in vars(lg) and "incidence" not in vars(sub)
+    assert vars(h)["incidence"] == _incidence_from_edges(h)
+    assert sub.incidence == _incidence_from_edges(sub)
+
+
+def test_derived_views_stay_out_of_equality_and_copies():
+    h = build_hypergraph(4, [{0, 1, 2}, {2, 3}, {1, 3}])
+    fresh = build_hypergraph(4, [{0, 1, 2}, {2, 3}, {1, 3}])
+    lg = line_graph(h)
+    assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+    for back in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+        assert back == h and back.incidence == h.incidence
+        assert line_graph(back) == lg
 
 
 @pytest.mark.parametrize("adjacency, what", [

@@ -41,6 +41,26 @@ def test_parse_rejects_malformed(text):
             io.parse_hypergraph(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (io.parse_graph, "gr 3 2\n0 1\n1 x\n", "edge 1: expected an integer, got 'x'"),
+        (io.parse_hypergraph, "hgr 3 2 2\n0 1\n1 2.0\n", "hyperedge 1: expected an integer, got '2.0'"),
+        (io.parse_coloring, "0 1\n1 -\n", "color: expected an integer, got '-'"),
+        (io.parse_lists, "0: 1 2\n3: 4 y 5\n", "list of 3: expected an integer, got 'y'"),
+        (
+            lambda text: io.parse_orientation(text, build_graph(3, [(0, 1), (1, 2)])),
+            "1 0\nz 1\n",
+            "line 1: expected an integer, got 'z'",
+        ),
+    ],
+)
+def test_bad_token_names_its_row(parse, text, message):
+    with pytest.raises(io.ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_id_set_and_matching_round_trip():
     ids = frozenset({3, 1, 4})
     assert io.parse_id_set(io.format_id_set(ids)) == ids
