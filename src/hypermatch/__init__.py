@@ -11,7 +11,6 @@ stated approximation factor at small scale.
 """
 
 from .apps import (
-    AugmentingPathSet,
     Orientation,
     OrientationBoundError,
     PathBudgetError,
@@ -34,7 +33,6 @@ from .core import (
     FractionalAssignment,
     Graph,
     Hypergraph,
-    Matching,
     Verdict,
     build_fractional_assignment,
     build_graph,

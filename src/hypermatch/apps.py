@@ -20,10 +20,12 @@ iteration, raise PathBudgetError rather than silently truncating.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .core import Graph, Matching, Verdict, build_hypergraph
+from .core import Graph, Verdict, build_hypergraph
 from .ledger import RoundLedger
 from .rounding import almost_maximal_matching, maximal_matching
 
@@ -43,29 +45,22 @@ class OrientationBoundError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class AugmentingPathSet:
-    """Paths as node sequences, pairwise disjoint in the declared mode."""
-
-    paths: tuple[tuple[int, ...], ...]
-    mode: str
-
-
-def validate_path_set(ps: AugmentingPathSet) -> Verdict:
-    """Check simplicity of each path and pairwise disjointness.
+def validate_path_set(paths: Sequence[Sequence[int]], mode: str) -> Verdict:
+    """Check that each path (a node sequence) is simple and that the paths
+    are pairwise disjoint.
 
     Mode "vertex" forbids any shared node between two paths; mode "edge"
     forbids shared (undirected) edges but allows shared nodes.
     """
-    if ps.mode not in ("vertex", "edge"):
-        return Verdict(False, f"unknown mode {ps.mode!r}")
+    if mode not in ("vertex", "edge"):
+        return Verdict(False, f"unknown mode {mode!r}")
     seen: set = set()
-    for path in ps.paths:
+    for path in paths:
         if len(path) < 2:
             return Verdict(False, f"path {path} has no edge")
         if len(set(path)) != len(path):
             return Verdict(False, f"path {path} repeats a node")
-        if ps.mode == "vertex":
+        if mode == "vertex":
             items = set(path)
         else:
             items = {frozenset(pair) for pair in zip(path, path[1:])}
@@ -121,7 +116,7 @@ def approx_max_graph_matching(
     eps: Fraction | int,
     almost_maximal: bool = False,
     ledger: RoundLedger | None = None,
-) -> Matching:
+) -> frozenset[int]:
     """Matching of size at least OPT/(1+eps), for 0 < eps <= 1.
 
     Runs one phase per odd length 1, 3, ..., 2*ceil(1/eps)-1.  A phase
@@ -196,9 +191,8 @@ def approx_max_graph_matching(
         else:
             mm = maximal_matching(hyp, ledger)
             unblocked = frozenset()
-        picked = [rep_paths[i] for i in sorted(mm.edges)]
-        selected = AugmentingPathSet(paths=tuple(nodes for nodes, _ in picked), mode="vertex")
-        verdict = validate_path_set(selected)
+        picked = [rep_paths[i] for i in sorted(mm)]
+        verdict = validate_path_set([nodes for nodes, _ in picked], "vertex")
         if not verdict:
             raise RuntimeError(f"packed paths not vertex-disjoint: {verdict.reason}")
         before = len(matched_ids)
@@ -212,33 +206,30 @@ def approx_max_graph_matching(
         assert len(matched_ids) == before + len(picked)
         for hid in unblocked:
             dead.update(rep_paths[hid][0])
-    return Matching(frozenset(matched_ids))
+    return frozenset(matched_ids)
 
 
 @dataclass(frozen=True)
 class Orientation:
-    """One (tail, head) pair per edge id plus the resulting out-degrees."""
+    """One (tail, head) pair per edge id and the out-degree bound it claims."""
 
     directions: tuple[tuple[int, int], ...]
-    out_degrees: tuple[int, ...]
     bound: int
+
+    @property
+    def max_out_degree(self) -> int:
+        return max(Counter(tail for tail, _ in self.directions).values(), default=0)
 
 
 def validate_orientation(g: Graph, o: Orientation) -> Verdict:
     if len(o.directions) != g.m:
         return Verdict(False, f"expected {g.m} directions, got {len(o.directions)}")
-    if len(o.out_degrees) != g.n:
-        return Verdict(False, f"expected {g.n} out-degrees")
-    recount = [0] * g.n
     for eid, (tail, head) in enumerate(o.directions):
         if tuple(sorted((tail, head))) != g.edges[eid]:
             return Verdict(
                 False, f"direction {tail}->{head} does not match edge {eid}"
             )
-        recount[tail] += 1
-    if tuple(recount) != o.out_degrees:
-        return Verdict(False, "stored out-degrees disagree with directions")
-    worst = max(o.out_degrees, default=0)
+    worst = o.max_out_degree
     if worst > o.bound:
         return Verdict(False, f"out-degree {worst} exceeds bound {o.bound}")
     return Verdict(True)
@@ -325,11 +316,10 @@ def low_outdegree_orientation(
                         )
         hyp = build_hypergraph(next_id, members_list)
         mm = maximal_matching(hyp, ledger)
-        if not mm.edges:
+        if not mm:
             continue
-        picked = [paths[path_of_member[hid]] for hid in sorted(mm.edges)]
-        chosen = AugmentingPathSet(paths=tuple(nodes for nodes, _ in picked), mode="edge")
-        verdict = validate_path_set(chosen)
+        picked = [paths[path_of_member[hid]] for hid in sorted(mm)]
+        verdict = validate_path_set([nodes for nodes, _ in picked], "edge")
         if not verdict:
             raise RuntimeError(f"packed paths not edge-disjoint: {verdict.reason}")
         before = [outdeg[v] for v in range(g.n)]
@@ -343,18 +333,14 @@ def low_outdegree_orientation(
             outdeg[v] <= bound for v in range(g.n) if before[v] <= bound
         ), "reversal pushed a satisfied node above the bound"
         new_excess = sum(max(0, outdeg[v] - bound) for v in range(g.n))
-        assert new_excess == total_excess - len(mm.edges)
+        assert new_excess == total_excess - len(mm)
     total_excess = sum(max(0, outdeg[v] - bound) for v in range(g.n))
     if total_excess > 0:
         raise OrientationBoundError(
             f"out-degree above {bound} persists after {iteration_cap} iterations;"
             f" the arboricity bound {lam} is too small"
         )
-    result = Orientation(
-        directions=tuple(directions),
-        out_degrees=tuple(outdeg),
-        bound=bound,
-    )
+    result = Orientation(directions=tuple(directions), bound=bound)
     verdict = validate_orientation(g, result)
     if not verdict:
         raise RuntimeError(f"orientation invalid: {verdict.reason}")

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -32,7 +33,6 @@ from . import apps, edge_coloring, generate, io, oracles, packing, rounding
 from .core import (
     Graph,
     Hypergraph,
-    Matching,
     Verdict,
     induced_subhypergraph,
     line_graph,
@@ -146,13 +146,13 @@ def _instance_summary(path: str, instance: Hypergraph) -> dict:
 # installs) is the one they reach.
 
 
-def _matched(m: Matching, verdicts: dict, oracle, **summary):
+def _matched(m: frozenset[int], verdicts: dict, oracle, **summary):
     """The result of a run whose solution is a matching."""
     summary = {"kind": "matching", "size": len(m), **summary}
-    return io.format_matching(m), summary, verdicts, oracle
+    return io.format_id_set(m), summary, verdicts, oracle
 
 
-def _optimum_oracle(h: Hypergraph, m: Matching):
+def _optimum_oracle(h: Hypergraph, m: frozenset[int]):
     return lambda: {"optimum": oracles.max_matching(h).size, "size": len(m)}
 
 
@@ -311,7 +311,7 @@ def _run_orientation(g, args, ledger):
     verdicts = {"orientation_bounded": apps.validate_orientation(g, o)}
     tails = tuple(t for t, _ in o.directions)
     summary = {"kind": "orientation", "bound": o.bound,
-               "max_out_degree": max(o.out_degrees, default=0)}
+               "max_out_degree": o.max_out_degree}
     oracle = _arboricity_oracle(g, "lambda", args.lam)
     return io.format_orientation(g.edges, tails), summary, verdicts, oracle
 
@@ -443,16 +443,12 @@ def _check_vertex_coloring(g: Graph, colors, args) -> Verdict:
 def _check_orientation(g: Graph, tails, args) -> Verdict:
     if (args.lam is None) != (args.eps is None):
         raise UsageError("verify orientation needs --lambda and --eps together")
-    out_deg = [0] * g.n
-    for tail in tails:
-        out_deg[tail] += 1
     if args.lam is not None:
         bound = math.ceil((1 + args.eps) * args.lam)
     else:
-        bound = max(out_deg, default=0)
+        bound = max(Counter(tails).values(), default=0)
     directions = tuple((t, v if t == u else u) for t, (u, v) in zip(tails, g.edges))
-    o = apps.Orientation(directions=directions, out_degrees=tuple(out_deg), bound=bound)
-    return apps.validate_orientation(g, o)
+    return apps.validate_orientation(g, apps.Orientation(directions, bound))
 
 
 def _check_pseudo_forests(g: Graph, assignment, args) -> Verdict:
@@ -478,10 +474,8 @@ class _VerifyKind(NamedTuple):
 
 
 _VERIFY_KINDS = {
-    "matching": _VerifyKind(_solution(io.parse_matching), _matching_check(False)),
-    "maximal-matching": _VerifyKind(
-        _solution(io.parse_matching), _matching_check(True)
-    ),
+    "matching": _VerifyKind(_solution(io.parse_id_set), _matching_check(False)),
+    "maximal-matching": _VerifyKind(_solution(io.parse_id_set), _matching_check(True)),
     "independent-set": _VerifyKind(
         _solution(io.parse_id_set), _independent_check(False), "independent-set"
     ),

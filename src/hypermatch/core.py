@@ -9,12 +9,15 @@ their order, so they read both alike.
 
 ``build_hypergraph`` and ``build_graph`` validate input from outside the
 library, and also freeze instances the library builds itself: the
-hypergraphs of ``induced_subhypergraph``, of the edge-coloring reduction
-and of the two path hypergraphs in ``apps``, and the product graph of
+hypergraphs of the edge-coloring reduction and of the two path
+hypergraphs in ``apps``, and the product graph of
 ``packing.vertex_color``.  A failure there on a derived instance is a
 library bug that still raises ValueError.  Line graphs and induced
 subgraphs are frozen from adjacency lists the library built sorted and
 unique, under a cheaper check whose failure raises RuntimeError.
+``induced_subhypergraph`` reuses the already validated hyperedges of its
+input and checks only the ids it keeps.  A matching is a frozenset of
+edge ids, as an independent set is a frozenset of node ids.
 
 All fractional values are dyadic rationals (integer numerator over a power
 of two), held as ``fractions.Fraction``.  The validators compare them
@@ -24,16 +27,17 @@ every value is dyadic), and tests loads as ``load > scale`` and
 ``2*load >= scale``.  A ``Fraction`` is built only for a message.
 Instances and assignments are immutable after construction and every
 function here is pure, so sharing objects across threads or processes is
-safe.  A hypergraph has two derived views, its incidence lists and its
-line graph.  Each is built on first read and kept; both are immutable
-and deterministic too, so a race can at worst build one twice.
+safe.  An instance stores its vertex count and edges (and a graph its
+adjacency lists); its rank, maximum degree, incidence lists and line
+graph are derived views.  Each is built on first read and kept; all are
+immutable and deterministic too, so a race can at worst build one twice.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -67,16 +71,18 @@ class Hypergraph:
 
     ``edges`` is an ordered multiset: parallel hyperedges are first-class
     and keep distinct ids (their list positions).  Each edge is a frozenset,
-    or a normalized ``(u, v)`` tuple in a ``Graph``.  ``rank`` is the
-    largest hyperedge size, ``max_degree`` the largest vertex degree
-    counting multiplicity.  ``incidence`` and ``_line_graph`` derive from
-    ``edges`` on first read and are kept outside ``==``, ``repr`` and ``hash``.
+    or a normalized ``(u, v)`` tuple in a ``Graph``.  The instance stores
+    ``n`` and ``edges`` only.  ``rank`` (the largest hyperedge size),
+    ``max_degree`` (the largest vertex degree, counting multiplicity),
+    ``incidence`` and ``_line_graph`` derive from them on first read; they
+    are kept outside ``==``, ``repr``, ``hash``, pickles and copies.
     """
 
     n: int
     edges: tuple[frozenset[int] | tuple[int, int], ...]
-    rank: int
-    max_degree: int
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def m(self) -> int:
@@ -84,6 +90,14 @@ class Hypergraph:
 
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
+
+    @cached_property
+    def rank(self) -> int:
+        return max(map(len, self.edges), default=0)
+
+    @cached_property
+    def max_degree(self) -> int:
+        return max(map(len, self.incidence), default=0)
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -117,7 +131,6 @@ def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
     frozen: list[frozenset[int]] = []
-    degree = [0] * n
     for eid, raw in enumerate(edges):
         members = list(raw)
         if not members:
@@ -128,10 +141,8 @@ def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
         for v in members:
             if not 0 <= v < n:
                 raise ValueError(f"hyperedge {eid} uses vertex {v} outside 0..{n - 1}")
-            degree[v] += 1
         frozen.append(seen)
-    rank = max((len(e) for e in frozen), default=0)
-    return Hypergraph(n=n, edges=tuple(frozen), rank=rank, max_degree=max(degree, default=0))
+    return Hypergraph(n=n, edges=tuple(frozen))
 
 
 @dataclass(frozen=True)
@@ -139,10 +150,14 @@ class Graph(Hypergraph):
     """A simple undirected graph: a rank-2 hypergraph with adjacency lists.
 
     Edges are normalized ``(u, v)`` tuples with u < v; edge ids are their
-    positions in ``edges``.
+    positions in ``edges``.  ``max_degree`` is read from ``adjacency``.
     """
 
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def max_degree(self) -> int:
+        return max(map(len, self.adjacency), default=0)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -164,13 +179,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         norm.append(key)
         adjacency[u].append(v)
         adjacency[v].append(u)
-    return Graph(
-        n=n,
-        edges=tuple(norm),
-        rank=2 if norm else 0,
-        max_degree=max((len(a) for a in adjacency), default=0),
-        adjacency=tuple(tuple(sorted(a)) for a in adjacency),
-    )
+    return Graph(n=n, edges=tuple(norm), adjacency=tuple(tuple(sorted(a)) for a in adjacency))
 
 
 def _freeze_graph(adjacency: list[list[int]]) -> Graph:
@@ -201,13 +210,7 @@ def _freeze_graph(adjacency: list[list[int]]) -> Graph:
     for w, rest in enumerate(pending):
         if next(rest, None) is not None:
             raise RuntimeError(f"adjacency of {w} is not symmetric")
-    return Graph(
-        n=n,
-        edges=tuple(edges),
-        rank=2 if edges else 0,
-        max_degree=max(map(len, adjacency), default=0),
-        adjacency=tuple(map(tuple, adjacency)),
-    )
+    return Graph(n=n, edges=tuple(edges), adjacency=tuple(map(tuple, adjacency)))
 
 
 def line_graph(h: Hypergraph) -> Graph:
@@ -218,17 +221,6 @@ def line_graph(h: Hypergraph) -> Graph:
     rounding and the rounding's conflict graphs share one copy.
     """
     return h._line_graph
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint hyperedge ids (validity is not implied;
-    run validate_matching)."""
-
-    edges: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -356,11 +348,12 @@ def validate_fractional_matching(
 
 
 def validate_matching(
-    h: Hypergraph, m: Matching, require_maximal: bool = False
+    h: Hypergraph, m: frozenset[int], require_maximal: bool = False
 ) -> Verdict:
-    """Check pairwise disjointness, optionally maximality."""
+    """Check that the edge ids in ``m`` are pairwise disjoint, optionally
+    that ``m`` is maximal."""
     used: dict[int, int] = {}
-    for eid in sorted(m.edges):
+    for eid in sorted(m):
         if not 0 <= eid < h.m:
             return Verdict(False, f"edge id {eid} outside 0..{h.m - 1}")
         for v in h.edges[eid]:
@@ -369,20 +362,20 @@ def validate_matching(
             used[v] = eid
     if require_maximal:
         for eid, members in enumerate(h.edges):
-            if eid not in m.edges and all(v not in used for v in members):
+            if eid not in m and all(v not in used for v in members):
                 return Verdict(False, f"edge {eid} is disjoint from the matching")
     return Verdict(True)
 
 
-def unblocked_edges(h: Hypergraph, m: Matching) -> frozenset[int]:
+def unblocked_edges(h: Hypergraph, m: frozenset[int]) -> frozenset[int]:
     """Hyperedges disjoint from every matched hyperedge (and unmatched)."""
     used: set[int] = set()
-    for eid in m.edges:
+    for eid in m:
         used.update(h.edges[eid])
     return frozenset(
         eid
         for eid, members in enumerate(h.edges)
-        if eid not in m.edges and used.isdisjoint(members)
+        if eid not in m and used.isdisjoint(members)
     )
 
 
@@ -390,7 +383,8 @@ def induced_subhypergraph(h: Hypergraph, keep_edges: Iterable[int]) -> tuple[Hyp
     """Hypergraph with the given edge ids only (same vertex set).
 
     Returns the new hypergraph and the old ids in new-id order.  Keeping
-    every edge returns ``h`` itself.
+    every edge returns ``h`` itself.  The kept edges were validated when
+    ``h`` was built, so they are reused as frozensets, not checked again.
 
     Raises:
         ValueError: on an edge id outside 0..m-1.
@@ -400,8 +394,7 @@ def induced_subhypergraph(h: Hypergraph, keep_edges: Iterable[int]) -> tuple[Hyp
         raise ValueError(f"edge ids {kept[0]}..{kept[-1]} outside 0..{h.m - 1}")
     if len(kept) == h.m:
         return h, kept
-    sub = build_hypergraph(h.n, [sorted(h.edges[eid]) for eid in kept])
-    return sub, kept
+    return Hypergraph(h.n, tuple(frozenset(h.edges[eid]) for eid in kept)), kept
 
 
 def induced_subgraph(g: Graph, keep_nodes: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -158,7 +158,7 @@ def list_edge_color(
         })
     reduced = reduce_hypergraph_list_edge_coloring(h, lists)
     picked = maximal_matching(reduced.hypergraph, ledger)
-    colors = decode_matching(reduced, h.m, picked.edges)
+    colors = decode_matching(reduced, h.m, picked)
     verdict = validate_edge_coloring(h, colors, lists=lists)
     if not verdict:
         raise RuntimeError(f"decoded coloring invalid: {verdict.reason}")

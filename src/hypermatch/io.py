@@ -21,7 +21,7 @@ Solution formats (one record per line):
 
 from __future__ import annotations
 
-from .core import Graph, Hypergraph, Matching, build_graph, build_hypergraph
+from .core import Graph, Hypergraph, build_graph, build_hypergraph
 
 
 class ParseError(ValueError):
@@ -122,14 +122,6 @@ def parse_id_set(text: str) -> frozenset[int]:
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate id in set")
     return frozenset(ids)
-
-
-def format_matching(m: Matching) -> str:
-    return format_id_set(m.edges)
-
-
-def parse_matching(text: str) -> Matching:
-    return Matching(edges=parse_id_set(text))
 
 
 def format_coloring(colors: dict[int, int]) -> str:

@@ -56,7 +56,6 @@ from .core import (
     FractionalAssignment,
     Graph,
     Hypergraph,
-    Matching,
     _numerators,
     build_fractional_assignment,
     induced_subgraph,
@@ -528,15 +527,15 @@ def recursive_round(
     return _recursive_round(model, x, factor, denom, edge_coloring)
 
 
-def approx_max_matching(h: Hypergraph, ledger: RoundLedger | None = None) -> Matching:
+def approx_max_matching(h: Hypergraph, ledger: RoundLedger | None = None) -> frozenset[int]:
     """Integral matching of size at least OPT / (32 * rank^3).
 
     Greedy start, a recursive rounding stage when the degree allows a
     factor >= 2, and one basic rounding stage down to integrality.
     """
     if h.m == 0:
-        return Matching(edges=frozenset())
-    m = Matching(edges=_approx(_MatchingModel(h, ledger)))
+        return frozenset()
+    m = _approx(_MatchingModel(h, ledger))
     verdict = validate_matching(h, m)
     if not verdict:
         raise RuntimeError(f"extracted edges are not disjoint: {verdict.reason}")
@@ -545,7 +544,7 @@ def approx_max_matching(h: Hypergraph, ledger: RoundLedger | None = None) -> Mat
 
 def _matching_driver(
     h: Hypergraph, ledger: RoundLedger | None, limit: int | None, formula: str
-) -> tuple[Matching, frozenset[int]]:
+) -> tuple[frozenset[int], frozenset[int]]:
     """Repeat approx_max_matching on the unblocked remainder.
 
     Runs until nothing is left or for ``limit`` iterations; the output must
@@ -556,13 +555,13 @@ def _matching_driver(
     def step(alive: tuple[int, ...]) -> tuple[int, ...]:
         sub, old_ids = induced_subhypergraph(h, alive)
         found = approx_max_matching(sub, ledger)
-        if not found.edges:
+        if not found:
             raise RuntimeError("approximate matching came back empty on a nonempty instance")
-        picked.update(old_ids[i] for i in found.edges)
-        return tuple(sorted(unblocked_edges(h, Matching(edges=frozenset(picked)))))
+        picked.update(old_ids[i] for i in found)
+        return tuple(sorted(unblocked_edges(h, picked)))
 
     alive, iterations = _drive(h.n, h.rank, tuple(range(h.m)), step, limit)
-    m = Matching(edges=frozenset(picked))
+    m = frozenset(picked)
     verdict = validate_matching(h, m, require_maximal=limit is None)
     if not verdict:
         raise RuntimeError(f"driver output invalid: {verdict.reason}")
@@ -573,14 +572,14 @@ def _matching_driver(
 
 def maximal_matching(
     h: Hypergraph, ledger: RoundLedger | None = None
-) -> Matching:
+) -> frozenset[int]:
     """Repeat approx_max_matching on the unblocked remainder until empty."""
     return _matching_driver(h, ledger, None, "32 rank^3 log2(n) iterations")[0]
 
 
 def almost_maximal_matching(
     h: Hypergraph, slack: Fraction, ledger: RoundLedger | None = None
-) -> tuple[Matching, frozenset[int]]:
+) -> tuple[frozenset[int], frozenset[int]]:
     """Run enough driver iterations to block all but a ``slack`` share.
 
     Returns the matching and the hyperedges still unblocked by it; their

@@ -19,7 +19,6 @@ from hypermatch import apps, coloring, edge_coloring, generate, oracles, packing
 from hypermatch.audit import PRIMITIVES, audit_locality
 from hypermatch.core import (
     Graph,
-    Matching,
     build_graph,
     build_hypergraph,
     is_power_of_two,
@@ -292,7 +291,7 @@ def test_criterion_07_line_graph_mis_gives_hypergraph_matching():
         rho = max(1, oracles.neighborhood_independence(g))
         chosen = packing.maximal_independent_set(g, rho)
         assert validate_matching(
-            h, Matching(edges=frozenset(chosen)), require_maximal=True
+            h, frozenset(chosen), require_maximal=True
         )
 
 
@@ -329,7 +328,7 @@ def test_criterion_09_orientation_and_pseudo_forests():
         lam = oracles.arboricity(g)
         for eps in (Fraction(1), Fraction(1, 2)):
             o = apps.low_outdegree_orientation(g, lam, eps)
-            assert max(o.out_degrees, default=0) <= math.ceil((1 + eps) * lam)
+            assert o.max_out_degree <= math.ceil((1 + eps) * lam)
             assert apps.validate_orientation(g, o)
             classes = apps.pseudo_forest_decomposition(g, o)
             assert sorted(e for cls in classes for e in cls) == list(range(g.m))

@@ -163,7 +163,7 @@ class TestRunHappyPaths:
         sol = tmp_path / "s5.mat"
         assert run_cli("run", "--algo", "maximal-matching", "--in", star,
                        "--out", str(sol)) == 0
-        picked = io.parse_matching(sol.read_text())
+        picked = io.parse_id_set(sol.read_text())
         assert len(picked) == 1
 
     def test_mis_on_complete_graph(self, tmp_path):
@@ -196,7 +196,7 @@ class TestRunHappyPaths:
         sol = tmp_path / "c5.mat"
         assert run_cli("run", "--algo", "approx-graph-matching",
                        "--in", cycle5, "--eps", "1/3", "--out", str(sol)) == 0
-        assert len(io.parse_matching(sol.read_text())) == 2
+        assert len(io.parse_id_set(sol.read_text())) == 2
 
     def test_orientation_on_tree(self, tmp_path):
         p6 = write(tmp_path / "p6.gr", io.format_graph(generate.path(6)))

@@ -13,7 +13,6 @@ from hypermatch.audit import ball
 from hypermatch.core import (
     FractionalAssignment,
     Hypergraph,
-    Matching,
     _freeze_graph,
     build_fractional_assignment,
     build_graph,
@@ -152,15 +151,15 @@ def test_graph_is_a_rank_two_hypergraph(g):
 
 def test_matching_validation_on_triangle():
     h = triangle()
-    assert validate_matching(h, Matching(frozenset({0})), require_maximal=True).ok
-    bad = validate_matching(h, Matching(frozenset({0, 1})))
+    assert validate_matching(h, frozenset({0}), require_maximal=True).ok
+    bad = validate_matching(h, frozenset({0, 1}))
     assert not bad.ok
     assert "share vertex 1" in bad.reason
 
 
 def test_matching_validation_flags_missed_edge():
     h = build_hypergraph(4, [{0, 1}, {2, 3}])
-    verdict = validate_matching(h, Matching(frozenset({0})), require_maximal=True)
+    verdict = validate_matching(h, frozenset({0}), require_maximal=True)
     assert not verdict.ok
     assert "edge 1" in verdict.reason
 
@@ -210,8 +209,8 @@ def test_fractional_validation_overloaded_center():
 
 def test_unblocked_edges():
     h = triangle()
-    assert unblocked_edges(h, Matching(frozenset())) == frozenset({0, 1, 2})
-    assert unblocked_edges(h, Matching(frozenset({0}))) == frozenset()
+    assert unblocked_edges(h, frozenset()) == frozenset({0, 1, 2})
+    assert unblocked_edges(h, frozenset({0})) == frozenset()
 
 
 def test_induced_subhypergraph_maps_ids():
@@ -344,6 +343,18 @@ def test_derived_views_stay_out_of_equality_and_copies():
     for back in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
         assert back == h and back.incidence == h.incidence
         assert line_graph(back) == lg
+    # pickles and copies hold the stored fields only; the views are rebuilt
+    hub = hub_hypergraph()
+    size = len(pickle.dumps(hub))
+    views = ("incidence", "_line_graph", "rank", "max_degree")
+    assert (line_graph(hub).m, hub.rank, hub.max_degree) == (271756, 3, 520)
+    assert set(views) <= set(vars(hub))
+    assert len(pickle.dumps(hub)) == size
+    for back in (pickle.loads(pickle.dumps(hub)), copy.deepcopy(hub)):
+        assert set(vars(back)) == {"n", "edges"}
+        assert back == hub and (back.rank, back.max_degree) == (3, 520)
+    assert (lg.rank, lg.max_degree, len(lg.incidence)) == (2, 2, 3)
+    assert set(vars(copy.deepcopy(lg))) == {"n", "edges", "adjacency"}
 
 
 @pytest.mark.parametrize("adjacency, what", [

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hypermatch import generate
+from hypermatch import edge_coloring, generate
 from hypermatch.core import (
-    Matching,
     build_graph,
     build_hypergraph,
     validate_edge_coloring,
@@ -201,6 +200,20 @@ class TestRandomized:
         assert out.stats["total_edges"] == g.m
         assert 0 <= out.stats["colored_in_trials"] <= g.m
         assert out.stats["trial_rounds"] >= 1
+
+    def test_deterministic_finish_colors_what_one_trial_leaves(self, monkeypatch):
+        # factor 0 leaves a single trial round, which colors 85 of these
+        # 118 edges; the list coloring reduction finishes the rest
+        monkeypatch.setattr(edge_coloring, "RANDOM_TRIAL_FACTOR", 0)
+        g = generate.random_graph(60, 0.05, seed=0)
+        out = randomized_edge_color(g, seed=0)
+        assert out.stats["trial_rounds"] == 1
+        assert out.stats["colored_in_trials"] < g.m
+        assert out.stats["components_finished"] >= 2
+        assert out.palette == 2 * g.max_degree - 1
+        assert validate_edge_coloring(g, out.colors, palette=out.palette).ok
+        again = randomized_edge_color(g, seed=0)
+        assert (again.colors, again.stats) == (out.colors, out.stats)
 
 
 class TestHPartition:

@@ -41,7 +41,7 @@ def edge_coloring_case(ledger):
 
 
 def hub_matching_case(ledger):
-    return sorted(maximal_matching(hub_hypergraph(), ledger).edges)
+    return sorted(maximal_matching(hub_hypergraph(), ledger))
 
 
 def line_graph_mis_case(ledger):

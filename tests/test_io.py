@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatch import io
-from hypermatch.core import Matching, build_graph, build_hypergraph
+from hypermatch.core import build_graph, build_hypergraph
 
 
 def test_hypergraph_round_trip():
@@ -64,8 +64,7 @@ def test_bad_token_names_its_row(parse, text, message):
 def test_id_set_and_matching_round_trip():
     ids = frozenset({3, 1, 4})
     assert io.parse_id_set(io.format_id_set(ids)) == ids
-    m = Matching(edges=ids)
-    assert io.parse_matching(io.format_matching(m)).edges == ids
+    assert io.format_id_set(ids) == "1\n3\n4\n"  # a matching is written as its id set
     assert io.parse_id_set("") == frozenset()
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from hypermatch import cli, edge_coloring, generate, io
 from hypermatch.core import (
-    Matching,
     build_graph,
     build_hypergraph,
     line_graph,
@@ -58,7 +57,7 @@ def test_max_matching_known_values():
 def test_max_matching_witness_is_a_matching():
     h = generate.random_graph(10, 0.4, seed=3)
     answer = max_matching(h)
-    assert validate_matching(h, Matching(answer.witness)).ok
+    assert validate_matching(h, answer.witness).ok
     assert len(answer.witness) == answer.size
 
 
@@ -144,7 +143,7 @@ def test_enumerated_matchings_are_maximal():
     found = enumerate_maximal_matchings(h)
     assert found
     for m in found:
-        assert validate_matching(h, Matching(m), require_maximal=True).ok
+        assert validate_matching(h, m, require_maximal=True).ok
 
 
 def test_budget_guards():

@@ -7,7 +7,6 @@ import pytest
 from hypermatch import generate, rounding
 from hypermatch.coloring import VertexColoring
 from hypermatch.core import (
-    Matching,
     build_fractional_assignment,
     build_hypergraph,
     unblocked_edges,
@@ -227,7 +226,7 @@ class TestRecursiveRound:
 class TestDrivers:
     def test_single_hyperedge_is_picked(self):
         h = build_hypergraph(3, [{0, 1, 2}])
-        assert approx_max_matching(h).edges == frozenset({0})
+        assert approx_max_matching(h) == frozenset({0})
 
     def test_k4_keeps_at_least_one_edge(self):
         h = generate.complete(4)
@@ -244,8 +243,8 @@ class TestDrivers:
 
     def test_empty_hypergraph(self):
         h = build_hypergraph(4, [])
-        assert maximal_matching(h).edges == frozenset()
-        assert approx_max_matching(h).edges == frozenset()
+        assert maximal_matching(h) == frozenset()
+        assert approx_max_matching(h) == frozenset()
 
     def test_star_maximal_is_single_edge(self):
         h = build_hypergraph(6, [{0, i} for i in range(1, 6)])
