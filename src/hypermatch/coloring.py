@@ -9,6 +9,13 @@ with q > degree_cap * k a conflict-free point always exists, and with
 smaller q the number of conflicts is still bounded, which yields defective
 colorings.
 
+A step reads its graph through one count query, ``g.agreement(labels)``:
+how many neighbors of a node share its label.  The label is the color
+for the input and defect checks and the polynomial's value at one point
+for a step.  A `Graph` answers it from its adjacency lists, and a
+`LineGraphView` from per-label histograms, so a hypergraph's line graph
+is colored without being built.
+
 The reduction schedule is computed from the declared palette bound and
 degree cap alone, never from realized colors, so every step is a pure
 radius-1 function of the neighborhood.  Iterating until the palette bound
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph
+from .core import Graph, LineGraphView
 from .ledger import RoundLedger
 
 PALETTE_FACTOR_PROPER = 16
@@ -118,65 +125,59 @@ def _poly_values(color: int, k: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_initial(g: Graph, colors: tuple[int, ...], palette: int) -> None:
+def _check_initial(g: Graph | LineGraphView, colors: tuple[int, ...], palette: int) -> None:
     if len(colors) != g.n:
         raise ValueError(f"expected {g.n} colors, got {len(colors)}")
     # Pairwise distinct colors are proper on any graph.
-    distinct = len(set(colors)) == len(colors)
+    same = None if len(set(colors)) == len(colors) else g.agreement(colors)
     for v, c in enumerate(colors):
         if not 0 <= c < palette:
             raise ValueError(f"node {v} has color {c} outside 0..{palette - 1}")
-        if distinct:
-            continue
-        for u in g.adjacency[v]:
-            if u > v and colors[u] == c:
-                raise ValueError(f"input coloring is improper: nodes {v},{u} share {c}")
+        # An earlier node sharing c with v would have raised already, so
+        # every neighbor sharing c comes after v.
+        if same is not None and same(v):
+            u = next(u for u in g.neighbors(v) if colors[u] == c)
+            raise ValueError(f"input coloring is improper: nodes {v},{u} share {c}")
 
 
 def _apply_step(
-    g: Graph, colors: list[int], k: int, q: int, defect: int
+    g: Graph | LineGraphView, colors: list[int], k: int, q: int, defect: int
 ) -> list[int]:
     """One reduction step: each node takes the first point of its polynomial
     with the fewest agreeing neighbors, and raises if all have more than
     ``defect``.
 
-    Counting at a point stops once it reaches the best count so far
-    (``defect + 1`` until a point qualifies), and a node stops at its first
-    conflict-free point: when one exists, it is the first with the fewest.
+    A node stops at its first conflict-free point: when one exists, it is
+    the first with the fewest.  The agreement counts at a point are asked
+    of ``g`` when the first node reaches that point.
     """
     values = {c: _poly_values(c, k, q) for c in set(colors)}
+    own = [values[c] for c in colors]
+    agree_at: list = [None] * q
     new: list[int] = []
-    for v in range(g.n):
-        own = values[colors[v]]
-        taken = [values[colors[u]] for u in g.adjacency[v]]
+    for v, poly in enumerate(own):
         choice, best = -1, defect + 1
         for a in range(q):
-            agree = 0
-            for t in taken:
-                if t[a] == own[a]:
-                    agree += 1
-                    if agree == best:
-                        break
+            if agree_at[a] is None:
+                agree_at[a] = g.agreement([p[a] for p in own])
+            agree = agree_at[a](v)
             if agree < best:
                 choice, best = a, agree
                 if not agree:
                     break
         if choice < 0:
             raise RuntimeError("cover-free family exhausted; degree cap too small")
-        new.append(choice * q + own[choice])
+        new.append(choice * q + poly[choice])
     return new
 
 
-def count_defect(g: Graph, colors: list[int] | tuple[int, ...]) -> int:
-    worst = 0
-    for v in range(g.n):
-        same = sum(1 for u in g.adjacency[v] if colors[u] == colors[v])
-        worst = max(worst, same)
-    return worst
+def count_defect(g: Graph | LineGraphView, colors: list[int] | tuple[int, ...]) -> int:
+    """The most neighbors any node shares its color with."""
+    return max(map(g.agreement(colors), range(g.n)), default=0)
 
 
 def linial_coloring(
-    g: Graph,
+    g: Graph | LineGraphView,
     initial: VertexColoring | None = None,
     palette_bound: int | None = None,
     degree_cap: int | None = None,
@@ -216,7 +217,7 @@ def linial_coloring(
 
 
 def defective_coloring(
-    g: Graph,
+    g: Graph | LineGraphView,
     initial: VertexColoring,
     defect: int,
     palette_bound: int | None = None,

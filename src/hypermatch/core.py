@@ -28,22 +28,26 @@ every value is dyadic), and tests loads as ``load > scale`` and
 Instances and assignments are immutable after construction and every
 function here is pure, so sharing objects across threads or processes is
 safe.  An instance stores its vertex count and edges (and a graph its
-adjacency lists); its rank, maximum degree, incidence lists and line
-graph are derived views.  Each is built on first read and kept; all are
-immutable and deterministic too, so a race can at worst build one twice.
+adjacency lists); its rank, maximum degree and incidence lists are
+derived views.  Each is built on first read and kept; all are immutable
+and deterministic too, so a race can at worst build one twice.  A line
+graph is built anew on each `line_graph` call and kept nowhere; the
+rounding engine reads a `LineGraphView` instead, which counts conflicts
+from the hyperedges themselves.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import ge
+from itertools import accumulate, chain, combinations, repeat
+from operator import add, ge, mul, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,9 +77,9 @@ class Hypergraph:
     and keep distinct ids (their list positions).  Each edge is a frozenset,
     or a normalized ``(u, v)`` tuple in a ``Graph``.  The instance stores
     ``n`` and ``edges`` only.  ``rank`` (the largest hyperedge size),
-    ``max_degree`` (the largest vertex degree, counting multiplicity),
-    ``incidence`` and ``_line_graph`` derive from them on first read; they
-    are kept outside ``==``, ``repr``, ``hash``, pickles and copies.
+    ``max_degree`` (the largest vertex degree, counting multiplicity) and
+    ``incidence`` derive from them on first read; they are kept outside
+    ``==``, ``repr``, ``hash``, pickles and copies.
     """
 
     n: int
@@ -107,18 +111,6 @@ class Hypergraph:
             for v in members:
                 incidence[v].append(eid)
         return tuple(map(tuple, incidence))
-
-    @cached_property
-    def _line_graph(self) -> Graph:
-        inc = self.incidence
-        adjacency = []
-        for eid, members in enumerate(self.edges):
-            near: set[int] = set()
-            for v in members:
-                near.update(inc[v])
-            near.discard(eid)
-            adjacency.append(sorted(near))
-        return _freeze_graph(adjacency)
 
 
 def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -158,6 +150,19 @@ class Graph(Hypergraph):
     @cached_property
     def max_degree(self) -> int:
         return max(map(len, self.adjacency), default=0)
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self.adjacency[v]
+
+    def agreement(self, labels: Sequence[int]) -> Callable[[int], int]:
+        """The coloring steps' count query: ``count(v)`` is the number of
+        neighbors u of v with ``labels[u] == labels[v]``."""
+        adjacency = self.adjacency
+
+        def count(v: int) -> int:
+            return list(map(labels.__getitem__, adjacency[v])).count(labels[v])
+
+        return count
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -216,11 +221,97 @@ def _freeze_graph(adjacency: list[list[int]]) -> Graph:
 def line_graph(h: Hypergraph) -> Graph:
     """Graph on hyperedge ids; two ids adjacent iff the hyperedges intersect.
 
-    Parallel hyperedges intersect, so they come out adjacent.  Built once
-    per hypergraph and cached on it, so the edge coloring that seeds the
-    rounding and the rounding's conflict graphs share one copy.
+    Parallel hyperedges intersect, so they come out adjacent.  Each call
+    builds a new graph; the rounding engine never builds one, and counts
+    conflicts through a `LineGraphView` instead.
     """
-    return h._line_graph
+    inc = h.incidence
+    adjacency = []
+    for eid, members in enumerate(h.edges):
+        near: set[int] = set()
+        for v in members:
+            near.update(inc[v])
+        near.discard(eid)
+        adjacency.append(sorted(near))
+    return _freeze_graph(adjacency)
+
+
+class LineGraphView:
+    """The line graph of some hyperedges of ``h``, answered from counts.
+
+    Node i stands for hyperedge ``support[i]``, as in the subgraph of
+    `line_graph` induced on ``support``, but no adjacency list is built.
+    It answers what the coloring steps ask a `Graph`: ``n``,
+    ``max_degree``, ``neighbors`` and the count query ``agreement``.
+
+    Counts come from one identity.  For a hyperedge f meeting e, the
+    signs (-1)^(|S|+1) over the nonempty subsets S of their intersection
+    add up to 1, so the other hyperedges that meet e and carry e's label
+    number
+
+        sum over nonempty S within e of
+            (-1)^(|S|+1) * (#{f containing S : label(f) = label(e)} - 1).
+
+    A subset that e alone holds adds 0, so e keeps only its shared
+    subsets as keys: its vertices that another hyperedge holds, and the
+    sets of two or more of those that another hyperedge holds as a whole.
+    Parallel hyperedges meet, so they count once, as in `line_graph`.
+    """
+
+    def __init__(self, h: Hypergraph, support: Iterable[int]) -> None:
+        edges = [h.edges[i] for i in support]
+        self.n = len(edges)
+        self._edges = edges
+        held = Counter(chain.from_iterable(edges))
+        multi = {v for v, holders in held.items() if holders > 1}
+        # a shared vertex is its own key; a shared larger set gets one above h.n
+        shared = list(map(sorted, map(multi.intersection, edges)))
+        ids: dict[tuple[int, ...], int] = {}
+        for size in range(2, max(map(len, shared), default=0) + 1):
+            sets = Counter(chain.from_iterable(map(combinations, shared, repeat(size))))
+            found = [s for s, holders in sets.items() if holders > 1]
+            if not found:
+                break  # a shared set has shared subsets of every smaller size
+            start = h.n + len(ids)
+            ids.update(zip(found, range(start, start + len(found))))
+        keys = [list(vs) for vs in shared]
+        signs = [[1] * len(vs) for vs in shared]
+        if ids:
+            for vs, ks, sg in zip(shared, keys, signs):
+                for s in chain.from_iterable(map(combinations, repeat(vs), range(2, len(vs) + 1))):
+                    if s in ids:
+                        ks.append(ids[s])
+                        sg.append(1 if len(s) % 2 else -1)
+        self._width = h.n + len(ids)
+        self._keys = [*chain.from_iterable(keys)]
+        self._signs = [*chain.from_iterable(signs)]
+        self._sizes = [*map(len, keys)]
+        self._ends = [*accumulate(self._sizes)]
+        self._starts = [0, *self._ends[:-1]]
+
+    @cached_property
+    def max_degree(self) -> int:
+        return max(map(self.agreement([0] * self.n), range(self.n)), default=0)
+
+    def neighbors(self, v: int) -> list[int]:
+        """The nodes adjacent to v, ascending; a scan of all nodes."""
+        e = set(self._edges[v])
+        return [u for u, f in enumerate(self._edges) if u != v and not e.isdisjoint(f)]
+
+    def agreement(self, labels: Sequence[int]) -> Callable[[int], int]:
+        """``count(v)``: the neighbors u of v with ``labels[u] == labels[v]``.
+
+        Counts the (key, label) pairs of all nodes once, and every node's
+        count with them, when called.
+        """
+        # label * width + key is one-to-one, since every key is below width
+        at = chain.from_iterable(map(repeat, map(mul, labels, repeat(self._width)), self._sizes))
+        pairs = [*map(add, self._keys, at)]
+        hist = Counter(pairs)
+        # sign * (holders - 1) per key, summed over each node's run of keys
+        terms = map(sub, map(mul, map(hist.__getitem__, pairs), self._signs), self._signs)
+        total = [0, *accumulate(terms)]
+        return [total[end] - total[start] for start, end in zip(self._starts, self._ends)].__getitem__
 
 
 @dataclass(frozen=True)

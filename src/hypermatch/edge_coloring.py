@@ -344,13 +344,18 @@ def arboricity_edge_color(
 ) -> EdgeColoringResult:
     """Proper coloring with max_degree + ceil((2+eps)*bound) - 1 colors.
 
-    Peels the graph into layers, then colors edges from the deepest layer
-    outward: each batch holds the edges whose earlier endpoint sits in the
-    current layer, and there are always enough unused colors because a
-    current-layer endpoint has few batch-or-later edges while the other
-    endpoint is capped by its plain degree.
+    Peels the graph into layers, checks them with `validate_h_partition`,
+    then colors edges from the deepest layer outward: each batch holds the
+    edges whose earlier endpoint sits in the current layer, and there are
+    always enough unused colors because a current-layer endpoint has few
+    batch-or-later edges while the other endpoint is capped by its plain
+    degree.  A partition that fails the check is a library bug and raises
+    RuntimeError.
     """
     hp = h_partition(g, arboricity_bound, eps, ledger)
+    verdict = validate_h_partition(g, hp)
+    if not verdict:
+        raise RuntimeError(f"H-partition invalid: {verdict.reason}")
     palette = g.max_degree + math.ceil(hp.threshold) - 1
     layer_of = {}
     for i, layer in enumerate(hp.layers):

@@ -99,6 +99,9 @@ class _PackingModel(_LoadModel):
         self.items = self.resources = g.n
         self.rho = max(1, independence)
 
+    def conflict(self, support):
+        return induced_subgraph(self.graph, support)[0]
+
     def loaded(self, i):
         return (i, *self.graph.adjacency[i])
 

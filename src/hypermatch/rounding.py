@@ -9,10 +9,11 @@ a driver extracts integral matchings and iterates to maximality.
 The rounding algorithm is written once here, as the underscore-private
 engine below, and runs on a load model.  Items carry dyadic values and
 load resources; an item is frozen once a resource that freezes it carries
-load at least 1/2.  A side is data the engine reads: its conflict graph
-of all items, its greedy base denominator, its loads and its checks.  This
-module supplies the matching side (hyperedges load and are frozen by their
-vertices, the conflict graph is the line graph, rho is the rank);
+load at least 1/2.  A side is data the engine reads: the conflict graph
+of any set of its items, its greedy base denominator, its loads and its
+checks.  This module supplies the matching side (hyperedges load and are
+frozen by their vertices, rho is the rank, and the conflict graph is a
+`LineGraphView`: the line graph, answered from counts and never built);
 `packing` supplies the closed-neighborhood model of greedy packings.  Both
 sides take and return a `FractionalAssignment` that the engine builds and
 restricts itself.  Value dicts inside the engine are kept in witness
@@ -54,14 +55,12 @@ from .core import (
     ONE,
     ZERO,
     FractionalAssignment,
-    Graph,
     Hypergraph,
+    LineGraphView,
     _numerators,
     build_fractional_assignment,
-    induced_subgraph,
     induced_subhypergraph,
     is_power_of_two,
-    line_graph,
     next_power_of_two,
     unblocked_edges,
     validate_fractional_matching,
@@ -91,11 +90,11 @@ class _LoadModel:
 
     Items 0..items-1 carry dyadic values and load resources
     0..resources-1; an item is frozen once a resource that freezes it
-    carries load >= 1/2.  Among the attributes below, ``graph`` is the
-    conflict graph of all items, node i standing for item i: the engine
-    colors it from scratch for the base coloring and restricts it to each
-    support.  Besides the attributes a side supplies:
+    carries load >= 1/2.  Besides the attributes below, a side supplies:
 
+    - ``conflict(support)``: the conflict graph of the items ``support``
+      (ascending), node j standing for item support[j]; the engine colors
+      it on all items for the base coloring, and on each support;
     - ``loaded(i)`` and ``freezing(i)``: the resources item i loads and
       the resources that freeze it;
     - ``verdict(x)``: the validity verdict of an assignment;
@@ -105,7 +104,6 @@ class _LoadModel:
     """
 
     instance: Hypergraph  # what ``verdict`` reads: the hypergraph or the graph
-    graph: Graph
     base: int  # the default greedy denominator, a power of two
     items: int
     resources: int
@@ -130,6 +128,11 @@ class _LoadModel:
     def charge(self, label: str, rounds: int, formula: str) -> None:
         if self.ledger is not None:
             self.ledger.charge(label, rounds, formula)
+
+
+def _base_coloring(model: _LoadModel) -> VertexColoring:
+    """Proper coloring of the conflict graph of all items."""
+    return linial_coloring(model.conflict(range(model.items)), ledger=model.ledger)
 
 
 def _fractions(values: dict[int, int], scale: int) -> dict[int, Fraction]:
@@ -230,14 +233,13 @@ def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     if not support:
         return build_fractional_assignment({}, target)
     if coloring is None:
-        coloring = linial_coloring(model.graph, ledger=model.ledger)
+        coloring = _base_coloring(model)
     restricted = VertexColoring(
         colors=tuple(coloring.colors[i] for i in support),
         palette_size=coloring.palette_size,
     )
     defect = max(0, denom // (2 * factor) - 1)
-    conflict = induced_subgraph(model.graph, support)[0]
-    dcol = defective_coloring(conflict, restricted, defect, ledger=model.ledger)
+    dcol = defective_coloring(model.conflict(support), restricted, defect, ledger=model.ledger)
 
     values: dict[int, int] = {}  # numerators over denom
     loads = [0] * model.resources
@@ -297,7 +299,7 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
         return model.basic(x, factor, denom, coloring)
     _check_input(model, x, denom)
     if coloring is None:
-        coloring = linial_coloring(model.graph, ledger=model.ledger)
+        coloring = _base_coloring(model)
     rho = model.rho
     total_x = x.total()
     target = Fraction(total_x, 4 * rho)
@@ -357,7 +359,7 @@ def _approx(model: _LoadModel) -> frozenset[int]:
     denom = model.base
     x = model.greedy(denom)
     if denom > 1:
-        coloring = linial_coloring(model.graph, ledger=model.ledger)
+        coloring = _base_coloring(model)
         lg = denom.bit_length() - 1
         stage = denom // (lg * lg)
         left = 1 << (stage.bit_length() - 1) if stage >= 1 else 1
@@ -408,10 +410,8 @@ class _MatchingModel(_LoadModel):
         self.resources = h.n
         self.rho = max(1, h.rank)
 
-    @property
-    def graph(self):
-        """The line graph, built on first use: the greedy pass never reads it."""
-        return line_graph(self.h)
+    def conflict(self, support):
+        return LineGraphView(self.h, support)
 
     def loaded(self, i):
         return self.h.edges[i]
@@ -496,7 +496,8 @@ def basic_round(
     """Round a (1/denom)-fractional matching up to floor factor/denom.
 
     ``factor`` and ``denom`` are powers of two with factor <= denom.
-    Defective-colors the support line graph with defect denom/(2*factor)-1,
+    Defective-colors the line graph of the support (a `LineGraphView`)
+    with defect denom/(2*factor)-1,
     sweeps the color classes raising unfrozen edges to factor/denom (then
     freezing around newly half-tight vertices), and finishes with doubling
     rounds.  Keeps at least a 1/(2*rank) share of the input total and only

@@ -309,15 +309,12 @@ def _incidence_from_edges(h):
 
 
 def test_incidence_is_derived_on_first_read(monkeypatch):
-    """MIS and maximal matching read only the adjacency of a graph, so the
-    input graph, the line graph and a support restriction build no
-    incidence lists; where incidence is read, it equals the lists derived
-    from ``edges``."""
+    """The packing side reads only the adjacency of a graph, so the input
+    graph and its support restrictions build no incidence lists, and
+    maximal matching builds no line graph to hold any; where incidence is
+    read, it equals the lists derived from ``edges``."""
     rng = random.Random(13)
     g = build_graph(60, rng.sample([(u, v) for u in range(60) for v in range(u + 1, 60)], 150))
-    packing.maximal_independent_set(g, 2)
-    assert "incidence" not in vars(g)
-
     restrictions = []
 
     def recording(graph, keep):
@@ -325,14 +322,20 @@ def test_incidence_is_derived_on_first_read(monkeypatch):
         restrictions.append(sub)
         return sub, kept
 
-    monkeypatch.setattr(rounding, "induced_subgraph", recording)
+    monkeypatch.setattr(packing, "induced_subgraph", recording)
+    packing.maximal_independent_set(g, 2)
+    # a packing on the even nodes: its rounding colors their restriction
+    denom = next_power_of_two(g.max_degree + 1)
+    floor = Fraction(1, denom)
+    x = build_fractional_assignment(dict.fromkeys(range(0, 60, 2), floor), floor)
+    packing.basic_round_packing(g, x, denom, denom, 2)
+    sub = next(sub for sub in restrictions if sub is not g)
+    assert "incidence" not in vars(g) and "incidence" not in vars(sub)
+    assert sub.incidence == _incidence_from_edges(sub)
     h = hub_hypergraph()
     maximal_matching(h)
-    lg = line_graph(h)
-    sub = next(sub for sub in restrictions if sub is not lg)
-    assert "incidence" not in vars(lg) and "incidence" not in vars(sub)
+    assert set(vars(h)) == {"n", "edges", "incidence", "rank", "max_degree"}
     assert vars(h)["incidence"] == _incidence_from_edges(h)
-    assert sub.incidence == _incidence_from_edges(sub)
 
 
 def test_derived_views_stay_out_of_equality_and_copies():
@@ -343,12 +346,13 @@ def test_derived_views_stay_out_of_equality_and_copies():
     for back in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
         assert back == h and back.incidence == h.incidence
         assert line_graph(back) == lg
-    # pickles and copies hold the stored fields only; the views are rebuilt
+    # pickles and copies hold the stored fields only; the views are rebuilt,
+    # and a line graph is built anew on each call, never kept
     hub = hub_hypergraph()
     size = len(pickle.dumps(hub))
-    views = ("incidence", "_line_graph", "rank", "max_degree")
+    views = ("incidence", "rank", "max_degree")
     assert (line_graph(hub).m, hub.rank, hub.max_degree) == (271756, 3, 520)
-    assert set(views) <= set(vars(hub))
+    assert set(vars(hub)) == {"n", "edges", *views}
     assert len(pickle.dumps(hub)) == size
     for back in (pickle.loads(pickle.dumps(hub)), copy.deepcopy(hub)):
         assert set(vars(back)) == {"n", "edges"}
@@ -381,10 +385,11 @@ def test_derived_graphs_never_call_build_graph(monkeypatch):
 
     monkeypatch.setattr(core, "build_graph", refuse)
     monkeypatch.setattr(packing, "build_graph", refuse)
-    # the two-hub instance of tests/test_golden.py: a 271 756-edge line graph
-    rng = random.Random(5)
-    hub = build_hypergraph(600, [[i % 2, *rng.sample(range(2, 600), 2)] for i in range(1040)])
+    # the two-hub instance of tests/test_golden.py: a 271 756-edge line graph,
+    # and the views of it that its maximal matching colors
+    hub = hub_hypergraph()
     assert line_graph(hub).m == 271756
+    assert validate_matching(hub, maximal_matching(hub), require_maximal=True).ok
     h = generate.random_hypergraph(60, 120, 3, seed=4)
     assert validate_matching(h, maximal_matching(h), require_maximal=True).ok
     g = line_graph(h)

@@ -276,6 +276,15 @@ class TestArboricityColor:
         out = arboricity_edge_color(build_graph(3, []), 1, Fraction(1))
         assert out.colors == {}
 
+    def test_broken_partition_is_a_library_error(self, monkeypatch):
+        def reversed_partition(g, bound, eps, ledger=None):
+            hp = h_partition(g, bound, eps, ledger)
+            return HPartition(layers=tuple(reversed(hp.layers)), threshold=Fraction(1))
+
+        monkeypatch.setattr(edge_coloring, "h_partition", reversed_partition)
+        with pytest.raises(RuntimeError, match="H-partition invalid: vertex 0 keeps 5"):
+            arboricity_edge_color(generate.star(6), 1, Fraction(1))
+
     def test_bad_parameters(self):
         g = generate.cycle(5)
         with pytest.raises(ValueError):
