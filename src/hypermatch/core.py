@@ -44,8 +44,8 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations, repeat
-from operator import add, ge, mul, sub
+from itertools import accumulate, chain, combinations, compress, repeat
+from operator import add, eq, ge, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -244,17 +244,22 @@ class LineGraphView:
     It answers what the coloring steps ask a `Graph`: ``n``,
     ``max_degree``, ``neighbors`` and the count query ``agreement``.
 
-    Counts come from one identity.  For a hyperedge f meeting e, the
-    signs (-1)^(|S|+1) over the nonempty subsets S of their intersection
-    add up to 1, so the other hyperedges that meet e and carry e's label
-    number
+    Counts come from one identity.  Summing, over the vertices of e, the
+    other hyperedges that hold the vertex and carry e's label counts a
+    hyperedge f that meets e in t vertices t times, so the neighbors of
+    e with e's label number
 
-        sum over nonempty S within e of
-            (-1)^(|S|+1) * (#{f containing S : label(f) = label(e)} - 1).
+        sum over v in e of (#{f holding v : label(f) = label(e)} - 1)
+        - sum over f meeting e in t >= 2 vertices, label(f) = label(e), of (t - 1).
 
-    A subset that e alone holds adds 0, so e keeps only its shared
-    subsets as keys: its vertices that another hyperedge holds, and the
-    sets of two or more of those that another hyperedge holds as a whole.
+    A vertex that e alone holds adds 0, so e keeps only its shared
+    vertices.  Two hyperedges that meet in t >= 2 vertices hold
+    t(t-1)/2 vertex pairs together, so they are found, with t, from the
+    vertex pairs that more than one hyperedge holds.  The build takes
+    time linear in the sum of squared hyperedge sizes and in t(t-1)/2
+    over the hyperedge pairs meeting in t >= 2 vertices, which are at
+    most the line graph's edges; a query takes time linear in the shared
+    vertices and those pairs.  Nothing is exponential in the rank.
     Parallel hyperedges meet, so they count once, as in `line_graph`.
     """
 
@@ -262,30 +267,22 @@ class LineGraphView:
         edges = [h.edges[i] for i in support]
         self.n = len(edges)
         self._edges = edges
-        held = Counter(chain.from_iterable(edges))
-        multi = {v for v, holders in held.items() if holders > 1}
-        # a shared vertex is its own key; a shared larger set gets one above h.n
+        degree = Counter(chain.from_iterable(edges))
+        multi = {v for v, d in degree.items() if d > 1}
         shared = list(map(sorted, map(multi.intersection, edges)))
-        ids: dict[tuple[int, ...], int] = {}
-        for size in range(2, max(map(len, shared), default=0) + 1):
-            sets = Counter(chain.from_iterable(map(combinations, shared, repeat(size))))
-            found = [s for s, holders in sets.items() if holders > 1]
-            if not found:
-                break  # a shared set has shared subsets of every smaller size
-            start = h.n + len(ids)
-            ids.update(zip(found, range(start, start + len(found))))
-        keys = [list(vs) for vs in shared]
-        signs = [[1] * len(vs) for vs in shared]
-        if ids:
-            for vs, ks, sg in zip(shared, keys, signs):
-                for s in chain.from_iterable(map(combinations, repeat(vs), range(2, len(vs) + 1))):
-                    if s in ids:
-                        ks.append(ids[s])
-                        sg.append(1 if len(s) % 2 else -1)
-        self._width = h.n + len(ids)
-        self._keys = [*chain.from_iterable(keys)]
-        self._signs = [*chain.from_iterable(signs)]
-        self._sizes = [*map(len, keys)]
+        holders: dict[tuple[int, int], list[int]] = {}
+        for i, vs in enumerate(shared):
+            for pair in combinations(vs, 2):
+                holders.setdefault(pair, []).append(i)
+        # hyperedges i < j meeting in t >= 2 vertices hold t(t-1)/2 pairs
+        # together; each such i, j is kept with t - 1
+        together = Counter(chain.from_iterable(map(combinations, holders.values(), repeat(2))))
+        self._first = [i for i, _ in together]
+        self._second = [j for _, j in together]
+        self._extra = [(math.isqrt(8 * pairs + 1) - 1) // 2 for pairs in together.values()]
+        self._width = h.n
+        self._keys = [*chain.from_iterable(shared)]
+        self._sizes = [*map(len, shared)]
         self._ends = [*accumulate(self._sizes)]
         self._starts = [0, *self._ends[:-1]]
 
@@ -301,17 +298,21 @@ class LineGraphView:
     def agreement(self, labels: Sequence[int]) -> Callable[[int], int]:
         """``count(v)``: the neighbors u of v with ``labels[u] == labels[v]``.
 
-        Counts the (key, label) pairs of all nodes once, and every node's
-        count with them, when called.
+        Counts the (vertex, label) pairs of all nodes once, and every
+        node's count with them, when called.
         """
-        # label * width + key is one-to-one, since every key is below width
+        # label * width + vertex is one-to-one, since every vertex is below width
         at = chain.from_iterable(map(repeat, map(mul, labels, repeat(self._width)), self._sizes))
         pairs = [*map(add, self._keys, at)]
         hist = Counter(pairs)
-        # sign * (holders - 1) per key, summed over each node's run of keys
-        terms = map(sub, map(mul, map(hist.__getitem__, pairs), self._signs), self._signs)
-        total = [0, *accumulate(terms)]
-        return [total[end] - total[start] for start, end in zip(self._starts, self._ends)].__getitem__
+        total = [0, *accumulate(map(hist.__getitem__, pairs))]
+        agree = [total[end] - total[start] - size
+                 for start, end, size in zip(self._starts, self._ends, self._sizes)]
+        same = map(eq, map(labels.__getitem__, self._first), map(labels.__getitem__, self._second))
+        for i, j, extra in compress(zip(self._first, self._second, self._extra), same):
+            agree[i] -= extra
+            agree[j] -= extra
+        return agree.__getitem__
 
 
 @dataclass(frozen=True)

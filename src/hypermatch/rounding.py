@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cached_property
 
 from .coloring import VertexColoring, defective_coloring, linial_coloring
 from .core import (
@@ -359,11 +360,14 @@ def _approx(model: _LoadModel) -> frozenset[int]:
     denom = model.base
     x = model.greedy(denom)
     if denom > 1:
-        coloring = _base_coloring(model)
+        # Without a recursive stage the basic stage colors all items itself:
+        # its support is every item, so one conflict graph serves both.
+        coloring = None
         lg = denom.bit_length() - 1
         stage = denom // (lg * lg)
         left = 1 << (stage.bit_length() - 1) if stage >= 1 else 1
         if left >= 2 and model.can_recurse(left, denom):
+            coloring = _base_coloring(model)
             x = model.recurse(x, left, denom, coloring)
         else:
             left = 1
@@ -411,7 +415,12 @@ class _MatchingModel(_LoadModel):
         self.rho = max(1, h.rank)
 
     def conflict(self, support):
-        return LineGraphView(self.h, support)
+        """A `LineGraphView`; the one of all items is built once per model."""
+        return self._every if len(support) == self.items else LineGraphView(self.h, support)
+
+    @cached_property
+    def _every(self):
+        return LineGraphView(self.h, range(self.items))
 
     def loaded(self, i):
         return self.h.edges[i]

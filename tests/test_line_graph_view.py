@@ -1,12 +1,14 @@
 """The rounding engine's line-graph view against the line graph it stands for.
 
-`LineGraphView` answers the coloring steps from per-(subset, label)
-counts.  Every answer must equal the one the induced subgraph of
-`line_graph` gives: degrees, neighbors, agreement counts, colorings and
-the errors the coloring steps raise.
+`LineGraphView` answers the coloring steps from per-(vertex, label)
+counts and the pairs of hyperedges that meet in two or more vertices.
+Every answer must equal the one the induced subgraph of `line_graph`
+gives: degrees, neighbors, agreement counts, colorings and the errors
+the coloring steps raise.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -35,10 +37,10 @@ EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 @st.composite
 def hypergraph_and_support(draw):
-    """Up to 15 hyperedges of rank 1-4, some of them parallel, on vertices
+    """Up to 15 hyperedges of rank 1-6, some of them parallel, on vertices
     of which a few stay isolated, and all or some of the hyperedges."""
     used = draw(st.integers(1, 8))
-    members = st.sets(st.integers(0, used - 1), min_size=1, max_size=min(4, used))
+    members = st.sets(st.integers(0, used - 1), min_size=1, max_size=min(6, used))
     edges = draw(st.lists(members, max_size=12))
     if edges:
         edges += draw(st.lists(st.sampled_from(edges), max_size=3))
@@ -172,3 +174,25 @@ def test_two_large_hubs_build_no_line_graph(monkeypatch):
     labels = [record["label"] for record in ledger.as_records()]
     assert labels[0] == "greedy" and "recursive_round" in labels
     assert ledger.as_records()[0]["rounds"] == 11  # log2(2048)
+
+
+@pytest.mark.parametrize("case", ["rank-30 plus pairs", "parallel rank-25", "rank-40 plus triples"])
+def test_large_overlaps_cost_no_subset_enumeration(case):
+    """Hyperedges that share many vertices with others, under both the
+    view and `maximal_matching`.  Counting every shared subset would take
+    2^25 or more steps on each of these."""
+    if case == "rank-30 plus pairs":
+        # max degree 2, so the base coloring builds the view of all of it
+        edges = [range(30), *([2 * i, 2 * i + 1] for i in range(15))]
+    elif case == "parallel rank-25":
+        edges = [range(25), range(25), [24, 25]]
+    else:
+        edges = [range(40), range(40), *([i, i + 1, i + 2] for i in range(0, 39, 3))]
+    h = build_hypergraph(41, edges)
+    start = time.perf_counter()
+    view, sub = both(h, range(h.m))
+    assert view.max_degree == sub.max_degree
+    degree = view.agreement([0] * h.m)
+    assert [degree(v) for v in range(h.m)] == list(map(len, sub.adjacency))
+    assert validate_matching(h, maximal_matching(h), require_maximal=True).ok
+    assert time.perf_counter() - start < 2.0
