@@ -166,13 +166,55 @@ class Graph(Hypergraph):
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Validate and freeze a simple graph (no loops, no parallel edges)."""
+    """Validate and freeze a simple graph (no loops, no parallel edges).
+
+    ``edges`` is any iterable of pairs, read once.  The whole list is
+    checked in bulk on its sorted adjacency lists, and a pair that is
+    already a tuple ``(u, v)`` with u < v is stored as it is.  Only when
+    that check fails does the per-edge scan run, so an error names the
+    first bad edge in input order, with the same message as always.
+    """
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
+    pairs = list(edges)
+    adjacency = _checked_adjacency(n, pairs)
+    if adjacency is None:
+        return _scan_edges(n, pairs)
+    return Graph(
+        n=n,
+        edges=tuple([e if e[0] < e[1] else (e[1], e[0]) for e in pairs]),
+        adjacency=tuple(map(tuple, adjacency)),
+    )
+
+
+def _checked_adjacency(n: int, pairs: list) -> list[list[int]] | None:
+    """Sorted adjacency lists of ``pairs``, or None unless every pair is a
+    tuple of two distinct ids in 0..n-1 and no pair repeats in either
+    orientation."""
+    if not set(map(type, pairs)) <= {tuple}:
+        return None
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for u, v in pairs:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    except (ValueError, TypeError, IndexError):  # a bad pair or id: the scan names it
+        return None
+    for adj in adjacency:
+        adj.sort()
+    # A self-loop or a repeated pair lists one node twice; a negative id
+    # heads the list of the node it was paired with.
+    if any(adj and (adj[0] < 0 or any(map(eq, adj, adj[1:]))) for adj in adjacency):
+        return None
+    return adjacency
+
+
+def _scan_edges(n: int, pairs: list) -> Graph:
+    """`build_graph` edge by edge: raises on the first bad edge."""
     norm: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(edges):
+    for eid, (u, v) in enumerate(pairs):
         if u == v:
             raise ValueError(f"edge {eid} is a self-loop at {u}")
         if not (0 <= u < n and 0 <= v < n):

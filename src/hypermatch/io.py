@@ -10,6 +10,14 @@ Edge ids are line positions.  Parsers are strict: wrong counts, ids out of
 range, rank mismatch or trailing garbage raise ParseError.  Body tokens go
 through labeled ``_int`` only after plain ``int()`` failed on them.
 
+Graph text laid out exactly as ``format_graph`` writes it (a ``gr n m``
+line, then ``u v`` lines of ASCII digits, each ended by a newline) is read
+in bulk: one split of the body, converted and paired straight into
+``build_graph``, with no per-row container.  Text in any other layout
+(blank lines, tabs, CRLF, padding spaces, signs, wrong token counts) is
+read row by row.  The two paths accept the same texts, build equal graphs
+and raise the same messages.
+
 Solution formats (one record per line):
 
 * matching / independent set: one id per line;
@@ -83,7 +91,37 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str) -> Graph:
+def _canonical_graph(text: str):
+    """``(n, pairs)`` if ``text`` is laid out exactly as `format_graph`
+    writes it, else None.
+
+    Canonical text is a ``gr n m`` line, then m ``u v`` lines of ASCII
+    digits, each ended by a newline.  The pairs come from one split of the
+    body, converted and paired lazily, with no per-row container.
+    """
+    head, newline, body = text.partition("\n")
+    fields = head.split(" ")
+    if len(fields) != 3 or fields[0] != "gr" or not newline or not body.isascii():
+        return None
+    n, m = fields[1:]
+    if not (n.isascii() and n.isdigit() and m.isascii() and m.isdigit()):
+        return None
+    m = int(m)
+    # With the digits deleted, the body must read " \n" once per row (its
+    # length is compared first, so a huge m allocates nothing).  Then a
+    # newline at the end and two tokens per row leave no row short.
+    separators = body.encode("ascii").translate(None, b"0123456789")
+    if len(separators) != 2 * m or separators != b" \n" * m or (m and body[-1] != "\n"):
+        return None
+    tokens = body.split()
+    if len(tokens) != 2 * m:
+        return None
+    ints = map(int, tokens)
+    return int(n), zip(ints, ints)
+
+
+def _graph_rows(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """``(n, pairs)`` read row by row, for text in any layout."""
     rows = _tokenize(text)
     if not rows or rows[0][:1] != ["gr"]:
         raise ParseError("missing 'gr <n> <m>' header")
@@ -95,15 +133,21 @@ def parse_graph(text: str) -> Graph:
     if len(body) != m:
         raise ParseError(f"header announces {m} edges, found {len(body)}")
     try:
-        edges = [(int(u), int(v)) for u, v in body]
+        return n, [(int(u), int(v)) for u, v in body]
     except ValueError:
         edges = []
         for i, row in enumerate(body):
             if len(row) != 2:
                 raise ParseError(f"edge {i}: expected 'u v', got {' '.join(row)!r}")
             edges.append((_int(row[0], f"edge {i}"), _int(row[1], f"edge {i}")))
+        return n, edges
+
+
+def parse_graph(text: str) -> Graph:
+    canonical = _canonical_graph(text)
+    n, pairs = _graph_rows(text) if canonical is None else canonical
     try:
-        return build_graph(n, edges)
+        return build_graph(n, pairs)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -153,14 +153,17 @@ def _frozen(model: _LoadModel, loads: list[int], scale: int, i: int, past=operat
     return any(past(2 * loads[r], scale) for r in model.freezing(i))
 
 
-def _double(model: _LoadModel, values: dict[int, int], loads: list[int], scale: int):
-    """Double every item that is not frozen; returns the doubled items.
+def _double(
+    model: _LoadModel, values: dict[int, int], loads: list[int], scale: int, candidates
+):
+    """Double every one of ``candidates`` (items of ``values``) that is not
+    frozen; returns the doubled items.
 
     Doubled items move to the end of the witness order in id order.  A
     packing node with closed load sigma < 1/2 can afford its value plus its
     full neighborhood after doubling, since that is at most 2*sigma < 1.
     """
-    movers = sorted(i for i in values if not _frozen(model, loads, scale, i))
+    movers = sorted(i for i in candidates if not _frozen(model, loads, scale, i))
     for i in movers:
         val = values.pop(i)
         for r in model.loaded(i):
@@ -172,10 +175,15 @@ def _double(model: _LoadModel, values: dict[int, int], loads: list[int], scale: 
 def _double_rounds(model: _LoadModel, values, loads, scale: int, cap: int, items, where: str) -> int:
     """Double until nothing moves, rechecking each round; returns the round count.
 
-    Raises past ``cap`` rounds, and unless every one of ``items`` ends frozen.
+    The first round tests every item of ``values``; each later round tests
+    only the items the round before it doubled.  This is exact: within a
+    pass loads only grow, so an item frozen in one round is frozen in every
+    later one and would not move again.  Raises past ``cap`` rounds, and
+    unless every one of ``items`` ends frozen.
     """
     rounds = 0
-    while moved := _double(model, values, loads, scale):
+    moved = values
+    while moved := _double(model, values, loads, scale, moved):
         rounds += 1
         if rounds > cap:
             raise RuntimeError(f"{where} exceeded {cap} rounds")
@@ -472,7 +480,7 @@ def greedy_doubling_step(
     """
     model = _MatchingModel(h)
     values, scale = _numerators(x.values)
-    _double(model, values, _loads(model, values), scale)
+    _double(model, values, _loads(model, values), scale, values)
     return build_fractional_assignment(_fractions(values, scale), Fraction(1, scale))
 
 

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import hub_hypergraph
 
 from hypermatch import core, generate, packing, rounding
@@ -97,6 +99,100 @@ def test_build_graph_normalizes_and_rejects():
         build_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         build_graph(2, [(0, 5)])
+
+
+def _reference_build_graph(n, edges):
+    """``build_graph`` as a plain per-edge scan with a set of seen keys."""
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    norm, seen = [], set()
+    adjacency = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        if u == v:
+            raise ValueError(f"edge {eid} is a self-loop at {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {eid} = ({u},{v}) outside 0..{n - 1}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"edge {eid} duplicates {key}")
+        seen.add(key)
+        norm.append(key)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return norm, [sorted(a) for a in adjacency]
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (-1, [], "vertex count must be >= 0, got -1"),
+    (-2, [(0, 1)], "vertex count must be >= 0, got -2"),
+    (3, [(0, 1), (2, 2)], "edge 1 is a self-loop at 2"),
+    (3, [(5, 5)], "edge 0 is a self-loop at 5"),
+    (3, [(0, 3)], "edge 0 = (0,3) outside 0..2"),
+    (3, [(3, 0)], "edge 0 = (3,0) outside 0..2"),
+    (3, [(-1, 0)], "edge 0 = (-1,0) outside 0..2"),
+    (3, [(1, -3)], "edge 0 = (1,-3) outside 0..2"),
+    (0, [(0, 1)], "edge 0 = (0,1) outside 0..-1"),
+    (3, [(0, 1), (0, 1)], "edge 1 duplicates (0, 1)"),
+    (3, [(0, 1), (1, 0)], "edge 1 duplicates (0, 1)"),
+    (3, [(2, 1), (1, 2)], "edge 1 duplicates (1, 2)"),
+    # with two faults, the first in input order wins
+    (3, [(0, 1), (2, 5), (1, 1)], "edge 1 = (2,5) outside 0..2"),
+    (3, [(1, 1), (0, 9)], "edge 0 is a self-loop at 1"),
+    (4, [(0, 1), (1, 0), (3, 3)], "edge 1 duplicates (0, 1)"),
+    (4, [(0, 1), (2, 3), (0, 7), (3, 2)], "edge 2 = (0,7) outside 0..3"),
+    # the fault on the last edge
+    (4, [(0, 1), (1, 2), (2, 3), (3, 2)], "edge 3 duplicates (2, 3)"),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 4)], "edge 3 = (3,4) outside 0..3"),
+])
+def test_build_graph_messages(n, edges, message):
+    for given_edges in (edges, iter(edges), (e for e in edges)):
+        with pytest.raises(ValueError) as info:
+            build_graph(n, given_edges)
+        assert str(info.value) == message
+
+
+@given(
+    st.integers(min_value=-1, max_value=7),
+    st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8)), max_size=14),
+)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_build_graph_matches_the_per_edge_scan(n, edges):
+    try:
+        norm, adjacency = _reference_build_graph(n, edges)
+    except ValueError as exc:
+        expected = str(exc)
+    else:
+        expected = None
+    for given_edges in (edges, iter(edges), (e for e in edges)):
+        try:
+            g = build_graph(n, given_edges)
+        except ValueError as exc:
+            assert str(exc) == expected
+            continue
+        assert expected is None
+        assert g.edges == tuple(norm)
+        assert g.adjacency == tuple(map(tuple, adjacency))
+
+
+def test_build_graph_takes_pairs_of_any_kind():
+    g = build_graph(4, [[2, 0], (1, 3), iter((3, 2))])
+    assert g.edges == ((0, 2), (1, 3), (2, 3))
+    assert all(type(e) is tuple for e in g.edges)
+    with pytest.raises(ValueError, match="edge 1 duplicates"):
+        build_graph(4, [[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="too many values"):
+        build_graph(4, [(0, 1), (1, 2, 3)])
+
+
+def test_build_graph_checks_valid_tuples_in_bulk(monkeypatch):
+    def refuse(n, pairs):
+        raise AssertionError("valid tuples need no per-edge scan")
+
+    monkeypatch.setattr(core, "_scan_edges", refuse)
+    pairs = [(0, 2), (1, 3), (3, 2)]
+    g = build_graph(4, iter(pairs))
+    assert g.edges == ((0, 2), (1, 3), (2, 3))
+    assert g.edges[0] is pairs[0] and g.edges[1] is pairs[1]  # stored as given
 
 
 def test_line_graph_single_hyperedge_is_isolated_vertex():

@@ -1,14 +1,19 @@
 """Fractional matching pipeline: greedy start, rounding, drivers."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypermatch import generate, rounding
+from hypermatch import generate, packing, rounding
 from hypermatch.coloring import VertexColoring
 from hypermatch.core import (
     build_fractional_assignment,
     build_hypergraph,
+    line_graph,
+    next_power_of_two,
     unblocked_edges,
     validate_fractional_matching,
     validate_matching,
@@ -287,3 +292,66 @@ def test_loads_only_grow_under_doubling_steps():
         cur = vertex_loads(h, x)
         assert all(c >= p for c, p in zip(cur, prev))
         prev = cur
+
+
+def _all_items_double_rounds(model, values, loads, scale, cap, items, where):
+    """The doubling loop re-testing every item of ``values`` each round."""
+    rounds = 0
+    while movers := sorted(i for i in values if not rounding._frozen(model, loads, scale, i)):
+        for i in movers:
+            val = values.pop(i)
+            for r in model.loaded(i):
+                loads[r] += val
+            values[i] = val * 2
+        rounds += 1
+        if rounds > cap:
+            raise RuntimeError(f"{where} exceeded {cap} rounds")
+        model.recheck(values, scale, movers, where)
+    for i in items:
+        if not rounding._frozen(model, loads, scale, i):
+            raise RuntimeError(f"{model.noun} {i} ended {where} unfrozen")
+    return rounds
+
+
+def _doubling_trace(impl, run):
+    """run()'s result and ledger, with every doubling loop's values (in
+    witness order) and round count, with ``impl`` as the loop."""
+    calls = []
+
+    def recording(model, values, *rest):
+        rounds = impl(model, values, *rest)
+        calls.append((list(values.items()), rounds))
+        return rounds
+
+    ledger = RoundLedger()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rounding, "_double_rounds", recording)
+        out = run(ledger)
+    return out, ledger.as_records(), calls
+
+
+@given(
+    st.integers(min_value=4, max_value=40),
+    st.integers(min_value=1, max_value=70),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([None, 64, 256]),
+)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_doubling_retests_only_movers(n, m, r, seed, denom):
+    r = min(r, n)
+    m = min(m, math.comb(n, r))
+    h = generate.random_hypergraph(n, m, r, seed=seed)
+    g = line_graph(h)
+    if denom is not None:  # at least each side's default
+        denom = max(denom, next_power_of_two(h.max_degree), next_power_of_two(g.max_degree + 1))
+    cases = [
+        lambda ledger: maximal_matching(h, ledger),
+        lambda ledger: greedy_fractional_matching(h, denom, ledger),
+        lambda ledger: packing.maximal_independent_set(g, r, ledger),
+        lambda ledger: packing.initial_packing(g, denom, ledger),
+    ]
+    for run in cases:
+        new = _doubling_trace(rounding._double_rounds, run)
+        assert new[2], "the case runs no doubling loop"
+        assert new == _doubling_trace(_all_items_double_rounds, run)
