@@ -22,6 +22,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -589,6 +590,8 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
 
 
+# Cached for in-process callers (tests, benchmark, library); one-shot runs gain nothing.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypermatch",
@@ -602,7 +605,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--in", dest="infile", help="source instance (line-graph-of)")
     gen.add_argument("--out", help="output path (default stdout)")
-    gen.set_defaults(func=_cmd_generate)
 
     run = sub.add_parser("run", help="run an algorithm and report verdicts")
     run.add_argument("--algo", required=True, choices=tuple(_ALGORITHMS))
@@ -616,7 +618,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", action="store_true",
                      help="force the oracle comparison; over budget exits 3")
     run.add_argument("--json", help="write the JSON report here ('-' = stdout)")
-    run.set_defaults(func=_cmd_run)
 
     ver = sub.add_parser("verify", help="re-run a validator on a solution file")
     ver.add_argument("kind", choices=tuple(_VERIFY_KINDS))
@@ -624,18 +625,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("solution")
     ver.add_argument("--eps", type=_fraction)
     ver.add_argument("--lambda", dest="lam", type=int)
-    ver.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The handler is looked up per call, so a rebound `_cmd_*` is reached.
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (UsageError, io.ParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,14 +1,16 @@
 """Exact brute-force baselines for small instances.
 
-These are deliberately independent of the main algorithms: they enumerate
-or branch over the whole search space, so they are only usable below the
-size budgets and raise OverBudgetError beyond them.  Tests and the CLI
-verify subcommand lean on them for ground truth.
+These are deliberately independent of the main algorithms and share no
+logic with them.  Each stays exhaustive: `max_matching` and
+`max_independent_set` branch over the whole search space, `arboricity` is
+a DP over all vertex subsets, and `enumerate_maximal_matchings`
+backtracks over every matching.  So they are only usable below the size
+budgets and raise OverBudgetError beyond them.  Tests and the oracle
+block of `hypermatch run` lean on them for ground truth.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import Graph, Hypergraph
@@ -149,21 +151,26 @@ def arboricity(g: Graph) -> int:
     """Smallest number of forests covering the edges.
 
     Computed as max over vertex subsets S of ceil(|E(S)| / (|S| - 1)),
-    which is exact by the Nash-Williams formula.
+    which is exact by the Nash-Williams formula.  |E(S)| comes from a DP
+    over all 2^n subsets: with v the highest vertex of S,
+    |E(S)| = |E(S - v)| + |N(v) & (S - v)|.  The ceiling grows with
+    |E(S)|, so only the densest subset of each size needs dividing.
     """
     _require(g.n, ARBORICITY_NODES, "node count")
     if g.m == 0:
         return 0
-    emasks = [(1 << u) | (1 << v) for u, v in g.edges]
-    best = 1
-    for subset in range(1, 1 << g.n):
+    adj = _adjacency_masks(g)
+    inside = [0]  # inside[S] = |E(S)|, for S over the vertices added so far
+    for v in range(g.n):
+        inside += [
+            edges + (adj[v] & rest).bit_count() for rest, edges in enumerate(inside)
+        ]
+    densest = [0] * (g.n + 1)  # the most edges inside any subset of each size
+    for subset, edges in enumerate(inside):
         size = subset.bit_count()
-        if size < 2:
-            continue
-        inside = sum(1 for em in emasks if em & subset == em)
-        if inside:
-            best = max(best, math.ceil(inside / (size - 1)))
-    return best
+        if edges > densest[size]:
+            densest[size] = edges
+    return max(-(-edges // (size - 1)) for size, edges in enumerate(densest[2:], 2))
 
 
 def neighborhood_independence(g: Graph) -> int:
@@ -190,26 +197,28 @@ def require_enumerable(edge_count: int) -> None:
 
 
 def enumerate_maximal_matchings(h: Hypergraph) -> list[frozenset[int]]:
-    """All maximal matchings, as sorted frozensets of edge ids."""
+    """All maximal matchings, as frozensets of edge ids, listed in the
+    order of their sorted ids.
+
+    Backtracks over edge ids, taking or skipping each one, and only takes
+    an edge disjoint from those already taken; so every leaf is a matching
+    and each matching is reached once.  A leaf is kept when every edge
+    meets it (hyperedges are nonempty, so taken edges do).
+    """
     require_enumerable(h.m)
     masks = _edge_masks(h)
     m = h.m
     found: list[frozenset[int]] = []
-    for subset in range(1 << m):
-        used = 0
-        ok = True
-        for i in range(m):
-            if subset >> i & 1:
-                if masks[i] & used:
-                    ok = False
-                    break
-                used |= masks[i]
-        if not ok:
-            continue
-        if any(
-            not subset >> i & 1 and not masks[i] & used for i in range(m)
-        ):
-            continue
-        found.append(frozenset(i for i in range(m) if subset >> i & 1))
+
+    def extend(i: int, used: int, taken: tuple[int, ...]) -> None:
+        if i == m:
+            if all(mask & used for mask in masks):
+                found.append(frozenset(taken))
+            return
+        if not masks[i] & used:
+            extend(i + 1, used | masks[i], taken + (i,))
+        extend(i + 1, used, taken)
+
+    extend(0, 0, ())
     found.sort(key=sorted)
     return found

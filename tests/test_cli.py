@@ -7,6 +7,9 @@ verdict, 2 usage or parse error, 3 oracle over budget.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -456,3 +459,87 @@ class TestExitCodes:
     def test_hypergraph_rejected_by_graph_algorithm(self, tmp_path):
         hgr = write(tmp_path / "h.hgr", "hgr 3 1 3\n0 1 2\n")
         assert run_cli("run", "--algo", "edge-color", "--in", hgr) == 2
+
+
+class TestInProcessCalls:
+    """Many `main` calls in one process share one argparse parser."""
+
+    def test_options_do_not_leak_between_calls(self, tmp_path):
+        h = generate.random_hypergraph(10, 12, 3, seed=2)
+        inst = write(tmp_path / "h.hgr", io.format_hypergraph(h))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run_cli("run", "--algo", "maximal-matching", "--in", inst,
+                       "--slack", "1/2", "--oracle", "--json", str(first)) == 0
+        assert run_cli("run", "--algo", "maximal-matching", "--in", inst,
+                       "--json", str(second)) == 0
+        params = json.loads(first.read_text())["parameters"]
+        assert (params["slack"], params["oracle_forced"]) == ("1/2", True)
+        params = json.loads(second.read_text())["parameters"]
+        assert (params["slack"], params["oracle_forced"]) == (None, False)
+        assert "unblocked" not in json.loads(second.read_text())["solution"]
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--algo", "quantum", "--in", "x.gr"),
+        ("run", "--in", "x.gr"),
+        ("verify", "matching", "--in", "x.gr"),
+        ("generate", "cycle", "n=five"),
+        ("run", "--algo", "orientation", "--in", "x.gr", "--eps", "1"),
+    ], ids=["bad-choice", "missing-option", "missing-positional",
+            "bad-parameter", "missing-flag"])
+    def test_usage_error_is_unchanged_after_a_success(
+        self, argv, cycle5, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "x.gr", io.format_graph(generate.cycle(5)))
+        cli._build_parser.cache_clear()
+        assert run_cli(*argv) == 2
+        fresh = capsys.readouterr().err
+        assert fresh
+        assert run_cli("run", "--algo", "orientation", "--in", cycle5,
+                       "--lambda", "2", "--eps", "1/2") == 0
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == fresh
+
+    def test_interleaved_commands(self, tmp_path, capsys):
+        c5, k4 = str(tmp_path / "c5.gr"), str(tmp_path / "k4.gr")
+        assert run_cli("generate", "cycle", "n=5", "--out", c5) == 0
+        assert run_cli("run", "--algo", "edge-color", "--in", c5,
+                       "--out", str(tmp_path / "c5.col")) == 0
+        assert run_cli("generate", "complete", "n=4", "--out", k4) == 0
+        assert run_cli("verify", "edge-coloring", "--in", c5,
+                       str(tmp_path / "c5.col")) == 0
+        assert run_cli("run", "--algo", "mis", "--in", k4,
+                       "--out", str(tmp_path / "k4.mis")) == 0
+        assert run_cli("verify", "mis", "--in", k4, str(tmp_path / "k4.mis")) == 0
+        one_edge = write(tmp_path / "one.mat", "0\n")
+        assert run_cli("verify", "maximal-matching", "--in", c5, one_edge) == 1
+        assert run_cli("generate", "line-graph-of", "--in", k4) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == ["edge-color: ok rounds=18", "pass",
+                           "mis: ok rounds=7", "pass"]
+        assert out[4].startswith("fail: ")
+        assert out[5] == "gr 6 12"
+
+    def test_parser_is_built_once_per_process(self, cycle5, tmp_path):
+        cli._build_parser.cache_clear()
+        assert run_cli("generate", "path", "n=3", "--out", str(tmp_path / "p.gr")) == 0
+        sol = str(tmp_path / "c5.mis")
+        assert run_cli("run", "--algo", "mis", "--in", cycle5, "--out", sol) == 0
+        assert run_cli("verify", "mis", "--in", cycle5, sol) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_importing_the_cli_builds_no_parser(self):
+        code = ("import sys; import hypermatch.cli as cli; "
+                "sys.exit(cli._build_parser.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_rebound_handler_is_the_one_reached(self, monkeypatch):
+        calls = []
+        cli._build_parser()
+        monkeypatch.setattr(cli, "_cmd_verify",
+                            lambda args: calls.append(args.kind) or 7)
+        assert run_cli("verify", "mis", "--in", "x.gr", "y.sol") == 7
+        assert calls == ["mis"]

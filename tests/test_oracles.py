@@ -1,9 +1,12 @@
 """Brute-force reference solvers: known values, budgets, cross-checks.
 
-The branch-and-bound solvers are cross-checked against the plain
-subset-enumeration implementations below, which share no search logic
-with them.
+The branch-and-bound, subset-DP and backtracking solvers are
+cross-checked against the plain subset-enumeration implementations below,
+which share no search logic with them.
 """
+
+import math
+import random
 
 import pytest
 
@@ -43,6 +46,53 @@ def _max_independent_set_by_subsets(g):
         if all(not set(g.adjacency[v]) & chosen for v in chosen):
             best = max(best, len(chosen))
     return best
+
+
+def _arboricity_by_subsets(g):
+    """Independent check: test every edge against every vertex subset."""
+    if g.m == 0:
+        return 0
+    emasks = [(1 << u) | (1 << v) for u, v in g.edges]
+    best = 1
+    for subset in range(1, 1 << g.n):
+        size = subset.bit_count()
+        if size < 2:
+            continue
+        inside = sum(1 for em in emasks if em & subset == em)
+        if inside:
+            best = max(best, math.ceil(inside / (size - 1)))
+    return best
+
+
+def _maximal_matchings_by_subsets(h):
+    """Independent check: test every edge subset for being a maximal matching."""
+    masks = [sum(1 << v for v in edge) for edge in h.edges]
+    m = h.m
+    found = []
+    for subset in range(1 << m):
+        used = 0
+        ok = True
+        for i in range(m):
+            if subset >> i & 1:
+                if masks[i] & used:
+                    ok = False
+                    break
+                used |= masks[i]
+        if not ok:
+            continue
+        if any(not subset >> i & 1 and not masks[i] & used for i in range(m)):
+            continue
+        found.append(frozenset(i for i in range(m) if subset >> i & 1))
+    found.sort(key=sorted)
+    return found
+
+
+def _seeded_graphs(count):
+    """`count` seeded G(n, p) graphs with n <= 12, from sparse to dense."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        yield generate.random_graph(rng.randint(1, 12), rng.uniform(0.05, 0.9),
+                                    seed=seed)
 
 
 def test_max_matching_known_values():
@@ -110,6 +160,21 @@ def test_arboricity_of_petersen_graph():
     assert arboricity(g) == 2
 
 
+def test_arboricity_agrees_with_subset_enumeration():
+    graphs = list(_seeded_graphs(48))
+    assert len({(g.n, g.m) for g in graphs}) > 30
+    for g in graphs:
+        assert arboricity(g) == _arboricity_by_subsets(g), (g.n, g.edges)
+
+
+def test_arboricity_at_the_node_budget():
+    assert arboricity(generate.complete(14)) == 7
+    assert arboricity(build_graph(14, [])) == 0
+    assert arboricity(build_graph(0, [])) == 0
+    g = generate.random_graph(14, 0.5, seed=2)
+    assert arboricity(g) == _arboricity_by_subsets(g)
+
+
 def test_neighborhood_independence_known_values():
     assert neighborhood_independence(generate.cycle(5)) == 2
     assert neighborhood_independence(generate.complete(6)) == 1
@@ -144,6 +209,45 @@ def test_enumerated_matchings_are_maximal():
     assert found
     for m in found:
         assert validate_matching(h, m, require_maximal=True).ok
+
+
+def test_enumerated_matchings_agree_with_subset_enumeration():
+    checked = 0
+    for g in _seeded_graphs(60):
+        if g.m <= 12:
+            assert enumerate_maximal_matchings(g) == _maximal_matchings_by_subsets(g)
+            checked += 1
+    assert checked >= 40
+    for seed in range(30):
+        h = generate.random_hypergraph(9, 1 + seed % 12, 1 + seed % 4, seed=seed)
+        assert enumerate_maximal_matchings(h) == _maximal_matchings_by_subsets(h)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        build_hypergraph(0, []),
+        build_hypergraph(4, []),
+        build_hypergraph(3, [{0, 1}, {0, 1}, {0, 1}]),
+        build_hypergraph(4, [{0}, {0}, {1}, {0, 1}, {2, 3}, {2, 3}, {3}]),
+        build_hypergraph(5, [{0}, {1}, {2}, {3}, {4}]),
+        build_hypergraph(6, [{0, 1, 2}, {2, 3, 4}, {4, 5, 0}, {1, 3, 5}, {0, 1, 2}]),
+    ],
+    ids=["no-nodes", "edgeless", "parallel", "parallel-rank-1", "rank-1", "rank-3"],
+)
+def test_enumerated_matchings_on_parallel_and_rank_one_edges(h):
+    assert enumerate_maximal_matchings(h) == _maximal_matchings_by_subsets(h)
+
+
+def test_enumerated_matchings_at_the_edge_budget():
+    # what edge-color's soundness oracle enumerates for a path on 5 nodes
+    g = generate.path(5)
+    lists = edge_coloring.full_palette_lists(g, 2 * g.max_degree - 1)
+    h = edge_coloring.reduce_hypergraph_list_edge_coloring(g, lists).hypergraph
+    assert h.m == 12
+    found = enumerate_maximal_matchings(h)
+    assert found == _maximal_matchings_by_subsets(h)
+    assert len(found) == 24
 
 
 def test_budget_guards():
