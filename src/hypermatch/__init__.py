@@ -43,7 +43,6 @@ from .core import (
     validate_independent_set,
     validate_matching,
     validate_vertex_coloring,
-    vertex_loads,
 )
 from .edge_coloring import (
     EdgeColoringResult,
@@ -77,7 +76,6 @@ from .oracles import (
 from .packing import (
     approx_mis,
     basic_round_packing,
-    closed_loads,
     initial_packing,
     maximal_independent_set,
     recursive_round_packing,

@@ -19,12 +19,12 @@ unique, under a cheaper check whose failure raises RuntimeError.
 input and checks only the ids it keeps.  A matching is a frozenset of
 edge ids, as an independent set is a frozenset of node ids.
 
-All fractional values are dyadic rationals (integer numerator over a power
-of two), held as ``fractions.Fraction``.  The validators compare them
-exactly in integers: each derives the numerators of an assignment's values
-over one scale, the least common denominator (the largest denominator once
-every value is dyadic), and tests loads as ``load > scale`` and
-``2*load >= scale``.  A ``Fraction`` is built only for a message.
+A fractional assignment holds integer numerators over one scale: the
+engine's power-of-two denominator, so its values are dyadic by
+construction, or the least common denominator of values given as
+``Fraction``s.  The validators read the numerators as they are and test
+loads as ``load > scale`` and ``2*load >= scale``; a ``Fraction`` is
+built only for a message and for the read-only ``values`` view.
 Instances and assignments are immutable after construction and every
 function here is pure, so sharing objects across threads or processes is
 safe.  An instance stores its vertex count and edges (and a graph its
@@ -357,47 +357,61 @@ class LineGraphView:
         return agree.__getitem__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FractionalAssignment:
-    """Sparse map item id -> dyadic value in (0, 1].
+    """Sparse map item id -> value: integer numerators ``nums`` over ``scale``.
 
     The items are hyperedges of a fractional matching or vertices of a
-    greedy packing.  Zero values are never stored.  ``values`` is a
-    read-only view of a copy of the given dict and keeps its insertion
-    order, which for a packing is its witness order; ``==`` compares the
-    values and so ignores that order.  Since the values cannot change, a
-    verdict on them stands: the rounding engine records in ``_valid_on``
-    the side and instance its validator passed the assignment on, and
-    ``==``, ``repr``, copies and pickles leave that record out.
+    greedy packing.  ``nums`` is read-only and keeps insertion order, a
+    packing's witness order; ``values`` is the same map of ``Fraction``s,
+    built on first read.  Given ``values=``, the scale is their least
+    common denominator; the rounding engine hands over its numerators over
+    its power-of-two denominator as they are.  ``==`` compares values, so
+    it ignores order and scale.  The values cannot change, so a verdict on
+    them stands: the engine records in ``_valid_on`` the side and instance
+    its validator passed them on, which ``==``, ``repr``, copies and
+    pickles leave out.
     """
 
-    values: Mapping[int, Fraction]
-    _valid_on: tuple[str, Hypergraph] | None = field(default=None, init=False, repr=False, compare=False)
+    nums: Mapping[int, int]
+    scale: int
+    _valid_on: tuple[str, Hypergraph] | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+    def __new__(cls, values: Mapping[int, Fraction]) -> FractionalAssignment:
+        scale = math.lcm(*(val.denominator for val in values.values()))
+        return cls._over({i: val.numerator * (scale // val.denominator) for i, val in values.items()}, scale)
+
+    @classmethod
+    def _over(cls, nums: dict[int, int], scale: int) -> FractionalAssignment:
+        """Numerators ``nums`` over ``scale``, held without a copy."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "nums", MappingProxyType(nums))
+        object.__setattr__(x, "scale", scale)
+        return x
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
 
     def __repr__(self) -> str:
         return f"FractionalAssignment(values={dict(self.values)!r})"
 
     def __reduce__(self):
-        return FractionalAssignment, (dict(self.values),)
+        return FractionalAssignment._over, (dict(self.nums), self.scale)
+
+    @cached_property
+    def values(self) -> Mapping[int, Fraction]:
+        return MappingProxyType({i: Fraction(num, self.scale) for i, num in self.nums.items()})
 
     def get(self, eid: int) -> Fraction:
         return self.values.get(eid, ZERO)
 
     def total(self) -> Fraction:
-        nums, scale = _numerators(self.values)
-        return Fraction(sum(nums.values()), scale)
+        return Fraction(sum(self.nums.values()), self.scale)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
-
-
-def _numerators(values: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
-    """Exact values as integer numerators over their least common denominator."""
-    scale = math.lcm(*(val.denominator for val in values.values()))
-    return {i: val.numerator * (scale // val.denominator) for i, val in values.items()}, scale
+        return tuple(sorted(self.nums))
 
 
 def build_fractional_assignment(
@@ -409,17 +423,12 @@ def build_fractional_assignment(
     """
     if not (ZERO < floor <= ONE) or not is_dyadic(floor):
         raise ValueError(f"floor must be a dyadic value in (0,1], got {floor}")
-    low, low_den = floor.numerator, floor.denominator
-    kept: dict[int, Fraction] = {}
-    for i, val in values.items():
-        num, den = val.numerator, val.denominator
-        if num == 0:
-            continue
-        if not is_power_of_two(den):
+    kept = {i: val for i, val in values.items() if val}
+    for i, val in kept.items():
+        if not is_dyadic(val):
             raise ValueError(f"value of item {i} is not dyadic: {val}")
-        if not (low * den <= num * low_den and num <= den):  # floor <= val <= 1
+        if not floor <= val <= ONE:
             raise ValueError(f"value of item {i} outside [{floor}, 1]: {val}")
-        kept[i] = val
     return FractionalAssignment(values=kept)
 
 
@@ -444,18 +453,13 @@ class FractionalVerdict:
         return self.ok
 
 
-def _edge_loads(h: Hypergraph, nums: dict[int, int]) -> list[int]:
+def _edge_loads(h: Hypergraph, nums: Mapping[int, int]) -> list[int]:
     loads = [0] * h.n
     edges = h.edges
     for eid, num in nums.items():
         for v in edges[eid]:
             loads[v] += num
     return loads
-
-
-def vertex_loads(h: Hypergraph, x: FractionalAssignment) -> list[Fraction]:
-    nums, scale = _numerators(x.values)
-    return [Fraction(load, scale) for load in _edge_loads(h, nums)]
 
 
 def validate_fractional_matching(
@@ -466,13 +470,13 @@ def validate_fractional_matching(
     Also reports the half-tight vertices (load >= 1/2).  Values need not
     be dyadic here.
     """
-    for eid in x.values:
+    nums, scale = x.nums, x.scale
+    for eid in nums:
         if not 0 <= eid < h.m:
             return FractionalVerdict(False, f"edge id {eid} outside 0..{h.m - 1}")
-    nums, scale = _numerators(x.values)
     for eid, num in nums.items():
         if not 0 < num <= scale:
-            return FractionalVerdict(False, f"edge {eid} has value {x.values[eid]} outside (0,1]")
+            return FractionalVerdict(False, f"edge {eid} has value {Fraction(num, scale)} outside (0,1]")
     loads = _edge_loads(h, nums)
     for v, load in enumerate(loads):
         if load > scale:

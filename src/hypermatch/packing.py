@@ -22,19 +22,16 @@ color sweep also raises a node whose closed load is exactly 1/2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
 from .coloring import VertexColoring
 from .core import (
-    ONE,
     FractionalAssignment,
     Graph,
     Verdict,
-    _numerators,
-    build_fractional_assignment,
     build_graph,
     induced_subgraph,
     is_dyadic,
+    is_power_of_two,
     next_power_of_two,
     validate_independent_set,
     validate_vertex_coloring,
@@ -46,30 +43,25 @@ from .rounding import (
     _drive,
     _greedy,
     _LoadModel,
-    _loads,
     _recursive_round,
 )
-
-
-def closed_loads(g: Graph, values: Mapping[int, Fraction]) -> list[Fraction]:
-    """Per-vertex sum over the closed neighborhood."""
-    nums, scale = _numerators(values)
-    return [Fraction(load, scale) for load in _loads(_PackingModel(g), nums)]
 
 
 def verify_greedy_packing(g: Graph, p: FractionalAssignment) -> Verdict:
     """Check values are dyadic in (0,1] and their order is a valid witness.
 
-    Budgets are summed as integer numerators over the largest denominator.
+    Budgets are summed as integer numerators over the assignment's scale.
+    Only a scale that is not a power of two tests each value for dyadicity.
     """
-    for v, val in p.values.items():
+    nums, scale = p.nums, p.scale
+    dyadic = is_power_of_two(scale)
+    for v, num in nums.items():
         if not 0 <= v < g.n:
             return Verdict(False, f"vertex id {v} outside 0..{g.n - 1}")
-        if not 0 < val.numerator <= val.denominator:
-            return Verdict(False, f"vertex {v} has value {val} outside (0,1]")
-        if not is_dyadic(val):
-            return Verdict(False, f"vertex {v} has non-dyadic value {val}")
-    nums, scale = _numerators(p.values)
+        if not 0 < num <= scale:
+            return Verdict(False, f"vertex {v} has value {Fraction(num, scale)} outside (0,1]")
+        if not (dyadic or is_dyadic(Fraction(num, scale))):
+            return Verdict(False, f"vertex {v} has non-dyadic value {Fraction(num, scale)}")
     placed = [0] * g.n  # numerators of the vertices met so far in witness order
     for v, num in nums.items():
         budget = num + sum(map(placed.__getitem__, g.adjacency[v]))
@@ -138,7 +130,7 @@ def initial_packing(
     overridden upwards.  Ends with every closed load >= 1/2.
     """
     if g.n == 0:
-        return build_fractional_assignment({}, ONE)
+        return FractionalAssignment(values={})
     return _greedy(_PackingModel(g, ledger=ledger), denom)
 
 

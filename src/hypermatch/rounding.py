@@ -21,10 +21,9 @@ order, which only the packing side reads.
 
 Within one pass every value is k/D for one power of two D (1/denom for
 the greedy pass; multiples of 1/denom for the rounding passes), so the
-engine keeps integer numerators over D: values, loads, and the frozen
-test 2*load >= D.  `Fraction`s are built only for the output, so every
-public value stays an exact `Fraction` and every final validator runs on
-them.
+engine keeps integer numerators over D: values, loads, the frozen test
+2*load >= D and the share checks.  An output holds its numerators over D
+as they are, and a `Fraction` is built only for a message.
 
 Every assignment the engine builds is validated exactly once.  Each
 output is validated as the pass finishes and marked with the side and
@@ -53,14 +52,11 @@ from functools import cached_property
 
 from .coloring import VertexColoring, defective_coloring, linial_coloring
 from .core import (
-    ONE,
-    ZERO,
     FractionalAssignment,
     Hypergraph,
     LineGraphView,
-    _numerators,
-    build_fractional_assignment,
     induced_subhypergraph,
+    is_dyadic,
     is_power_of_two,
     next_power_of_two,
     unblocked_edges,
@@ -136,10 +132,6 @@ def _base_coloring(model: _LoadModel) -> VertexColoring:
     return linial_coloring(model.conflict(range(model.items)), ledger=model.ledger)
 
 
-def _fractions(values: dict[int, int], scale: int) -> dict[int, Fraction]:
-    return {i: Fraction(val, scale) for i, val in values.items()}
-
-
 def _loads(model: _LoadModel, values: dict[int, int]) -> list[int]:
     loads = [0] * model.resources
     for i, val in values.items():
@@ -194,8 +186,14 @@ def _double_rounds(model: _LoadModel, values, loads, scale: int, cap: int, items
     return rounds
 
 
-def _finish(model: _LoadModel, values: dict[int, int], scale: int, floor: Fraction, what: str):
-    out = build_fractional_assignment(_fractions(values, scale), floor)
+def _finish(model: _LoadModel, values: dict[int, int], scale: int, low: int, what: str):
+    """``values`` (numerators over ``scale``, each in [low, scale]) as a
+    validated and marked assignment; a failure is a bug here."""
+    for i, num in values.items():
+        if not low <= num <= scale:
+            value, floor = Fraction(num, scale), Fraction(low, scale)
+            raise RuntimeError(f"{what} left {model.noun} {i} at {value}, outside [{floor}, 1]")
+    out = FractionalAssignment._over(values, scale)
     verdict = model.verdict(out)
     if not verdict:
         raise RuntimeError(f"{what} produced an invalid {model.kind}: {verdict.reason}")
@@ -215,32 +213,36 @@ def _greedy(model: _LoadModel, denom: int | None):
     values = dict.fromkeys(range(model.items), 1)  # numerators over denom
     loads = _loads(model, values)
     _double_rounds(model, values, loads, denom, rounds, values, "greedy doubling")
-    out = _finish(model, values, denom, Fraction(1, denom), "greedy")
+    out = _finish(model, values, denom, 1, "greedy")
     model.charge("greedy" + model.suffix, rounds, "log2(denom)")
     return out
 
 
 def _check_input(model: _LoadModel, x, denom: int) -> None:
-    """Values at least 1/denom, and the side's verdict unless a pass of this
-    side already validated x on this instance or an equal one."""
-    for i, val in x.values.items():
-        if val.numerator * denom < val.denominator:
-            raise ValueError(f"{model.noun} {i} has value {val} below 1/{denom}")
+    """Values at least 1/denom; then the side's verdict and dyadic values,
+    unless a pass of this side already validated x on this instance or an
+    equal one."""
+    nums, scale = x.nums, x.scale
+    for i, num in nums.items():
+        if num * denom < scale:
+            raise ValueError(f"{model.noun} {i} has value {Fraction(num, scale)} below 1/{denom}")
     if x._valid_on == (model.kind, model.instance):
         return
     verdict = model.verdict(x)
     if not verdict:
         raise ValueError(f"input is not a {model.kind}: {verdict.reason}")
+    if not is_power_of_two(scale):  # the least common denominator of dyadic values is one
+        i = next(i for i, num in nums.items() if not is_dyadic(Fraction(num, scale)))
+        raise ValueError(f"value of item {i} is not dyadic: {Fraction(nums[i], scale)}")
 
 
 def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     """Defective-color sweep to factor/denom, then doubling; see basic_round."""
     _check_params(factor, denom)
     _check_input(model, x, denom)
-    target = Fraction(factor, denom)
     support = x.support()
     if not support:
-        return build_fractional_assignment({}, target)
+        return FractionalAssignment._over({}, denom)
     if coloring is None:
         coloring = _base_coloring(model)
     restricted = VertexColoring(
@@ -268,8 +270,8 @@ def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
             raise RuntimeError(f"{model.noun} {i} skipped its color class")
     cap = (denom // factor).bit_length() - 1
     doubling = _double_rounds(model, values, loads, denom, cap, support, "basic_round doubling")
-    out = _finish(model, values, denom, target, "basic rounding")
-    if out.total() * 2 * model.rho < x.total():
+    out = _finish(model, values, denom, factor, "basic rounding")
+    if sum(values.values()) * 2 * model.rho * x.scale < sum(x.nums.values()) * denom:
         raise RuntimeError(
             f"basic rounding lost more than a 1/(2*{model.rho_name}) share"
         )
@@ -310,52 +312,53 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     if coloring is None:
         coloring = _base_coloring(model)
     rho = model.rho
-    total_x = x.total()
-    target = Fraction(total_x, 4 * rho)
+    total_x = sum(x.nums.values())  # numerator over x.scale
     s1, s2 = _split_factor(factor)
     values: dict[int, int] = {}  # numerators over denom
     loads = [0] * model.resources
-    running = ZERO
+    running = 0  # numerator over denom of the gains kept so far
     iterations = 0
-    while running < target and iterations < 16 * rho:
-        z = build_fractional_assignment(
-            {i: val for i, val in x.values.items() if not _frozen(model, loads, denom, i)},
-            Fraction(1, denom),
+    target_scale = 4 * rho * x.scale  # the target is total_x / target_scale
+    while running * target_scale < total_x * denom and iterations < 16 * rho:
+        z = FractionalAssignment._over(
+            {i: num for i, num in x.nums.items() if not _frozen(model, loads, denom, i)},
+            x.scale,
         )
-        if not z.values:
+        if not z.nums:
             break
         z1 = model.recurse(z, s1, denom, coloring)
         z2 = model.recurse(z1, s2, denom // s1, coloring)
-        gain = z2.total() / 2
-        if gain * 64 * rho * rho < total_x:
+        gain = sum(z2.nums.values())  # over 2 * z2.scale: half of z2 is kept
+        if gain * 64 * rho * rho * x.scale < total_x * 2 * z2.scale:
             raise RuntimeError(
-                f"iteration gain {gain} below total/(64 {model.rho_name}^2) "
-                "while behind"
+                f"iteration gain {Fraction(gain, 2 * z2.scale)} below "
+                f"total/(64 {model.rho_name}^2) while behind"
             )
         # Merge keeps a valid witness: items already frozen stay in place,
         # still-open old items go next (their load is below 1/2, so any
         # order works), and the new contribution follows in its own order.
         # Nested outputs are multiples of 2*factor/denom, so every half is
         # a whole numerator over denom.
-        added = {i: val * denom / 2 for i, val in z2.values.items()}
-        if any(half.denominator != 1 for half in added.values()):
+        if any(num * denom % (2 * z2.scale) for num in z2.nums.values()):
             raise RuntimeError(f"nested rounding left a value off the 1/{denom} grid")
+        added = {i: num * denom // (2 * z2.scale) for i, num in z2.nums.items()}
         old = [i for i in values if i not in added]
         old.sort(key=lambda i: not _frozen(model, loads, denom, i))
         merged = {i: values[i] for i in old}
         for i, half in added.items():
-            merged[i] = values.get(i, 0) + half.numerator
+            merged[i] = values.get(i, 0) + half
             for r in model.loaded(i):
-                loads[r] += half.numerator
+                loads[r] += half
         values = merged
-        running += gain
+        running += sum(added.values())
         iterations += 1
         model.recheck(values, denom, list(added), "recursive_round accumulate")
-    if running < target:
+    if running * target_scale < total_x * denom:
         raise RuntimeError(
-            f"recursive rounding kept {running} < {target} after {iterations} iterations"
+            f"recursive rounding kept {Fraction(running, denom)} < "
+            f"{Fraction(total_x, target_scale)} after {iterations} iterations"
         )
-    out = _finish(model, values, denom, Fraction(factor, denom), "recursive rounding")
+    out = _finish(model, values, denom, factor, "recursive rounding")
     model.charge(
         "recursive_round" + model.suffix, iterations, f"16*{model.rho_name} iterations"
     )
@@ -382,8 +385,8 @@ def _approx(model: _LoadModel) -> frozenset[int]:
         remaining = denom // left
         if remaining > 1:
             x = model.basic(x, remaining, remaining, coloring)
-    chosen = frozenset(i for i, val in x.values.items() if val == ONE)
-    if len(chosen) != len(x.values):
+    chosen = frozenset(i for i, num in x.nums.items() if num == x.scale)
+    if len(chosen) != len(x.nums):
         raise RuntimeError("final round left fractional values")
     return chosen
 
@@ -476,12 +479,13 @@ def greedy_doubling_step(
     An edge keeps its value when some endpoint already carries load at
     least 1/2 and doubles otherwise.  Loads only ever grow under this
     update, so iterating it is exactly the greedy driver's sticky
-    freezing.
+    freezing.  The input must be a fractional matching of dyadic values.
     """
     model = _MatchingModel(h)
-    values, scale = _numerators(x.values)
-    _double(model, values, _loads(model, values), scale, values)
-    return build_fractional_assignment(_fractions(values, scale), Fraction(1, scale))
+    _check_input(model, x, x.scale)
+    values = dict(x.nums)
+    _double(model, values, _loads(model, values), x.scale, values)
+    return _finish(model, values, x.scale, 1, "greedy doubling step")
 
 
 def greedy_fractional_matching(

@@ -35,6 +35,12 @@ from hypermatch.ledger import RoundLedger, check_recurrence_bound
 # ---------------------------------------------------------------- helpers
 
 
+def closed_loads(g, values):
+    """Per-vertex sum of the values over its closed neighborhood."""
+    return [sum((values.get(u, 0) for u in g.adjacency[v]), values.get(v, Fraction(0)))
+            for v in range(g.n)]
+
+
 def circulant(n: int, degree: int) -> Graph:
     """Every node adjacent to its `degree/2` nearest neighbors each way."""
     assert degree % 2 == 0 and degree < n
@@ -278,7 +284,7 @@ def test_criterion_06_mis_factor_and_packing_invariants():
             stages.append(x)
         for stage in stages:
             assert packing.verify_greedy_packing(g, stage)
-            loads = packing.closed_loads(g, stage.values)
+            loads = closed_loads(g, stage.values)
             assert all(load <= rho for load in loads)
 
 

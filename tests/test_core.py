@@ -1,6 +1,7 @@
 """Data model and validator behavior on small hand-checked instances."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -31,7 +32,6 @@ from hypermatch.core import (
     validate_independent_set,
     validate_matching,
     validate_vertex_coloring,
-    vertex_loads,
 )
 from hypermatch.edge_coloring import full_palette_lists, list_edge_color
 from hypermatch.ledger import RoundLedger
@@ -41,6 +41,15 @@ from hypermatch.rounding import approx_max_matching, maximal_matching
 
 def triangle():
     return build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
+
+
+def vertex_loads(h, x):
+    """Per-vertex sum of the values of the hyperedges holding it."""
+    loads = [Fraction(0)] * h.n
+    for eid, val in x.values.items():
+        for v in h.edges[eid]:
+            loads[v] += val
+    return loads
 
 
 def test_power_of_two_helpers():
@@ -301,6 +310,52 @@ def test_fractional_validation_overloaded_center():
     verdict = validate_fractional_matching(h, x)
     assert not verdict.ok
     assert "vertex 0" in verdict.reason
+
+
+# Dyadic values, and non-dyadic, zero, negative and > 1 ones.
+ANY_VALUES = st.dictionaries(
+    st.integers(-1, 9),
+    st.one_of(
+        st.sampled_from([Fraction(k, 1 << j) for j in range(5) for k in range(1, (1 << j) + 1)]),
+        st.fractions(min_value=-1, max_value=Fraction(5, 4), max_denominator=12),
+    ),
+    max_size=8,
+)
+
+
+@given(ANY_VALUES)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_an_assignment_holds_numerators_over_the_lcm(values):
+    x = FractionalAssignment(values=values)
+    assert x.scale == math.lcm(*(val.denominator for val in values.values()))
+    assert list(x.nums) == list(values)
+    assert all(Fraction(x.nums[i], x.scale) == val for i, val in values.items())
+    assert x.values == values and list(x.values) == list(values)
+    for i in range(-2, 11):
+        assert x.get(i) == values.get(i, 0)
+    assert x.total() == sum(values.values(), Fraction(0))
+    assert x.support() == tuple(sorted(values))
+    assert repr(x) == f"FractionalAssignment(values={values!r})"
+    for back in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert back == x and repr(back) == repr(x)
+        assert (dict(back.nums), back.scale) == (dict(x.nums), x.scale)
+
+
+def test_an_engine_output_keeps_its_scale_and_equals_its_reduced_values():
+    x = rounding.greedy_fractional_matching(build_hypergraph(3, [{0, 1}, {1, 2}]), 8)
+    assert (dict(x.nums), x.scale) == ({0: 2, 1: 2}, 8)
+    plain = FractionalAssignment(values={0: Fraction(1, 4), 1: Fraction(1, 4)})
+    assert plain.scale == 4
+    assert x == plain and repr(x) == repr(plain)
+    assert x != FractionalAssignment(values={0: Fraction(1, 4)})
+    assert x != FractionalAssignment(values={0: Fraction(1, 4), 1: Fraction(1, 8)})
+    for name in ("nums", "scale", "values"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(plain, name))
+    with pytest.raises(TypeError):
+        x.nums[0] = 4
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 def test_unblocked_edges():

@@ -17,7 +17,6 @@ from hypermatch.oracles import max_independent_set, neighborhood_independence
 from hypermatch.packing import (
     approx_mis,
     basic_round_packing,
-    closed_loads,
     initial_packing,
     maximal_independent_set,
     recursive_round_packing,
@@ -26,6 +25,12 @@ from hypermatch.packing import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def closed_loads(g, values):
+    """Per-vertex sum of the values over its closed neighborhood."""
+    return [sum((values.get(u, 0) for u in g.adjacency[v]), values.get(v, Fraction(0)))
+            for v in range(g.n)]
 
 
 class TestVerify:
@@ -59,7 +64,11 @@ class TestVerify:
         g = build_graph(1, [])
         # build_fractional_assignment would refuse it, so build it directly
         p = FractionalAssignment(values={0: Fraction(1, 3)})
-        assert not verify_greedy_packing(g, p).ok
+        assert verify_greedy_packing(g, p).reason == "vertex 0 has non-dyadic value 1/3"
+        # the packing side's verdict names it before the input check would
+        with pytest.raises(ValueError) as err:
+            basic_round_packing(g, p, 1, 4, 1)
+        assert str(err.value) == "input is not a greedy packing: vertex 0 has non-dyadic value 1/3"
 
 
 class TestInitialPacking:

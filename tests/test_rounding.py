@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypermatch import generate, packing, rounding
 from hypermatch.coloring import VertexColoring
 from hypermatch.core import (
+    FractionalAssignment,
     build_fractional_assignment,
     build_hypergraph,
     line_graph,
@@ -17,7 +18,6 @@ from hypermatch.core import (
     unblocked_edges,
     validate_fractional_matching,
     validate_matching,
-    vertex_loads,
 )
 from hypermatch.ledger import RoundLedger
 from hypermatch.oracles import max_matching
@@ -36,6 +36,15 @@ HALF = Fraction(1, 2)
 
 def triangle():
     return build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
+
+
+def vertex_loads(h, x):
+    """Per-vertex sum of the values of the hyperedges holding it."""
+    loads = [Fraction(0)] * h.n
+    for eid, val in x.values.items():
+        for v in h.edges[eid]:
+            loads[v] += val
+    return loads
 
 
 class TestGreedy:
@@ -279,6 +288,27 @@ class TestDrivers:
             almost_maximal_matching(triangle(), Fraction(0))
         with pytest.raises(ValueError):
             almost_maximal_matching(triangle(), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda h, x: basic_round(h, x, 1, 4),
+    lambda h, x: recursive_round(h, x, 8, 1024),
+    greedy_doubling_step,
+], ids=["basic_round", "recursive_round", "greedy_doubling_step"])
+def test_non_dyadic_input_gets_one_message(call):
+    # a valid fractional matching, but 1/3 is not dyadic
+    h = build_hypergraph(4, [{0, 1}, {1, 2}, {2, 3}])
+    x = FractionalAssignment(values={0: Fraction(1, 3), 2: Fraction(1, 3)})
+    with pytest.raises(ValueError) as err:
+        call(h, x)
+    assert str(err.value) == "value of item 0 is not dyadic: 1/3"
+
+
+def test_an_output_outside_its_range_is_a_library_bug():
+    model = rounding._MatchingModel(build_hypergraph(2, [{0, 1}]))
+    with pytest.raises(RuntimeError) as err:
+        rounding._finish(model, {0: 16}, 8, 1, "basic rounding")
+    assert str(err.value) == "basic rounding left edge 0 at 2, outside [1/8, 1]"
 
 
 def test_loads_only_grow_under_doubling_steps():

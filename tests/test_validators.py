@@ -16,7 +16,6 @@ from hypermatch.core import (
     build_hypergraph,
     line_graph,
     validate_fractional_matching,
-    vertex_loads,
 )
 from hypermatch.ledger import RoundLedger
 from hypermatch.packing import approx_mis, basic_round_packing, initial_packing, verify_greedy_packing
@@ -82,8 +81,6 @@ def reference_greedy_packing(g, p):
 def assert_matching_agrees(h, x):
     verdict = validate_fractional_matching(h, x)
     assert (verdict.ok, verdict.reason, verdict.half_tight) == reference_fractional_matching(h, x)
-    if all(0 <= eid < h.m for eid in x.values):
-        assert vertex_loads(h, x) == reference_loads(h, x)
     assert x.total() == sum(x.values.values(), Fraction(0))
 
 
