@@ -8,8 +8,10 @@ set of its exposed endpoints and traversed matching edges.  Bounded
 out-degree orientation repeatedly reverses edge-disjoint directed paths
 from nodes above the target bound to nodes below it, again selected as a
 hypergraph maximal matching with source and sink multi-edges
-materialized as slot vertices.  The orientation in turn splits the edge
-set into pseudo-forests, one per out-going slot.
+materialized as slot vertices.  An orientation is one tail per edge id,
+checked against ceil((1+eps)*lambda), which `out_degree_bound` alone
+computes.  The orientation in turn splits the edge set into
+pseudo-forests, one per out-going slot.
 
 Both drivers enumerate their paths with one depth-first search,
 `_simple_paths`, under the module constant PATH_CAP: more than PATH_CAP
@@ -211,28 +213,38 @@ def approx_max_graph_matching(
 
 @dataclass(frozen=True)
 class Orientation:
-    """One (tail, head) pair per edge id and the out-degree bound it claims."""
+    """The tail of each edge, by edge id, and the out-degree bound it claims."""
 
-    directions: tuple[tuple[int, int], ...]
+    tails: tuple[int, ...]
     bound: int
 
     @property
     def max_out_degree(self) -> int:
-        return max(Counter(tail for tail, _ in self.directions).values(), default=0)
+        return max(Counter(self.tails).values(), default=0)
 
 
 def validate_orientation(g: Graph, o: Orientation) -> Verdict:
-    if len(o.directions) != g.m:
-        return Verdict(False, f"expected {g.m} directions, got {len(o.directions)}")
-    for eid, (tail, head) in enumerate(o.directions):
-        if tuple(sorted((tail, head))) != g.edges[eid]:
-            return Verdict(
-                False, f"direction {tail}->{head} does not match edge {eid}"
-            )
+    if len(o.tails) != g.m:
+        return Verdict(False, f"expected {g.m} tails, got {len(o.tails)}")
+    for eid, tail in enumerate(o.tails):
+        if tail not in g.edges[eid]:
+            return Verdict(False, f"tail {tail} is not an endpoint of edge {eid} = {g.edges[eid]}")
     worst = o.max_out_degree
     if worst > o.bound:
         return Verdict(False, f"out-degree {worst} exceeds bound {o.bound}")
     return Verdict(True)
+
+
+def out_degree_bound(lam: int, eps: Fraction | int) -> int:
+    """ceil((1+eps)*lam): the bound that `low_outdegree_orientation` meets
+    for an arboricity bound lam.  Raises ValueError unless eps > 0 and
+    lam >= 0."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if lam < 0:
+        raise ValueError(f"arboricity bound must be >= 0, got {lam}")
+    return math.ceil((1 + eps) * lam)
 
 
 def low_outdegree_orientation(
@@ -243,7 +255,7 @@ def low_outdegree_orientation(
 ) -> Orientation:
     """Orient every edge so each node has out-degree <= ceil((1+eps)*lam).
 
-    Starts from the lexicographic orientation and, in iteration i,
+    Starts with each edge's lower endpoint as its tail and, in iteration i,
     reverses a maximal edge-disjoint set of directed paths of inner
     length 1+i that lead from a node above the bound to one below it.
     Each node's excess units and slack units enter the path hypergraph
@@ -252,15 +264,10 @@ def low_outdegree_orientation(
     ceil(4*log2(n)/eps) iterations the arboricity bound was too small
     and OrientationBoundError is raised.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if lam < 0:
-        raise ValueError(f"arboricity bound must be >= 0, got {lam}")
-    bound = math.ceil((1 + eps) * lam)
-    directions = [tuple(edge) for edge in g.edges]
+    bound = out_degree_bound(lam, eps)
+    tails = [u for u, _ in g.edges]
     outdeg = [0] * g.n
-    for tail, _ in directions:
+    for tail in tails:
         outdeg[tail] += 1
     iteration_cap = math.ceil(
         ORIENTATION_ROUND_FACTOR * math.log2(max(2, g.n)) / float(eps)
@@ -279,8 +286,8 @@ def low_outdegree_orientation(
             )
         deficit = [max(0, bound - outdeg[v]) for v in range(g.n)]
         out_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for eid, (tail, head) in enumerate(directions):
-            out_adj[tail].append((head, eid))
+        for eid, ((u, v), tail) in enumerate(zip(g.edges, tails)):
+            out_adj[tail].append((u + v - tail, eid))
         starts = [v for v in range(g.n) if excess[v] > 0]
         paths = _simple_paths(
             starts,
@@ -325,8 +332,7 @@ def low_outdegree_orientation(
         before = [outdeg[v] for v in range(g.n)]
         for nodes, eids in picked:
             for eid in eids:
-                tail, head = directions[eid]
-                directions[eid] = (head, tail)
+                tails[eid] = sum(g.edges[eid]) - tails[eid]
             outdeg[nodes[0]] -= 1
             outdeg[nodes[-1]] += 1
         assert all(
@@ -340,7 +346,7 @@ def low_outdegree_orientation(
             f"out-degree above {bound} persists after {iteration_cap} iterations;"
             f" the arboricity bound {lam} is too small"
         )
-    result = Orientation(directions=tuple(directions), bound=bound)
+    result = Orientation(tails=tuple(tails), bound=bound)
     verdict = validate_orientation(g, result)
     if not verdict:
         raise RuntimeError(f"orientation invalid: {verdict.reason}")
@@ -361,11 +367,11 @@ def pseudo_forest_decomposition(
     if not verdict:
         raise ValueError(f"orientation invalid: {verdict.reason}")
     outgoing: list[list[int]] = [[] for _ in range(g.n)]
-    for eid, (tail, _) in enumerate(o.directions):
+    for eid, tail in enumerate(o.tails):
         outgoing[tail].append(eid)
     classes: list[set[int]] = [set() for _ in range(o.bound)]
     for v in range(g.n):
-        for k, eid in enumerate(sorted(outgoing[v])):
+        for k, eid in enumerate(outgoing[v]):
             classes[k].add(eid)
     return tuple(frozenset(c) for c in classes)
 

@@ -58,8 +58,7 @@ def _incident_view(
     h: Hypergraph, nodes: frozenset[int]
 ) -> tuple[tuple[int, ...], ...]:
     """Edges with an endpoint among ``nodes``, as an id-free multiset."""
-    picked = [tuple(sorted(e)) for e in h.edges if any(v in nodes for v in e)]
-    return tuple(sorted(picked))
+    return tuple(sorted(e for e in h.edges if any(v in nodes for v in e)))
 
 
 def _uniform_start(h: Hypergraph, denom: int):
@@ -69,10 +68,7 @@ def _uniform_start(h: Hypergraph, denom: int):
 
 
 def _incident_values(h: Hypergraph, x, vertex: int):
-    view = [
-        (tuple(sorted(h.edges[eid])), x.get(eid)) for eid in h.incidence[vertex]
-    ]
-    return tuple(sorted(view))
+    return tuple(sorted((h.edges[eid], x.get(eid)) for eid in h.incidence[vertex]))
 
 
 def _greedy_step_output(h: Hypergraph, vertex: int, params: dict):

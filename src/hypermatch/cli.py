@@ -12,7 +12,7 @@ an oracle comparison (`rand-edge-color`, `vertex-color`) is a usage error
 raised before the instance is read.  `verify orientation` checks
 out-degrees against ceil((1+eps)*lambda) when given both `--lambda` and
 `--eps`, against the solution's own maximum when given neither, and
-rejects one without the other.
+rejects one without the other; every other kind rejects both.
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or parse
 error, 3 oracle budget exceeded.  Reports carry no timestamp, so identical
@@ -310,11 +310,10 @@ def _run_approx_graph_matching(g, args, ledger):
 def _run_orientation(g, args, ledger):
     o = apps.low_outdegree_orientation(g, args.lam, args.eps, ledger)
     verdicts = {"orientation_bounded": apps.validate_orientation(g, o)}
-    tails = tuple(t for t, _ in o.directions)
     summary = {"kind": "orientation", "bound": o.bound,
                "max_out_degree": o.max_out_degree}
     oracle = _arboricity_oracle(g, "lambda", args.lam)
-    return io.format_orientation(g.edges, tails), summary, verdicts, oracle
+    return io.format_orientation(g.edges, o.tails), summary, verdicts, oracle
 
 
 def _run_pseudo_forests(g, args, ledger):
@@ -444,12 +443,11 @@ def _check_vertex_coloring(g: Graph, colors, args) -> Verdict:
 def _check_orientation(g: Graph, tails, args) -> Verdict:
     if (args.lam is None) != (args.eps is None):
         raise UsageError("verify orientation needs --lambda and --eps together")
-    if args.lam is not None:
-        bound = math.ceil((1 + args.eps) * args.lam)
-    else:
+    if args.lam is None:
         bound = max(Counter(tails).values(), default=0)
-    directions = tuple((t, v if t == u else u) for t, (u, v) in zip(tails, g.edges))
-    return apps.validate_orientation(g, apps.Orientation(directions, bound))
+    else:
+        bound = apps.out_degree_bound(args.lam, args.eps)
+    return apps.validate_orientation(g, apps.Orientation(tails, bound))
 
 
 def _check_pseudo_forests(g: Graph, assignment, args) -> Verdict:
@@ -472,6 +470,7 @@ class _VerifyKind(NamedTuple):
     check: Callable  # (instance, solution, args) -> Verdict
     graph: str | None = None  # needs a gr instance; the error names this kind
     lists: bool = False  # the instance file carries color lists
+    bounds: bool = False  # takes --lambda and --eps
 
 
 _VERIFY_KINDS = {
@@ -498,7 +497,7 @@ _VERIFY_KINDS = {
     "vertex-coloring": _VerifyKind(
         _solution(io.parse_coloring), _check_vertex_coloring, "vertex-coloring"
     ),
-    "orientation": _VerifyKind(io.parse_orientation, _check_orientation, "orientation"),
+    "orientation": _VerifyKind(io.parse_orientation, _check_orientation, "orientation", bounds=True),
     "pseudo-forests": _VerifyKind(
         _solution(io.parse_coloring), _check_pseudo_forests, "pseudo-forests"
     ),
@@ -507,6 +506,8 @@ _VERIFY_KINDS = {
 
 def _cmd_verify(args) -> int:
     kind = _VERIFY_KINDS[args.kind]
+    if not kind.bounds and (args.lam is not None or args.eps is not None):
+        raise UsageError(f"verify {args.kind} takes no --lambda or --eps")
     instance_text = _read(args.infile)
     solution_text = _read(args.solution)
     instance = _parse(instance_text, kind.lists)

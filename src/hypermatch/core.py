@@ -2,10 +2,9 @@
 
 A graph is a hypergraph of rank 2 (rank 0 when it has no edges) that also
 keeps adjacency lists, so every function taking a ``Hypergraph`` takes a
-``Graph`` as it is.  Hyperedges are frozensets; graph edges are
-normalized ``(u, v)`` tuples with u < v.  Functions written for
-hypergraphs only iterate over an edge's vertices and never depend on
-their order, so they read both alike.
+``Graph`` as it is.  Every edge, of a hypergraph or a graph, is the
+tuple of its vertex ids in ascending order, as the instance files write
+it.
 
 ``build_hypergraph`` and ``build_graph`` validate input from outside the
 library, and also freeze instances the library builds itself: the
@@ -74,8 +73,8 @@ class Hypergraph:
     """A hypergraph on vertex ids 0..n-1.
 
     ``edges`` is an ordered multiset: parallel hyperedges are first-class
-    and keep distinct ids (their list positions).  Each edge is a frozenset,
-    or a normalized ``(u, v)`` tuple in a ``Graph``.  The instance stores
+    and keep distinct ids (their list positions).  Each edge is the tuple
+    of its vertex ids in ascending order.  The instance stores
     ``n`` and ``edges`` only.  ``rank`` (the largest hyperedge size),
     ``max_degree`` (the largest vertex degree, counting multiplicity) and
     ``incidence`` derive from them on first read; they are kept outside
@@ -83,7 +82,7 @@ class Hypergraph:
     """
 
     n: int
-    edges: tuple[frozenset[int] | tuple[int, int], ...]
+    edges: tuple[tuple[int, ...], ...]
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -122,18 +121,18 @@ def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
-    frozen: list[frozenset[int]] = []
+    frozen: list[tuple[int, ...]] = []
     for eid, raw in enumerate(edges):
         members = list(raw)
         if not members:
             raise ValueError(f"hyperedge {eid} is empty")
-        seen = frozenset(members)
-        if len(seen) != len(members):
-            raise ValueError(f"hyperedge {eid} repeats a vertex: {sorted(members)}")
-        for v in members:
-            if not 0 <= v < n:
-                raise ValueError(f"hyperedge {eid} uses vertex {v} outside 0..{n - 1}")
-        frozen.append(seen)
+        edge = tuple(sorted(members))
+        if len(set(edge)) != len(edge):
+            raise ValueError(f"hyperedge {eid} repeats a vertex: {list(edge)}")
+        if not (0 <= edge[0] and edge[-1] < n):
+            v = next(v for v in members if not 0 <= v < n)  # the first in input order
+            raise ValueError(f"hyperedge {eid} uses vertex {v} outside 0..{n - 1}")
+        frozen.append(edge)
     return Hypergraph(n=n, edges=tuple(frozen))
 
 
@@ -311,7 +310,7 @@ class LineGraphView:
         self._edges = edges
         degree = Counter(chain.from_iterable(edges))
         multi = {v for v, d in degree.items() if d > 1}
-        shared = list(map(sorted, map(multi.intersection, edges)))
+        shared = [[v for v in e if v in multi] for e in edges]  # ascending, as e is
         holders: dict[tuple[int, int], list[int]] = {}
         for i, vs in enumerate(shared):
             for pair in combinations(vs, 2):
@@ -522,7 +521,7 @@ def induced_subhypergraph(h: Hypergraph, keep_edges: Iterable[int]) -> tuple[Hyp
 
     Returns the new hypergraph and the old ids in new-id order.  Keeping
     every edge returns ``h`` itself.  The kept edges were validated when
-    ``h`` was built, so they are reused as frozensets, not checked again.
+    ``h`` was built, so they are reused as they are, not checked again.
 
     Raises:
         ValueError: on an edge id outside 0..m-1.
@@ -532,7 +531,7 @@ def induced_subhypergraph(h: Hypergraph, keep_edges: Iterable[int]) -> tuple[Hyp
         raise ValueError(f"edge ids {kept[0]}..{kept[-1]} outside 0..{h.m - 1}")
     if len(kept) == h.m:
         return h, kept
-    return Hypergraph(h.n, tuple(frozenset(h.edges[eid]) for eid in kept)), kept
+    return Hypergraph(h.n, tuple(map(h.edges.__getitem__, kept))), kept
 
 
 def induced_subgraph(g: Graph, keep_nodes: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -29,7 +29,6 @@ from .core import (
     Verdict,
     build_hypergraph,
     induced_subhypergraph,
-    line_graph,
     validate_edge_coloring,
 )
 from .ledger import RoundLedger
@@ -114,12 +113,13 @@ def reduce_hypergraph_list_edge_coloring(
                 pairs.add((v, c))
     pair_id = {vc: i for i, vc in enumerate(sorted(pairs))}
     anchor = {eid: len(pair_id) + eid for eid in range(h.m)}
-    members: list[set[int]] = []
+    members: list[list[int]] = []
     decode: dict[int, tuple[int, int]] = {}
     for eid in range(h.m):
         for c in lists[eid]:
-            copy = {pair_id[(v, c)] for v in h.edges[eid]}
-            copy.add(anchor[eid])
+            # ascending, as pair ids follow (v, c) order and anchors come last
+            copy = [pair_id[(v, c)] for v in h.edges[eid]]
+            copy.append(anchor[eid])
             decode[len(members)] = (eid, c)
             members.append(copy)
     reduced = build_hypergraph(len(pair_id) + h.m, members)
@@ -190,7 +190,7 @@ def _color_batch(
 
 
 def _uncolored_components(
-    uncolored: list[int], adjacent: tuple[tuple[int, ...], ...]
+    uncolored: list[int], adjacent: list[list[int]]
 ) -> list[list[int]]:
     """Group the uncolored edges into endpoint-connected components."""
     left = set(uncolored)
@@ -230,7 +230,8 @@ def randomized_edge_color(
         })
     trials = max(1, math.ceil(RANDOM_TRIAL_FACTOR * math.log2(max(2, g.max_degree))))
     rng = random.Random(seed)
-    adjacent = line_graph(g).adjacency
+    inc = g.incidence  # the other edges at either end; a simple graph repeats none
+    adjacent = [[f for v in e for f in inc[v] if f != eid] for eid, e in enumerate(g.edges)]
     residual: list[set[int]] = [set(range(1, palette + 1)) for _ in range(g.m)]
     colors: dict[int, int] = {}
     for _ in range(trials):

@@ -3,7 +3,7 @@
 Instance formats:
 
 * hypergraph: header ``hgr <n> <m> <r>`` then one line per hyperedge
-  listing its vertex ids (space separated, sorted on output);
+  listing its vertex ids in ascending order, space separated;
 * graph: header ``gr <n> <m>`` then one ``u v`` line per edge.
 
 Edge ids are line positions.  Parsers are strict: wrong counts, ids out of
@@ -55,7 +55,7 @@ def _int(token: str, what: str) -> int:
 def format_hypergraph(h: Hypergraph) -> str:
     lines = [f"hgr {h.n} {h.m} {h.rank}"]
     for members in h.edges:
-        lines.append(" ".join(str(v) for v in sorted(members)))
+        lines.append(" ".join(map(str, members)))
     return "\n".join(lines) + "\n"
 
 
@@ -215,11 +215,7 @@ def parse_lists(text: str) -> dict[int, tuple[int, ...]]:
 
 
 def format_orientation(edges, tails) -> str:
-    lines = []
-    for (u, v), tail in zip(edges, tails):
-        head = v if tail == u else u
-        lines.append(f"{tail} {head}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{tail} {u + v - tail}\n" for (u, v), tail in zip(edges, tails))
 
 
 def parse_orientation(text: str, g: Graph) -> tuple[int, ...]:

@@ -142,14 +142,22 @@ class TestOrientation:
     def test_validator_catches_wrong_counts(self):
         g = generate.cycle(4)
         # every node sends its one out-edge to its successor: 0->1, 1->2, 2->3, 3->0
-        around = ((0, 1), (1, 2), (2, 3), (3, 0))
-        assert validate_orientation(g, Orientation(directions=around, bound=1)).ok
+        around = (0, 1, 2, 3)
+        assert validate_orientation(g, Orientation(tails=around, bound=1)).ok
         # reversing 0->1 gives node 1 a second out-edge; the validator
-        # counts it from the directions
-        flipped = Orientation(directions=((1, 0),) + around[1:], bound=1)
+        # counts it from the tails
+        flipped = Orientation(tails=(1,) + around[1:], bound=1)
         assert flipped.max_out_degree == 2
         verdict = validate_orientation(g, flipped)
         assert verdict.reason == "out-degree 2 exceeds bound 1"
+
+    @pytest.mark.parametrize("tails, reason", [
+        ((0, 1, 2), "expected 4 tails, got 3"),
+        ((0, 1, 0, 3), "tail 0 is not an endpoint of edge 2 = (2, 3)"),
+    ])
+    def test_validator_checks_each_tail(self, tails, reason):
+        verdict = validate_orientation(generate.cycle(4), Orientation(tails=tails, bound=2))
+        assert verdict.reason == reason
 
 
 class TestPseudoForests:
@@ -157,8 +165,7 @@ class TestPseudoForests:
         # every non-root node points at its parent: out-degree 1
         edges = [(1, 0), (2, 0), (3, 1), (4, 1)]
         g = build_graph(5, edges)
-        directions = tuple(edges)
-        o = Orientation(directions=directions, bound=1)
+        o = Orientation(tails=tuple(u for u, _ in edges), bound=1)
         assert validate_orientation(g, o).ok
         classes = pseudo_forest_decomposition(g, o)
         assert len(classes) == 1
@@ -167,8 +174,7 @@ class TestPseudoForests:
     def test_consistent_cycle_fills_first_class(self):
         g = generate.cycle(4)
         # send every node to its successor: 0->1, 1->2, 2->3, 3->0
-        directions = ((0, 1), (1, 2), (2, 3), (3, 0))
-        o = Orientation(directions=directions, bound=2)
+        o = Orientation(tails=(0, 1, 2, 3), bound=2)
         assert validate_orientation(g, o).ok
         classes = pseudo_forest_decomposition(g, o)
         assert classes[0] == frozenset(range(4))
@@ -200,7 +206,7 @@ class TestPseudoForests:
 
     def test_invalid_orientation_rejected(self):
         g = generate.cycle(4)
-        bad = Orientation(directions=(), bound=1)
+        bad = Orientation(tails=(), bound=1)
         with pytest.raises(ValueError):
             pseudo_forest_decomposition(g, bad)
 

@@ -342,6 +342,46 @@ class TestVerify:
             assert capsys.readouterr().err == (
                 "error: verify orientation needs --lambda and --eps together\n")
 
+    @pytest.mark.parametrize("lam, eps, error", [
+        ("2", "-1", "eps must be positive, got -1"),
+        ("2", "0", "eps must be positive, got 0"),
+        ("-3", "1/2", "arboricity bound must be >= 0, got -3"),
+    ])
+    def test_orientation_bound_is_checked_as_run_checks_it(
+        self, lam, eps, error, tmp_path, capsys
+    ):
+        p3 = write(tmp_path / "p3.gr", io.format_graph(generate.path(3)))
+        sol = write(tmp_path / "p3.or", "0 1\n1 2\n")
+        bounds = ("--lambda", lam, f"--eps={eps}")
+        assert run_cli("run", "--algo", "orientation", "--in", p3, *bounds) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert run_cli("verify", "orientation", "--in", p3, sol, *bounds) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("kind", sorted(set(cli._VERIFY_KINDS) - {"orientation"}))
+    @pytest.mark.parametrize("option", [("--lambda", "1"), ("--eps", "1/2")])
+    def test_only_orientation_takes_lambda_and_eps(self, kind, option, tmp_path, capsys):
+        # refused before any file is read
+        absent = str(tmp_path / "absent")
+        assert run_cli("verify", kind, "--in", absent, absent, *option) == 2
+        assert capsys.readouterr().err == f"error: verify {kind} takes no --lambda or --eps\n"
+
+    def test_vertex_coloring_passes_when_proper(self, cycle5, tmp_path, capsys):
+        sol = write(tmp_path / "c5.col", "0 1\n1 2\n2 1\n3 2\n4 3\n")
+        assert run_cli("verify", "vertex-coloring", "--in", cycle5, sol) == 0
+        assert capsys.readouterr().out == "pass\n"
+
+    @pytest.mark.parametrize("text, reason", [
+        ("0 1\n", "every edge needs exactly one class"),
+        ("0 1\n1 1\n2 1\n3 1\n4 1\n5 1\n",
+         "class 1: component of node 0 has 6 edges on 4 nodes"),
+    ])
+    def test_pseudo_forests_failures(self, text, reason, tmp_path, capsys):
+        k4 = write(tmp_path / "k4.gr", io.format_graph(generate.complete(4)))
+        sol = write(tmp_path / "k4.pf", text)
+        assert run_cli("verify", "pseudo-forests", "--in", k4, sol) == 1
+        assert capsys.readouterr().out == f"fail: {reason}\n"
+
 
 class TestListEdgeColoring:
     def combined(self, tmp_path):
@@ -455,6 +495,30 @@ class TestExitCodes:
         k6 = write(tmp_path / "k6.gr", io.format_graph(generate.complete(6)))
         assert run_cli("run", "--algo", "orientation", "--in", k6,
                        "--lambda", "1", "--eps", "1") == 1
+
+    @pytest.mark.parametrize("algo, text, error", [
+        ("mis", "", "empty instance file"),
+        ("mis", "graph 2 1\n0 1\n", "unknown instance header 'graph'"),
+        ("list-edge-color", "hgr 2 1 2\n0 1\n0: 1 2\n",
+         "expected a gr header followed by color lists"),
+    ])
+    def test_instance_header_errors(self, algo, text, error, tmp_path, capsys):
+        inst = write(tmp_path / "bad.inst", text)
+        assert run_cli("run", "--algo", algo, "--in", inst) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_mis_falls_back_to_max_degree_over_the_oracle_budget(self, tmp_path, capsys):
+        # the hub's 27 neighbors exceed the 26-node independence oracle
+        star = write(tmp_path / "s28.gr", io.format_graph(generate.star(28)))
+        rpt = tmp_path / "s28.json"
+        assert run_cli("run", "--algo", "mis", "--in", star, "--json", str(rpt)) == 0
+        report = json.loads(rpt.read_text())
+        assert report["solution"]["independence_source"] == "max_degree_fallback"
+        assert report["solution"]["independence"] == 27
+        assert report["oracle"] is None
+        assert run_cli("run", "--algo", "mis", "--in", star, "--oracle") == 3
+        assert capsys.readouterr().err == (
+            "oracle budget: neighborhood size 27 exceeds oracle budget 26\n")
 
     def test_hypergraph_rejected_by_graph_algorithm(self, tmp_path):
         hgr = write(tmp_path / "h.hgr", "hgr 3 1 3\n0 1 2\n")

@@ -99,6 +99,30 @@ def test_build_hypergraph_rejects_bad_input(n, edges):
         build_hypergraph(n, edges)
 
 
+def test_every_edge_is_an_ascending_tuple():
+    h = build_hypergraph(10, [{9, 3}, [7, 2, 5], (1,), range(4)])
+    assert h.edges == ((3, 9), (2, 5, 7), (1,), (0, 1, 2, 3))
+    sub, _ = induced_subhypergraph(generate.cycle(4), [3, 0])
+    assert sub.edges == ((0, 1), (0, 3))
+
+
+@pytest.mark.parametrize("edges, error", [
+    ([[0, 1], []], "hyperedge 1 is empty"),
+    ([[9, 3, 9]], "hyperedge 0 repeats a vertex: [3, 9, 9]"),
+    ([[3, 12, -1]], "hyperedge 0 uses vertex 12 outside 0..9"),  # the first in input order
+])
+def test_build_hypergraph_messages(edges, error):
+    with pytest.raises(ValueError) as exc:
+        build_hypergraph(10, edges)
+    assert str(exc.value) == error
+
+
+def test_matching_verdict_names_the_smallest_shared_vertex():
+    # a frozenset {3, 4, 9} iterates 9 first
+    h = build_hypergraph(10, [{3, 9}, {9, 3, 4}])
+    assert validate_matching(h, frozenset({0, 1})).reason == "edges 0 and 1 share vertex 3"
+
+
 def test_build_graph_normalizes_and_rejects():
     g = build_graph(4, [(2, 0), (1, 3)])
     assert g.edges == ((0, 2), (1, 3))
@@ -370,7 +394,7 @@ def test_induced_subhypergraph_maps_ids():
     assert old == (0, 2)
     assert sub.m == 2
     assert sub.n == h.n
-    assert sub.edges[1] == frozenset({4, 5})
+    assert sub.edges[1] == (4, 5)
 
 
 def test_induced_subhypergraph_rejects_unknown_edges():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypermatch import edge_coloring, generate
+from hypermatch import core, edge_coloring, generate
 from hypermatch.core import (
     build_graph,
     build_hypergraph,
@@ -176,6 +176,17 @@ class TestEdgeColor:
 
 
 class TestRandomized:
+    def test_builds_no_line_graph(self, monkeypatch):
+        # edge neighbors come from incidence lists
+        def refuse(*args):
+            raise AssertionError("randomized_edge_color built a line graph")
+
+        g = generate.random_graph(40, 0.1, seed=2)
+        expected = randomized_edge_color(g, seed=1)
+        monkeypatch.setattr(core, "line_graph", refuse)
+        monkeypatch.setattr(core, "_freeze_graph", refuse)
+        assert randomized_edge_color(g, seed=1) == expected
+
     def test_single_edge_colored_in_first_trial(self):
         g = build_graph(2, [(0, 1)])
         out = randomized_edge_color(g, seed=123)
@@ -291,6 +302,18 @@ class TestArboricityColor:
             arboricity_edge_color(g, 0, Fraction(1))
         with pytest.raises(ValueError):
             h_partition(g, 1, Fraction(0))
+
+
+@pytest.mark.parametrize("lists, error", [
+    ({0: (1, 2)}, "lists must cover exactly the edge ids 0..m-1"),
+    ({0: (1, 2), 1: (1, 2), 2: (1,)}, "lists must cover exactly the edge ids 0..m-1"),
+    ({0: (1, 1), 1: (1, 2)}, "edge 0 has a repeated color in its list"),
+    ({0: (1, 2), 1: (2, -1)}, "edge 1 has a negative color in its list"),
+])
+def test_list_errors(lists, error):
+    with pytest.raises(ValueError) as exc:
+        build_list_edge_instance(generate.path(3), lists)
+    assert str(exc.value) == error
 
 
 def test_full_palette_lists_shape():

@@ -244,3 +244,23 @@ def test_canonical_graph_text_is_read_without_the_row_scan(monkeypatch):
     assert io.parse_graph(text) == g
     with pytest.raises(io.ParseError, match="edge 2 duplicates"):
         io.parse_graph("gr 4 3\n0 1\n2 3\n0 1\n")
+
+
+@pytest.mark.parametrize("parse, text, error", [
+    (io.parse_hypergraph, "hgr 3 1\n0 1\n", "bad hgr header: 'hgr 3 1'"),
+    (io.parse_hypergraph, "hgr 3 1 2\n1 1\n", "hyperedge 0 repeats a vertex: [1, 1]"),
+    (io.parse_hypergraph, "hgr 3 1 2\n5 -1\n", "hyperedge 0 uses vertex 5 outside 0..2"),
+    (io.parse_id_set, "0 1\n", "expected one id per line, got '0 1'"),
+    (io.parse_id_set, "1\n1\n", "duplicate id in set"),
+    (io.parse_coloring, "0 1\n0 2\n", "id 0 colored twice"),
+    (io.parse_lists, "0: 1 2\n0: 3\n", "id 0 listed twice"),
+    (io.parse_lists, "0: 1 1\n", "list of 0 repeats a color"),
+    (lambda text: io.parse_orientation(text, generate.path(3)), "0 1\n",
+     "expected 2 directed edges, found 1"),
+    (lambda text: io.parse_orientation(text, generate.path(3)), "0 1 2\n1 2\n",
+     "line 0: expected '<tail> <head>'"),
+])
+def test_parse_error_messages(parse, text, error):
+    with pytest.raises(io.ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == error
