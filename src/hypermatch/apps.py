@@ -205,7 +205,8 @@ def approx_max_graph_matching(
                     mate[nodes[j]] = mate[nodes[j + 1]] = eid
                 else:
                     matched_ids.discard(eid)
-        assert len(matched_ids) == before + len(picked)
+        if len(matched_ids) != before + len(picked):
+            raise RuntimeError("augmenting along the packed paths did not add one edge per path")
         for hid in unblocked:
             dead.update(rep_paths[hid][0])
     return frozenset(matched_ids)
@@ -335,11 +336,11 @@ def low_outdegree_orientation(
                 tails[eid] = sum(g.edges[eid]) - tails[eid]
             outdeg[nodes[0]] -= 1
             outdeg[nodes[-1]] += 1
-        assert all(
-            outdeg[v] <= bound for v in range(g.n) if before[v] <= bound
-        ), "reversal pushed a satisfied node above the bound"
+        if any(outdeg[v] > bound for v in range(g.n) if before[v] <= bound):
+            raise RuntimeError("reversal pushed a satisfied node above the bound")
         new_excess = sum(max(0, outdeg[v] - bound) for v in range(g.n))
-        assert new_excess == total_excess - len(mm)
+        if new_excess != total_excess - len(mm):
+            raise RuntimeError(f"reversing {len(mm)} paths left excess {new_excess}")
     total_excess = sum(max(0, outdeg[v] - bound) for v in range(g.n))
     if total_excess > 0:
         raise OrientationBoundError(

@@ -12,7 +12,9 @@ an oracle comparison (`rand-edge-color`, `vertex-color`) is a usage error
 raised before the instance is read.  `verify orientation` checks
 out-degrees against ceil((1+eps)*lambda) when given both `--lambda` and
 `--eps`, against the solution's own maximum when given neither, and
-rejects one without the other; every other kind rejects both.
+rejects one without the other; `verify pseudo-forests` takes the two
+flags by the same rule and then allows at most ceil((1+eps)*lambda)
+classes.  Every other kind rejects both.
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or parse
 error, 3 oracle budget exceeded.  Reports carry no timestamp, so identical
@@ -440,22 +442,29 @@ def _check_vertex_coloring(g: Graph, colors, args) -> Verdict:
     return validate_vertex_coloring(g, [colors[v] for v in range(g.n)])
 
 
-def _check_orientation(g: Graph, tails, args) -> Verdict:
+def _given_bound(args) -> int | None:
+    """ceil((1+eps)*lambda) from `--lambda` and `--eps`, or None if neither."""
     if (args.lam is None) != (args.eps is None):
-        raise UsageError("verify orientation needs --lambda and --eps together")
-    if args.lam is None:
+        raise UsageError(f"verify {args.kind} needs --lambda and --eps together")
+    return None if args.lam is None else apps.out_degree_bound(args.lam, args.eps)
+
+
+def _check_orientation(g: Graph, tails, args) -> Verdict:
+    bound = _given_bound(args)
+    if bound is None:
         bound = max(Counter(tails).values(), default=0)
-    else:
-        bound = apps.out_degree_bound(args.lam, args.eps)
     return apps.validate_orientation(g, apps.Orientation(tails, bound))
 
 
 def _check_pseudo_forests(g: Graph, assignment, args) -> Verdict:
+    bound = _given_bound(args)
     if sorted(assignment) != list(range(g.m)):
         return Verdict(False, "every edge needs exactly one class")
     classes: dict[int, set[int]] = {}
     for eid, cls in assignment.items():
         classes.setdefault(cls, set()).add(eid)
+    if bound is not None and len(classes) > bound:
+        return Verdict(False, f"{len(classes)} classes exceed the bound {bound}")
     for cls in sorted(classes):
         verdict = apps.validate_pseudo_forest(g, frozenset(classes[cls]))
         if not verdict:
@@ -499,7 +508,7 @@ _VERIFY_KINDS = {
     ),
     "orientation": _VerifyKind(io.parse_orientation, _check_orientation, "orientation", bounds=True),
     "pseudo-forests": _VerifyKind(
-        _solution(io.parse_coloring), _check_pseudo_forests, "pseudo-forests"
+        _solution(io.parse_coloring), _check_pseudo_forests, "pseudo-forests", bounds=True
     ),
 }
 

@@ -84,15 +84,12 @@ def _step_params(palette: int, degree_cap: int, defect: int) -> tuple[int, int]:
     q > degree_cap*k/(defect+1) so the per-point conflict count stays
     at most defect.
     """
-    best: tuple[int, int] | None = None
     max_k = max(1, palette.bit_length())
-    for k in range(1, max_k + 1):
-        low = max(degree_cap * k // (defect + 1) + 1, _ceil_root(palette, k + 1), 2)
-        q = _next_prime(low)
-        if best is None or q * q < best[1] * best[1]:
-            best = (k, q)
-    assert best is not None
-    return best
+    steps = (
+        (k, _next_prime(max(degree_cap * k // (defect + 1) + 1, _ceil_root(palette, k + 1), 2)))
+        for k in range(1, max_k + 1)
+    )
+    return min(steps, key=lambda step: step[1])  # the first k of smallest q
 
 
 def reduction_schedule(palette: int, degree_cap: int) -> list[tuple[int, int]]:

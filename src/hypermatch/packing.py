@@ -11,11 +11,12 @@ of a greedy packing never exceed max(r, 1), which is what makes the
 doubling and rounding losses proportional to r rather than to the degree.
 Rounding a packing to an integral one yields an independent set.
 
-The rounding algorithm itself lives once, in `rounding`.  This module
-supplies its load model: nodes load their closed neighborhood and are
-frozen by their own closed load, the conflict graph is the graph itself,
-the greedy base is max_degree + 1 rounded up to a power of two, rho is
-the independence bound, validity is `verify_greedy_packing`, and the
+The rounding algorithm and the maximal driver live once, in `rounding`.
+This module supplies their load model: nodes load their closed
+neighborhood and are frozen by their own closed load, the conflict graph
+is the graph itself, the greedy base is max_degree + 1 rounded up to a
+power of two, rho is the independence bound, validity is
+`verify_greedy_packing`, sub-instances are induced subgraphs, and the
 color sweep also raises a node whose closed load is exactly 1/2.
 """
 
@@ -75,6 +76,7 @@ class _PackingModel(_LoadModel):
     """Nodes load their closed neighborhood and are frozen by their own load."""
 
     rho_name = "rho"
+    driver = "mis_driver"
     raise_at_half = True
     noun = "vertex"
     kind = "greedy packing"
@@ -102,6 +104,15 @@ class _PackingModel(_LoadModel):
 
     def verdict(self, x):
         return verify_greedy_packing(self.graph, x)
+
+    def induce(self, alive):
+        return induced_subgraph(self.graph, alive)
+
+    def approx(self, sub):
+        return approx_mis(sub, self.independence, self.ledger)
+
+    def settled(self, chosen, maximal):
+        return validate_independent_set(self.graph, chosen, require_maximal=maximal)
 
     def can_recurse(self, factor, denom):
         return 2 * factor < denom
@@ -179,40 +190,14 @@ def approx_mis(
     g: Graph, independence: int, ledger: RoundLedger | None = None
 ) -> frozenset[int]:
     """Independent set of size at least MIS / (32 * max(independence,1)^3)."""
-    if g.n == 0:
-        return frozenset()
-    chosen = _approx(_PackingModel(g, independence, ledger))
-    verdict = validate_independent_set(g, chosen)
-    if not verdict:
-        raise RuntimeError(f"rounded packing is not independent: {verdict.reason}")
-    return chosen
+    return _approx(_PackingModel(g, independence, ledger))
 
 
 def maximal_independent_set(
     g: Graph, independence: int, ledger: RoundLedger | None = None
 ) -> frozenset[int]:
     """Repeat approx_mis, removing closed neighborhoods, until maximal."""
-    chosen: set[int] = set()
-
-    def step(alive: tuple[int, ...]) -> tuple[int, ...]:
-        sub, old_ids = induced_subgraph(g, alive)
-        found = approx_mis(sub, independence, ledger)
-        if not found:
-            raise RuntimeError("approximate MIS came back empty on a nonempty graph")
-        removed = set(found)
-        for i in found:
-            chosen.add(old_ids[i])
-            removed.update(sub.adjacency[i])
-        return tuple(v for idx, v in enumerate(old_ids) if idx not in removed)
-
-    _, iterations = _drive(g.n, independence, tuple(range(g.n)), step)
-    result = frozenset(chosen)
-    verdict = validate_independent_set(g, result, require_maximal=True)
-    if not verdict:
-        raise RuntimeError(f"driver output invalid: {verdict.reason}")
-    if ledger is not None:
-        ledger.charge("mis_driver", iterations, "32 rho^3 log2(n) iterations")
-    return result
+    return _drive(_PackingModel(g, independence, ledger))[0]
 
 
 def vertex_color(

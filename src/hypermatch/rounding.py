@@ -6,18 +6,19 @@ based pass rounds it coarsely (losing 2*rank); a square-root recursion
 composes such passes to round by a large factor while losing only 4*rank;
 a driver extracts integral matchings and iterates to maximality.
 
-The rounding algorithm is written once here, as the underscore-private
-engine below, and runs on a load model.  Items carry dyadic values and
-load resources; an item is frozen once a resource that freezes it carries
-load at least 1/2.  A side is data the engine reads: the conflict graph
-of any set of its items, its greedy base denominator, its loads and its
-checks.  This module supplies the matching side (hyperedges load and are
-frozen by their vertices, rho is the rank, and the conflict graph is a
-`LineGraphView`: the line graph, answered from counts and never built);
-`packing` supplies the closed-neighborhood model of greedy packings.  Both
-sides take and return a `FractionalAssignment` that the engine builds and
-restricts itself.  Value dicts inside the engine are kept in witness
-order, which only the packing side reads.
+The rounding algorithm and the maximal driver are written once here, as
+the underscore-private engine below, and run on a load model.  Items
+carry dyadic values and load resources; an item is frozen once a resource
+that freezes it carries load at least 1/2.  A side is data the engine
+reads: the conflict graph of any set of its items, its greedy base
+denominator, its loads, its sub-instances and its checks.  This module
+supplies the matching side (hyperedges load and are frozen by their
+vertices, rho is the rank, and the conflict graph is a `LineGraphView`:
+the line graph, answered from counts and never built); `packing` supplies
+the closed-neighborhood model of greedy packings.  Both sides take and
+return a `FractionalAssignment` that the engine builds and restricts
+itself.  Value dicts inside the engine are kept in witness order, which
+only the packing side reads.
 
 Within one pass every value is k/D for one power of two D (1/denom for
 the greedy pass; multiples of 1/denom for the rounding passes), so the
@@ -59,7 +60,6 @@ from .core import (
     is_dyadic,
     is_power_of_two,
     next_power_of_two,
-    unblocked_edges,
     validate_fractional_matching,
     validate_matching,
 )
@@ -96,8 +96,11 @@ class _LoadModel:
       the resources that freeze it;
     - ``verdict(x)``: the validity verdict of an assignment;
     - ``can_recurse(factor, denom)``: the recursive pass's precondition;
-    - ``greedy``, ``basic`` and ``recurse``: calls to the side's public
-      passes, so that nested passes re-enter through them.
+    - ``greedy``, ``basic``, ``recurse`` and ``approx``: calls to the
+      side's public passes, so that nested passes re-enter through them;
+    - ``induce(alive)``: the sub-instance of the ascending items ``alive``
+      and their ids in it; ``settled(chosen, maximal)``: the verdict on an
+      integral output, which must be maximal if ``maximal`` is set.
     """
 
     instance: Hypergraph  # what ``verdict`` reads: the hypergraph or the graph
@@ -106,6 +109,7 @@ class _LoadModel:
     resources: int
     rho: int  # the loss parameter, >= 1
     rho_name: str  # how ledger formulas and messages spell rho
+    driver: str  # the ledger label of the maximal driver's iterations
     raise_at_half: bool  # the sweep also raises an item frozen exactly at 1/2
     noun: str  # what messages call an item
     kind: str  # what messages call a valid assignment
@@ -367,7 +371,10 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
 
 def _approx(model: _LoadModel) -> frozenset[int]:
     """Greedy start at the base denominator, a recursive stage when it allows
-    one, and one basic stage down to integrality; returns the items valued 1."""
+    one, and one basic stage down to integrality; returns the items valued 1,
+    checked by the side's ``settled``."""
+    if not model.items:
+        return frozenset()
     denom = model.base
     x = model.greedy(denom)
     if denom > 1:
@@ -388,29 +395,50 @@ def _approx(model: _LoadModel) -> frozenset[int]:
     chosen = frozenset(i for i, num in x.nums.items() if num == x.scale)
     if len(chosen) != len(x.nums):
         raise RuntimeError("final round left fractional values")
+    verdict = model.settled(chosen, False)
+    if not verdict:
+        raise RuntimeError(f"approximation output invalid: {verdict.reason}")
     return chosen
 
 
-def _drive(n: int, rho: int, alive: tuple[int, ...], step, limit: int | None = None):
-    """Apply ``step`` to the alive items until none are left.
+def _drive(model: _LoadModel, limit: int | None = None, formula: str = "log2(n)"):
+    """Re-run the side's approximation until no item is left unblocked.
 
-    Without a ``limit`` the loop may run at most 32 rho^3 log2(n) + 1
-    iterations.  Returns the items still alive and the iteration count.
+    Each iteration approximates on the sub-instance of the alive items and
+    drops every alive item with a freezing resource that a chosen item
+    loads.  Without a ``limit`` it runs at most 32 rho^3 log2(n) + 1
+    iterations (n resources) and the output must be maximal.  A second
+    iteration needs a greedy base of at least 128: below it `_approx` ends
+    in one basic pass over every item, whose output is already maximal.
+    Returns the chosen and the still alive items; charges ``model.driver``.
     """
-    cap = math.ceil(32 * max(1, rho) ** 3 * math.log2(max(2, n))) + 1
+    cap = math.ceil(32 * model.rho**3 * math.log2(max(2, model.resources))) + 1
+    chosen: set[int] = set()
+    alive = tuple(range(model.items))
     iterations = 0
     while alive and (limit is None or iterations < limit):
-        alive = step(alive)
+        sub, old_ids = model.induce(alive)
+        found = model.approx(sub)
+        if not found:
+            raise RuntimeError("approximation came back empty on a nonempty instance")
+        chosen.update(old_ids[i] for i in found)
+        blocked = {r for i in found for r in model.loaded(old_ids[i])}
+        alive = tuple(i for i in alive if blocked.isdisjoint(model.freezing(i)))
         iterations += 1
         if limit is None and iterations > cap:
             raise RuntimeError(f"driver exceeded {cap} iterations")
-    return alive, iterations
+    verdict = model.settled(frozenset(chosen), limit is None)
+    if not verdict:
+        raise RuntimeError(f"driver output invalid: {verdict.reason}")
+    model.charge(model.driver, iterations, f"32 {model.rho_name}^3 {formula} iterations")
+    return frozenset(chosen), frozenset(alive)
 
 
 class _MatchingModel(_LoadModel):
     """Hyperedges load their vertices and are frozen by any of them."""
 
     rho_name = "rank"
+    driver = "maximal_driver"
     raise_at_half = False
     noun = "edge"
     kind = "fractional matching"
@@ -452,6 +480,15 @@ class _MatchingModel(_LoadModel):
 
     def recurse(self, x, factor, denom, coloring):
         return recursive_round(self.h, x, factor, denom, coloring, self.ledger)
+
+    def induce(self, alive):
+        return induced_subhypergraph(self.h, alive)
+
+    def approx(self, sub):
+        return approx_max_matching(sub, self.ledger)
+
+    def settled(self, chosen, maximal):
+        return validate_matching(self.h, chosen, require_maximal=maximal)
 
     def recheck(self, values, scale, touched, where):
         """Check the touched values and re-sum the loads of their vertices.
@@ -555,48 +592,14 @@ def approx_max_matching(h: Hypergraph, ledger: RoundLedger | None = None) -> fro
     Greedy start, a recursive rounding stage when the degree allows a
     factor >= 2, and one basic rounding stage down to integrality.
     """
-    if h.m == 0:
-        return frozenset()
-    m = _approx(_MatchingModel(h, ledger))
-    verdict = validate_matching(h, m)
-    if not verdict:
-        raise RuntimeError(f"extracted edges are not disjoint: {verdict.reason}")
-    return m
-
-
-def _matching_driver(
-    h: Hypergraph, ledger: RoundLedger | None, limit: int | None, formula: str
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Repeat approx_max_matching on the unblocked remainder.
-
-    Runs until nothing is left or for ``limit`` iterations; the output must
-    be maximal only when there is no limit.
-    """
-    picked: set[int] = set()
-
-    def step(alive: tuple[int, ...]) -> tuple[int, ...]:
-        sub, old_ids = induced_subhypergraph(h, alive)
-        found = approx_max_matching(sub, ledger)
-        if not found:
-            raise RuntimeError("approximate matching came back empty on a nonempty instance")
-        picked.update(old_ids[i] for i in found)
-        return tuple(sorted(unblocked_edges(h, picked)))
-
-    alive, iterations = _drive(h.n, h.rank, tuple(range(h.m)), step, limit)
-    m = frozenset(picked)
-    verdict = validate_matching(h, m, require_maximal=limit is None)
-    if not verdict:
-        raise RuntimeError(f"driver output invalid: {verdict.reason}")
-    if ledger is not None:
-        ledger.charge("maximal_driver", iterations, formula)
-    return m, frozenset(alive)
+    return _approx(_MatchingModel(h, ledger))
 
 
 def maximal_matching(
     h: Hypergraph, ledger: RoundLedger | None = None
 ) -> frozenset[int]:
     """Repeat approx_max_matching on the unblocked remainder until empty."""
-    return _matching_driver(h, ledger, None, "32 rank^3 log2(n) iterations")[0]
+    return _drive(_MatchingModel(h, ledger))[0]
 
 
 def almost_maximal_matching(
@@ -611,4 +614,4 @@ def almost_maximal_matching(
         raise ValueError(f"slack must be in (0,1), got {slack}")
     r = max(1, h.rank)
     limit = math.ceil(32 * r**3 * math.log(1 / slack))
-    return _matching_driver(h, ledger, limit, "32 rank^3 ln(1/slack) iterations")
+    return _drive(_MatchingModel(h, ledger), limit, "ln(1/slack)")

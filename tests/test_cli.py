@@ -1,15 +1,18 @@
 """End-to-end command line tests.
 
-Every test calls cli.main(argv) in-process and checks the exit code plus
-whatever the command left on disk or stdout.  Exit codes: 0 pass, 1 failed
+Most tests call cli.main(argv) in-process and check the exit code plus
+whatever the command left on disk or stdout; the last one runs the
+command-line examples script (`cli_examples.sh`) as CI does.  Exit codes: 0 pass, 1 failed
 verdict, 2 usage or parse error, 3 oracle over budget.
 """
 
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -358,10 +361,13 @@ class TestVerify:
         assert run_cli("verify", "orientation", "--in", p3, sol, *bounds) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
 
-    @pytest.mark.parametrize("kind", sorted(set(cli._VERIFY_KINDS) - {"orientation"}))
+    @pytest.mark.parametrize(
+        "kind", sorted(k for k, kind in cli._VERIFY_KINDS.items() if not kind.bounds)
+    )
     @pytest.mark.parametrize("option", [("--lambda", "1"), ("--eps", "1/2")])
     def test_only_orientation_takes_lambda_and_eps(self, kind, option, tmp_path, capsys):
-        # refused before any file is read
+        # orientation and pseudo-forests take them; every other kind
+        # refuses them before any file is read
         absent = str(tmp_path / "absent")
         assert run_cli("verify", kind, "--in", absent, absent, *option) == 2
         assert capsys.readouterr().err == f"error: verify {kind} takes no --lambda or --eps\n"
@@ -381,6 +387,31 @@ class TestVerify:
         sol = write(tmp_path / "k4.pf", text)
         assert run_cli("verify", "pseudo-forests", "--in", k4, sol) == 1
         assert capsys.readouterr().out == f"fail: {reason}\n"
+
+    def test_pseudo_forests_class_count_is_bounded(self, tmp_path, capsys):
+        # ceil((1 + 1/2) * 3) = 5 classes at most
+        k5 = write(tmp_path / "k5.gr", io.format_graph(generate.complete(5)))
+        bounds = ("--lambda", "3", "--eps", "1/2")
+        ten = write(tmp_path / "ten.pf", "".join(f"{e} {e + 1}\n" for e in range(10)))
+        assert run_cli("verify", "pseudo-forests", "--in", k5, ten) == 0
+        assert run_cli("verify", "pseudo-forests", "--in", k5, ten, *bounds) == 1
+        assert capsys.readouterr().out == "pass\nfail: 10 classes exceed the bound 5\n"
+        ran = tmp_path / "k5.pf"
+        assert run_cli("run", "--algo", "pseudo-forests", "--in", k5, *bounds,
+                       "--out", str(ran)) == 0
+        assert run_cli("verify", "pseudo-forests", "--in", k5, str(ran), *bounds) == 0
+        assert capsys.readouterr().out.endswith("pass\n")
+
+    def test_pseudo_forests_need_lambda_and_eps_together(self, tmp_path, capsys):
+        k4 = write(tmp_path / "k4.gr", io.format_graph(generate.complete(4)))
+        sol = write(tmp_path / "k4.pf", "".join(f"{e} 1\n" for e in range(6)))
+        for lone in (("--lambda", "3"), ("--eps", "1/2")):
+            assert run_cli("verify", "pseudo-forests", "--in", k4, sol, *lone) == 2
+            assert capsys.readouterr().err == (
+                "error: verify pseudo-forests needs --lambda and --eps together\n")
+        assert run_cli("verify", "pseudo-forests", "--in", k4, sol, "--lambda", "3",
+                       "--eps", "-1") == 2
+        assert capsys.readouterr().err == "error: eps must be positive, got -1\n"
 
 
 class TestListEdgeColoring:
@@ -607,3 +638,16 @@ class TestInProcessCalls:
                             lambda args: calls.append(args.kind) or 7)
         assert run_cli("verify", "mis", "--in", "x.gr", "y.sol") == 7
         assert calls == ["mis"]
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_command_line_examples(tmp_path):
+    """The CI script of command-line examples, through `python -m hypermatch.cli`."""
+    script = Path(__file__).with_name("cli_examples.sh")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
+    done = subprocess.run(
+        ["bash", str(script), sys.executable, "-m", "hypermatch.cli"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -283,6 +283,17 @@ class TestDrivers:
             ).size
             assert sub_opt * 2 <= max_matching(h).size
 
+    def test_almost_maximal_stops_at_its_limit(self):
+        # ceil(32 * 2^3 * ln(512/511)) = 1 iteration leaves one edge
+        # unblocked; slack 255/256 would allow 2
+        g = generate.random_graph(66, 0.95, seed=3)
+        ledger = RoundLedger()
+        m, leftover = almost_maximal_matching(g, Fraction(511, 512), ledger)
+        assert validate_matching(g, m).ok
+        assert leftover == unblocked_edges(g, m) == frozenset({2022})
+        assert [(r["rounds"], r["formula"]) for r in ledger.as_records()
+                if r["label"] == "maximal_driver"] == [(1, "32 rank^3 ln(1/slack) iterations")]
+
     def test_almost_maximal_slack_range(self):
         with pytest.raises(ValueError):
             almost_maximal_matching(triangle(), Fraction(0))
