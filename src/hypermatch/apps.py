@@ -2,21 +2,28 @@
 
 Three drivers live here.  Approximate maximum matching runs phases of
 Hopcroft-Karp style augmentation where each phase packs a maximal set of
-vertex-disjoint augmenting paths of one fixed odd length; the packing is
-exactly a hypergraph maximal matching once every path is written as the
-set of its exposed endpoints and traversed matching edges.  Bounded
-out-degree orientation repeatedly reverses edge-disjoint directed paths
-from nodes above the target bound to nodes below it, again selected as a
-hypergraph maximal matching with source and sink multi-edges
-materialized as slot vertices.  An orientation is one tail per edge id,
-checked against ceil((1+eps)*lambda), which `out_degree_bound` alone
-computes.  The orientation in turn splits the edge set into
-pseudo-forests, one per out-going slot.
+vertex-disjoint augmenting paths of one fixed odd length.  Bounded
+out-degree orientation repeatedly reverses a maximal set of edge-disjoint
+directed paths from nodes above the target bound to nodes below it.  An
+orientation is one tail per edge id, checked against
+ceil((1+eps)*lambda), which `out_degree_bound` alone computes.  The
+orientation in turn splits the edge set into pseudo-forests, one per
+out-going slot.
 
-Both drivers enumerate their paths with one depth-first search,
-`_simple_paths`, under the module constant PATH_CAP: more than PATH_CAP
-paths in one phase, or path/slot combinations in one orientation
-iteration, raise PathBudgetError rather than silently truncating.
+Both drivers pack their paths with one step, `_pack`: each path is
+written as the set of elements it must not share with another path (its
+exposed endpoints and traversed matching edges; or its edges and one
+source and one sink slot of its end nodes), those sets become the
+hyperedges of one hypergraph, and its maximal matching is the packing.
+Both enumerate their paths with one depth-first search, `_simple_paths`,
+under the module constant PATH_CAP: more than PATH_CAP paths in one
+phase, or path/slot combinations in one orientation iteration, raise
+PathBudgetError rather than silently truncating.
+
+An orientation bound that no orientation meets is reported with a
+certificate: when no node below the bound can be reached along out-edges
+from a node above it, the reached nodes span more than bound edges per
+node, and OrientationBoundError is raised at once.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ class PathBudgetError(RuntimeError):
 
 
 class OrientationBoundError(RuntimeError):
-    """Out-degree bound still violated after the iteration cap.
+    """The out-degree bound cannot be met, or is still violated after the
+    iteration cap.
 
     Signals that the arboricity bound handed in was below the true
     arboricity of the graph.
@@ -113,6 +121,37 @@ def _simple_paths(starts, step, accept, length: int, what: str):
     return found
 
 
+def _pack(candidates, universe: int, disjoint: str, ledger, slack=None):
+    """Pick a maximal set of disjoint paths among ``candidates``.
+
+    A candidate is a (members, path) pair: ``members`` is the frozenset of
+    elements in 0..universe-1 that the path must not share with another,
+    and ``path`` a (node sequence, edge id sequence) pair.  Of paths with
+    equal members only the first is kept.  The member sets are the
+    hyperedges of one hypergraph; its maximal matching (almost maximal
+    with a ``slack``) picks the paths, which must then be ``disjoint``
+    ("vertex" or "edge") by `validate_path_set`.  Returns the picked paths
+    and the paths still unblocked, each in candidate order.  More than
+    PATH_CAP candidates raise PathBudgetError.
+    """
+    first: dict[frozenset[int], tuple] = {}
+    for count, (members, path) in enumerate(candidates, 1):
+        if count > PATH_CAP:
+            raise PathBudgetError(f"more than {PATH_CAP} path/slot combinations")
+        first.setdefault(members, path)
+    hyp = build_hypergraph(universe, first)
+    paths = list(first.values())
+    if slack is None:
+        packed, unblocked = maximal_matching(hyp, ledger), frozenset()
+    else:
+        packed, unblocked = almost_maximal_matching(hyp, slack, ledger)
+    picked = [paths[i] for i in sorted(packed)]
+    verdict = validate_path_set([nodes for nodes, _ in picked], disjoint)
+    if not verdict:
+        raise RuntimeError(f"packed paths not {disjoint}-disjoint: {verdict.reason}")
+    return picked, [paths[i] for i in sorted(unblocked)]
+
+
 def approx_max_graph_matching(
     g: Graph,
     eps: Fraction | int,
@@ -138,7 +177,6 @@ def approx_max_graph_matching(
     k = math.ceil(1 / eps)
     # node -> id of its matching edge
     mate: dict[int, int] = {}
-    matched_ids: set[int] = set()
     dead: set[int] = set()
     # (neighbor, edge id) pairs of each node, by neighbor
     adj = [
@@ -164,52 +202,27 @@ def approx_max_graph_matching(
             ledger.charge(
                 "augmenting_phase", length, "radius-l path enumeration"
             )
-        exposed = sorted(
-            v for v in range(g.n) if v not in mate and v not in dead
-        )
+        exposed = [v for v in range(g.n) if v not in mate and v not in dead]
         paths = _simple_paths(exposed, step, accept, length, "augmenting paths")
         if not paths:
             continue
-        elem_of_node = {v: i for i, v in enumerate(exposed)}
-        elem_of_medge = {
-            eid: len(exposed) + i for i, eid in enumerate(sorted(matched_ids))
-        }
-        members_list: list[frozenset[int]] = []
-        rep_paths: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        seen_members: set[frozenset[int]] = set()
-        for nodes, eids in paths:
-            members = {elem_of_node[nodes[0]], elem_of_node[nodes[-1]]}
-            members.update(elem_of_medge[eid] for eid in eids[1::2])
-            frozen = frozenset(members)
-            if frozen in seen_members:
-                continue
-            seen_members.add(frozen)
-            members_list.append(frozen)
-            rep_paths.append((nodes, eids))
-        hyp = build_hypergraph(len(exposed) + len(matched_ids), members_list)
-        if almost_maximal:
-            slack = eps / (4 * max(1, g.max_degree) ** k)
-            mm, unblocked = almost_maximal_matching(hyp, slack, ledger)
-        else:
-            mm = maximal_matching(hyp, ledger)
-            unblocked = frozenset()
-        picked = [rep_paths[i] for i in sorted(mm)]
-        verdict = validate_path_set([nodes for nodes, _ in picked], "vertex")
-        if not verdict:
-            raise RuntimeError(f"packed paths not vertex-disjoint: {verdict.reason}")
-        before = len(matched_ids)
+        # hypergraph vertices: node v is v and matching edge eid is g.n + eid;
+        # a path holds its two end nodes and the matching edges it traverses
+        candidates = (
+            (frozenset([nodes[0], nodes[-1]]) | {g.n + eid for eid in eids[1::2]}, (nodes, eids))
+            for nodes, eids in paths
+        )
+        slack = eps / (4 * max(1, g.max_degree) ** k) if almost_maximal else None
+        picked, unblocked = _pack(candidates, g.n + g.m, "vertex", ledger, slack)
+        before = len(set(mate.values()))
         for nodes, eids in picked:
-            for j, eid in enumerate(eids):
-                if j % 2 == 0:
-                    matched_ids.add(eid)
-                    mate[nodes[j]] = mate[nodes[j + 1]] = eid
-                else:
-                    matched_ids.discard(eid)
-        if len(matched_ids) != before + len(picked):
+            for j in range(0, len(eids), 2):
+                mate[nodes[j]] = mate[nodes[j + 1]] = eids[j]
+        if len(set(mate.values())) != before + len(picked):
             raise RuntimeError("augmenting along the packed paths did not add one edge per path")
-        for hid in unblocked:
-            dead.update(rep_paths[hid][0])
-    return frozenset(matched_ids)
+        for nodes, _ in unblocked:
+            dead.update(nodes)
+    return frozenset(mate.values())
 
 
 @dataclass(frozen=True)
@@ -260,10 +273,18 @@ def low_outdegree_orientation(
     reverses a maximal edge-disjoint set of directed paths of inner
     length 1+i that lead from a node above the bound to one below it.
     Each node's excess units and slack units enter the path hypergraph
-    as private slot vertices, so disjointness covers the implicit
-    source and sink multi-edges as well.  If excess survives all
-    ceil(4*log2(n)/eps) iterations the arboricity bound was too small
-    and OrientationBoundError is raised.
+    as private slot vertices, numbered after the edge ids node by node,
+    so disjointness covers the implicit source and sink multi-edges as
+    well.
+
+    Before each iteration's paths are enumerated, the nodes reachable
+    along out-edges from a node above the bound are collected.  Every
+    out-edge of a reached node stays among them, so if none of them is
+    below the bound they span more than bound edges per node, no
+    orientation meets the bound, and OrientationBoundError is raised at
+    once.  If excess survives all ceil(4*log2(n)/eps) iterations,
+    OrientationBoundError is raised as well.  Either way the arboricity
+    bound lam was too small.
     """
     bound = out_degree_bound(lam, eps)
     tails = [u for u, _ in g.edges]
@@ -278,6 +299,28 @@ def low_outdegree_orientation(
         total_excess = sum(excess)
         if total_excess == 0:
             break
+        deficit = [max(0, bound - outdeg[v]) for v in range(g.n)]
+        out_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for eid, ((u, v), tail) in enumerate(zip(g.edges, tails)):
+            out_adj[tail].append((u + v - tail, eid))
+        starts = [v for v in range(g.n) if excess[v] > 0]
+        # The nodes reachable from above the bound keep every out-edge among
+        # themselves; if none is below the bound they span more than
+        # bound edges per node, and no orientation meets the bound.
+        reached = set(starts)
+        stack = list(starts)
+        while stack:
+            for u, _ in out_adj[stack.pop()]:
+                if u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        if not any(deficit[v] > 0 for v in reached):
+            span = sum(outdeg[v] for v in reached)
+            raise OrientationBoundError(
+                f"out-degree bound {bound} cannot be met: the {len(reached)} nodes"
+                f" reachable from a node above it span {span} > {bound}*{len(reached)}"
+                f" edges; the arboricity bound {lam} is too small"
+            )
         inner_length = 1 + i
         if ledger is not None:
             ledger.charge(
@@ -285,11 +328,6 @@ def low_outdegree_orientation(
                 inner_length + 2,
                 "augmenting paths of length 3+i",
             )
-        deficit = [max(0, bound - outdeg[v]) for v in range(g.n)]
-        out_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for eid, ((u, v), tail) in enumerate(zip(g.edges, tails)):
-            out_adj[tail].append((u + v - tail, eid))
-        starts = [v for v in range(g.n) if excess[v] > 0]
         paths = _simple_paths(
             starts,
             lambda v, depth: out_adj[v],
@@ -299,37 +337,18 @@ def low_outdegree_orientation(
         )
         if not paths:
             continue
-        slot_id: dict[tuple[str, int, int], int] = {}
-        next_id = g.m
+        # hypergraph vertices: edge ids, then the slots of each node v in
+        # turn, its excess or its deficit many, from offset[v]
+        offset = [g.m]
         for v in range(g.n):
-            for j in range(excess[v]):
-                slot_id[("s", v, j)] = next_id
-                next_id += 1
-            for j in range(deficit[v]):
-                slot_id[("t", v, j)] = next_id
-                next_id += 1
-        members_list: list[set[int]] = []
-        path_of_member: list[int] = []
-        for pidx, (nodes, eids) in enumerate(paths):
-            for j in range(excess[nodes[0]]):
-                for j2 in range(deficit[nodes[-1]]):
-                    members_list.append(
-                        set(eids)
-                        | {slot_id[("s", nodes[0], j)], slot_id[("t", nodes[-1], j2)]}
-                    )
-                    path_of_member.append(pidx)
-                    if len(members_list) > PATH_CAP:
-                        raise PathBudgetError(
-                            f"more than {PATH_CAP} path/slot combinations"
-                        )
-        hyp = build_hypergraph(next_id, members_list)
-        mm = maximal_matching(hyp, ledger)
-        if not mm:
-            continue
-        picked = [paths[path_of_member[hid]] for hid in sorted(mm)]
-        verdict = validate_path_set([nodes for nodes, _ in picked], "edge")
-        if not verdict:
-            raise RuntimeError(f"packed paths not edge-disjoint: {verdict.reason}")
+            offset.append(offset[-1] + excess[v] + deficit[v])
+        candidates = (
+            (frozenset(eids) | {offset[nodes[0]] + j, offset[nodes[-1]] + j2}, (nodes, eids))
+            for nodes, eids in paths
+            for j in range(excess[nodes[0]])
+            for j2 in range(deficit[nodes[-1]])
+        )
+        picked, _ = _pack(candidates, offset[-1], "edge", ledger)
         before = [outdeg[v] for v in range(g.n)]
         for nodes, eids in picked:
             for eid in eids:
@@ -339,8 +358,8 @@ def low_outdegree_orientation(
         if any(outdeg[v] > bound for v in range(g.n) if before[v] <= bound):
             raise RuntimeError("reversal pushed a satisfied node above the bound")
         new_excess = sum(max(0, outdeg[v] - bound) for v in range(g.n))
-        if new_excess != total_excess - len(mm):
-            raise RuntimeError(f"reversing {len(mm)} paths left excess {new_excess}")
+        if new_excess != total_excess - len(picked):
+            raise RuntimeError(f"reversing {len(picked)} paths left excess {new_excess}")
     total_excess = sum(max(0, outdeg[v] - bound) for v in range(g.n))
     if total_excess > 0:
         raise OrientationBoundError(

@@ -23,6 +23,7 @@ hypermatch generate line-graph-of --in h.hgr --out lg.gr
 printf 'gr 4 3\r\n0\t1\r\n\r\n 1 2 \r\n2\t3\r\n' > ws.gr
 hypermatch generate complete n=14 --out k14.gr
 hypermatch generate path n=5 --out p5.gr
+hypermatch generate random-graph n=60 p=0.07 --seed 0 --out g60.gr
 hypermatch generate random-hypergraph n=9 m=10 r=3 --seed 4 --out a.hgr
 printf 'gr 3 2\n0 1\n1 2\n0: 5 7\n1: 7 9\n' > p3.lists
 hypermatch run --algo edge-color --in c5.gr --out c5.col
@@ -58,3 +59,9 @@ hypermatch verify edge-coloring --in c5.gr c5.ac
 status=0
 hypermatch verify orientation --in c5.gr c5.or --lambda 2 --eps -1 || status=$?
 test "$status" -eq 2
+# 144 edges on 60 nodes: out-degree 2 cannot be met, and the run says so at once
+for algo in orientation pseudo-forests; do
+  status=0
+  hypermatch run --algo "$algo" --in g60.gr --lambda 1 --eps 1/2 --out g60.out || status=$?
+  test "$status" -eq 1
+done

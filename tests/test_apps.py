@@ -1,6 +1,9 @@
 """Matching approximation, orientations and pseudo-forest splits."""
 
+import time
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -291,3 +294,92 @@ def test_no_augmenting_paths_between_packed_paths():
                     q_mids = {tuple(sorted(q[1:3]))}
                     assert share_exposed or p_mids & q_mids
     assert compared >= 20
+
+
+def pseudo_arboricity(g):
+    """The least b such that every edge can be given to one of its endpoints
+    with at most b edges per node: a max-flow from the edges to the nodes,
+    node capacity b (Goldberg 1984).
+
+    The flow is kept as an orientation, each edge given to its tail.  An
+    augmenting path runs along out-edges from a node holding more than b
+    edges to one holding fewer, and reversing it moves one unit.  When no
+    such path is left b is too small, and b + 1 starts from the same flow.
+    """
+    out = [set() for _ in range(g.n)]
+    for eid, (u, _) in enumerate(g.edges):
+        out[u].add(eid)
+    b = -(-g.m // g.n) if g.n else 0
+    while True:
+        over = [v for v in range(g.n) if len(out[v]) > b]
+        if not over:
+            return b
+        # breadth-first over out-edges from every node above b; prev holds
+        # the edge that reached each node
+        prev = dict.fromkeys(over)
+        queue = deque(over)
+        end = None
+        while queue and end is None:
+            v = queue.popleft()
+            for eid in out[v]:
+                u = sum(g.edges[eid]) - v
+                if u not in prev:
+                    prev[u] = eid
+                    if len(out[u]) < b:
+                        end = u
+                        break
+                    queue.append(u)
+        if end is None:
+            b += 1
+            continue
+        v = end
+        while prev[v] is not None:
+            eid = prev[v]
+            tail = sum(g.edges[eid]) - v
+            out[tail].remove(eid)
+            out[v].add(eid)
+            v = tail
+
+
+@pytest.mark.parametrize("g", [
+    *(generate.random_graph(8, 0.5, seed=seed) for seed in range(6)),
+    generate.complete(6), generate.cycle(7), generate.path(5), build_graph(3, []),
+])
+def test_pseudo_arboricity_is_the_densest_subgraph_ceiling(g):
+    """max over node sets S of ceil(m_S / n_S), by brute force."""
+    densest = 0
+    for size in range(1, g.n + 1):
+        for nodes in combinations(range(g.n), size):
+            inside = set(nodes)
+            m_s = sum(u in inside and v in inside for u, v in g.edges)
+            densest = max(densest, -(-m_s // size))
+    assert pseudo_arboricity(g) == densest
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1)], ids=["eps=1/2", "eps=1"])
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (300, 1000) for seed in range(3)])
+def test_orientation_against_exact_pseudo_arboricity(n, seed, eps):
+    """Past the oracle budget: every lambda from 1 to p* + 1 on G(n, 4/n).
+
+    A bound below p* must raise at once with the reachability certificate,
+    which in turn must never appear at a bound of p* or more; lambda >= p* + 1
+    must succeed, since the arboricity is at most p* + 1 (Nash-Williams).
+    """
+    g = generate.random_graph(n, 4 / n, seed=seed)
+    p = pseudo_arboricity(g)
+    assert apps.out_degree_bound(1, eps) < p  # some bound below p* is tried
+    for lam in range(1, p + 2):
+        bound = apps.out_degree_bound(lam, eps)
+        if bound < p:
+            start = time.perf_counter()
+            with pytest.raises(OrientationBoundError, match="reachable"):
+                low_outdegree_orientation(g, lam, eps)
+            assert time.perf_counter() - start < 5
+            continue
+        try:
+            o = low_outdegree_orientation(g, lam, eps)
+        except OrientationBoundError as exc:
+            assert "reachable" not in str(exc)
+            assert lam <= p
+        else:
+            assert validate_orientation(g, o).ok

@@ -493,6 +493,16 @@ class TestExitCodes:
                        "--eps", "1") == 1
         assert capsys.readouterr().err.startswith("failed: more than 2 ")
 
+    @pytest.mark.parametrize("algo", ["orientation", "pseudo-forests"])
+    def test_infeasible_bound_exits_one(self, tmp_path, capsys, algo):
+        # 144 edges on 60 nodes: no orientation has out-degree 2 everywhere
+        g60 = write(tmp_path / "g60.gr", io.format_graph(generate.random_graph(60, 0.07, seed=0)))
+        assert run_cli("run", "--algo", algo, "--in", g60,
+                       "--lambda", "1", "--eps", "1/2") == 1
+        assert capsys.readouterr().err.startswith(
+            "failed: out-degree bound 2 cannot be met: the 50 nodes reachable"
+        )
+
     def test_oracle_unavailable_for_randomized_run(self, cycle5, tmp_path):
         # rejected before solving, so no solution file is written
         sol = tmp_path / "c5.out"
@@ -648,6 +658,6 @@ def test_command_line_examples(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
     done = subprocess.run(
         ["bash", str(script), sys.executable, "-m", "hypermatch.cli"],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr

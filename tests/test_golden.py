@@ -1,4 +1,5 @@
-"""Golden outputs of three rounding-heavy runs, pinned byte for byte.
+"""Golden outputs of rounding-heavy runs and of the `apps` drivers, pinned
+byte for byte.
 
 Each case pins the solution together with the ledger records of the run:
 its size, its ledger total and a SHA-256 digest of both as canonical
@@ -15,10 +16,11 @@ That change recomputes the values below and says so.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from hypermatch import generate
+from hypermatch import apps, generate
 from hypermatch.core import build_hypergraph, line_graph
 from hypermatch.edge_coloring import edge_color
 from hypermatch.ledger import RoundLedger
@@ -107,5 +109,50 @@ def test_driver_second_iteration(case, label, size, rounds, digest):
     blob = json.dumps([solution, records], sort_keys=True)
     assert [r["rounds"] for r in records if r["label"] == label] == [2]
     assert len(solution) == size
+    assert ledger.total == rounds
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def approx_graph_matching_case(almost_maximal):
+    def case(ledger):
+        g = generate.random_graph(300, 0.01, seed=1)
+        return sorted(apps.approx_max_graph_matching(g, Fraction(1, 3), almost_maximal, ledger))
+    case.__name__ = f"approx_graph_matching_almost_maximal_{almost_maximal}"
+    return case
+
+
+def orientation_case(lam):
+    def case(ledger):
+        g = generate.random_graph(300, 4 / 300, seed=0)
+        o = apps.low_outdegree_orientation(g, lam, Fraction(1, 2), ledger)
+        classes = apps.pseudo_forest_decomposition(g, o)
+        return [list(o.tails), [sorted(c) for c in classes]]
+    case.__name__ = f"orientation_lambda_{lam}"
+    return case
+
+
+APPS = [
+    # case, label, label records, ledger total, digest as in GOLDEN
+    (approx_graph_matching_case(False), "augmenting_phase", 3, 547,
+     "37bc22a0b9e065f280e4e30cd78564ea1b241750945462096e4841b5229daa49"),
+    (approx_graph_matching_case(True), "augmenting_phase", 3, 547,
+     "8a60494d126ef6c209db00e6098ed9c5b5e4c784742f70b3d3b16522478b0b19"),
+    (orientation_case(2), "orientation_iteration", 2, 1193,
+     "b446ad712af72541ac43b8cafabfad4556ebb5c6aadaf6929e125d981eddaf82"),
+    (orientation_case(3), "orientation_iteration", 1, 591,
+     "07bfeee6a24ae56c03844563b73ac216cf0149f219c0e6fe66798114347a9e87"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, label, count, rounds, digest", APPS, ids=[g[0].__name__ for g in APPS]
+)
+def test_apps_output(case, label, count, rounds, digest):
+    """The path-packing drivers of `apps` (both matchings have size 132)."""
+    ledger = RoundLedger()
+    solution = case(ledger)
+    records = ledger.as_records()
+    blob = json.dumps([solution, records], sort_keys=True)
+    assert len([r for r in records if r["label"] == label]) == count
     assert ledger.total == rounds
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
