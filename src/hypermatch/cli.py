@@ -17,8 +17,8 @@ flags by the same rule and then allows at most ceil((1+eps)*lambda)
 classes.  Every other kind rejects both.
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or parse
-error, 3 oracle budget exceeded.  Reports carry no timestamp, so identical
-invocations produce byte-identical output.
+error, 3 oracle budget exceeded, 4 out of memory.  Reports carry no
+timestamp, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -657,6 +657,10 @@ def main(argv=None) -> int:
             edge_coloring.PeelingStallError) as exc:
         sys.stderr.write(f"failed: {exc}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory; the instance may declare more "
+                         "vertices or edges than fit\n")
+        return 4
 
 
 if __name__ == "__main__":

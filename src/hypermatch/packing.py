@@ -99,8 +99,8 @@ class _PackingModel(_LoadModel):
     def loaded(self, i):
         return (i, *self.graph.adjacency[i])
 
-    def freezing(self, i):
-        return (i,)
+    def frozen_by(self, r):
+        return (r,)
 
     def verdict(self, x):
         return verify_greedy_packing(self.graph, x)

@@ -11,20 +11,24 @@ the underscore-private engine below, and run on a load model.  Items
 carry dyadic values and load resources; an item is frozen once a resource
 that freezes it carries load at least 1/2.  A side is data the engine
 reads: the conflict graph of any set of its items, its greedy base
-denominator, its loads, its sub-instances and its checks.  This module
-supplies the matching side (hyperedges load and are frozen by their
-vertices, rho is the rank, and the conflict graph is a `LineGraphView`:
-the line graph, answered from counts and never built); `packing` supplies
-the closed-neighborhood model of greedy packings.  Both sides take and
+denominator, its loads, the items each resource freezes, its
+sub-instances and its checks.  This module supplies the matching side
+(hyperedges load and are frozen by their vertices, rho is the rank, and
+the conflict graph is a `LineGraphView`: the line graph, answered from
+counts and never built); `packing` supplies the closed-neighborhood model
+of greedy packings.  Both sides take and
 return a `FractionalAssignment` that the engine builds and restricts
 itself.  Value dicts inside the engine are kept in witness order, which
 only the packing side reads.
 
 Within one pass every value is k/D for one power of two D (1/denom for
 the greedy pass; multiples of 1/denom for the rounding passes), so the
-engine keeps integer numerators over D: values, loads, the frozen test
-2*load >= D and the share checks.  An output holds its numerators over D
-as they are, and a `Fraction` is built only for a message.
+engine keeps integer numerators over D: values, loads and the share
+checks.  Loads only grow within a pass, so each resource reaches 1/2 at
+most once: a per-pass tracker adds the items a resource freezes to a
+frozen set as its load crosses 2*load >= D, and every frozen test is a
+set lookup.  An output holds its numerators over D as they are, and a
+`Fraction` is built only for a message.
 
 Every assignment the engine builds is validated exactly once.  Each
 output is validated as the pass finishes and marked with the side and
@@ -47,7 +51,6 @@ bound raises instead of drifting.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import cached_property
 
@@ -87,13 +90,15 @@ class _LoadModel:
 
     Items 0..items-1 carry dyadic values and load resources
     0..resources-1; an item is frozen once a resource that freezes it
-    carries load >= 1/2.  Besides the attributes below, a side supplies:
+    carries load >= 1/2.  Within a pass values only grow, so loads only
+    grow and a frozen item stays frozen.  Besides the attributes below, a
+    side supplies:
 
     - ``conflict(support)``: the conflict graph of the items ``support``
       (ascending), node j standing for item support[j]; the engine colors
       it on all items for the base coloring, and on each support;
-    - ``loaded(i)`` and ``freezing(i)``: the resources item i loads and
-      the resources that freeze it;
+    - ``loaded(i)``: the resources item i loads;
+    - ``frozen_by(r)``: the items resource r freezes;
     - ``verdict(x)``: the validity verdict of an assignment;
     - ``can_recurse(factor, denom)``: the recursive pass's precondition;
     - ``greedy``, ``basic``, ``recurse`` and ``approx``: calls to the
@@ -136,22 +141,49 @@ def _base_coloring(model: _LoadModel) -> VertexColoring:
     return linial_coloring(model.conflict(range(model.items)), ledger=model.ledger)
 
 
-def _loads(model: _LoadModel, values: dict[int, int]) -> list[int]:
-    loads = [0] * model.resources
-    for i, val in values.items():
-        for r in model.loaded(i):
+class _Loads:
+    """One pass's integer loads over ``scale``, and the items they freeze.
+
+    ``frozen`` holds the items with a freezing resource at 2*load >= scale,
+    ``over`` those with one at 2*load > scale.  Loads only grow within a
+    pass, so each resource crosses each threshold at most once, and `add`
+    adds the items it freezes to the set as it does.  ``values`` seeds the
+    loads in one sum, followed by one scan of the resources.
+    """
+
+    def __init__(
+        self, model: _LoadModel, scale: int, values: dict[int, int] | None = None
+    ) -> None:
+        self.scale = scale
+        self._loaded = model.loaded
+        self._frozen_by = model.frozen_by
+        self.loads = loads = [0] * model.resources
+        self.frozen: set[int] = set()
+        self.over: set[int] = set()
+        if values:
+            for i, val in values.items():
+                for r in self._loaded(i):
+                    loads[r] += val
+            for r, load in enumerate(loads):
+                if 2 * load >= scale:
+                    self.frozen.update(self._frozen_by(r))
+                    if 2 * load > scale:
+                        self.over.update(self._frozen_by(r))
+
+    def add(self, i: int, val: int) -> None:
+        """Raise the loads of item i's resources by ``val`` (>= 0)."""
+        loads, scale = self.loads, self.scale
+        for r in self._loaded(i):
+            old = 2 * loads[r]
             loads[r] += val
-    return loads
+            if old <= scale <= old + 2 * val:
+                if old < scale:
+                    self.frozen.update(self._frozen_by(r))
+                if old + 2 * val > scale:
+                    self.over.update(self._frozen_by(r))
 
 
-def _frozen(model: _LoadModel, loads: list[int], scale: int, i: int, past=operator.ge) -> bool:
-    """Whether a resource freezing item i carries load past 1/2 (numerators over scale)."""
-    return any(past(2 * loads[r], scale) for r in model.freezing(i))
-
-
-def _double(
-    model: _LoadModel, values: dict[int, int], loads: list[int], scale: int, candidates
-):
+def _double(values: dict[int, int], loads: _Loads, candidates):
     """Double every one of ``candidates`` (items of ``values``) that is not
     frozen; returns the doubled items.
 
@@ -159,16 +191,16 @@ def _double(
     packing node with closed load sigma < 1/2 can afford its value plus its
     full neighborhood after doubling, since that is at most 2*sigma < 1.
     """
-    movers = sorted(i for i in candidates if not _frozen(model, loads, scale, i))
+    frozen = loads.frozen
+    movers = sorted(i for i in candidates if i not in frozen)
     for i in movers:
         val = values.pop(i)
-        for r in model.loaded(i):
-            loads[r] += val
+        loads.add(i, val)
         values[i] = val * 2
     return movers
 
 
-def _double_rounds(model: _LoadModel, values, loads, scale: int, cap: int, items, where: str) -> int:
+def _double_rounds(model: _LoadModel, values, loads: _Loads, cap: int, items, where: str) -> int:
     """Double until nothing moves, rechecking each round; returns the round count.
 
     The first round tests every item of ``values``; each later round tests
@@ -179,13 +211,13 @@ def _double_rounds(model: _LoadModel, values, loads, scale: int, cap: int, items
     """
     rounds = 0
     moved = values
-    while moved := _double(model, values, loads, scale, moved):
+    while moved := _double(values, loads, moved):
         rounds += 1
         if rounds > cap:
             raise RuntimeError(f"{where} exceeded {cap} rounds")
-        model.recheck(values, scale, moved, where)
+        model.recheck(values, loads.scale, moved, where)
     for i in items:
-        if not _frozen(model, loads, scale, i):
+        if i not in loads.frozen:
             raise RuntimeError(f"{model.noun} {i} ended {where} unfrozen")
     return rounds
 
@@ -215,8 +247,8 @@ def _greedy(model: _LoadModel, denom: int | None):
         raise ValueError(f"denom must be a power of two >= {model.base}, got {denom}")
     rounds = denom.bit_length() - 1  # after this many doublings an item holds 1: frozen
     values = dict.fromkeys(range(model.items), 1)  # numerators over denom
-    loads = _loads(model, values)
-    _double_rounds(model, values, loads, denom, rounds, values, "greedy doubling")
+    loads = _Loads(model, denom, values)
+    _double_rounds(model, values, loads, rounds, values, "greedy doubling")
     out = _finish(model, values, denom, 1, "greedy")
     model.charge("greedy" + model.suffix, rounds, "log2(denom)")
     return out
@@ -257,23 +289,22 @@ def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     dcol = defective_coloring(model.conflict(support), restricted, defect, ledger=model.ledger)
 
     values: dict[int, int] = {}  # numerators over denom
-    loads = [0] * model.resources
+    loads = _Loads(model, denom)
     by_color: dict[int, list[int]] = {}
     for k, i in enumerate(support):
         by_color.setdefault(dcol.colors[k], []).append(i)
-    past = operator.gt if model.raise_at_half else operator.ge
+    blocked = loads.over if model.raise_at_half else loads.frozen
     for color in sorted(by_color):
-        raised = [i for i in by_color[color] if not _frozen(model, loads, denom, i, past)]
+        raised = [i for i in by_color[color] if i not in blocked]
         for i in raised:
             values[i] = factor
-            for r in model.loaded(i):
-                loads[r] += factor
+            loads.add(i, factor)
         model.recheck(values, denom, raised, "basic_round color sweep")
     for i in support:
-        if i not in values and not _frozen(model, loads, denom, i):
+        if i not in values and i not in loads.frozen:
             raise RuntimeError(f"{model.noun} {i} skipped its color class")
     cap = (denom // factor).bit_length() - 1
-    doubling = _double_rounds(model, values, loads, denom, cap, support, "basic_round doubling")
+    doubling = _double_rounds(model, values, loads, cap, support, "basic_round doubling")
     out = _finish(model, values, denom, factor, "basic rounding")
     if sum(values.values()) * 2 * model.rho * x.scale < sum(x.nums.values()) * denom:
         raise RuntimeError(
@@ -319,13 +350,14 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     total_x = sum(x.nums.values())  # numerator over x.scale
     s1, s2 = _split_factor(factor)
     values: dict[int, int] = {}  # numerators over denom
-    loads = [0] * model.resources
+    loads = _Loads(model, denom)
+    frozen = loads.frozen
     running = 0  # numerator over denom of the gains kept so far
     iterations = 0
     target_scale = 4 * rho * x.scale  # the target is total_x / target_scale
     while running * target_scale < total_x * denom and iterations < 16 * rho:
         z = FractionalAssignment._over(
-            {i: num for i, num in x.nums.items() if not _frozen(model, loads, denom, i)},
+            {i: num for i, num in x.nums.items() if i not in frozen},
             x.scale,
         )
         if not z.nums:
@@ -347,12 +379,11 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
             raise RuntimeError(f"nested rounding left a value off the 1/{denom} grid")
         added = {i: num * denom // (2 * z2.scale) for i, num in z2.nums.items()}
         old = [i for i in values if i not in added]
-        old.sort(key=lambda i: not _frozen(model, loads, denom, i))
+        old.sort(key=lambda i: i not in frozen)
         merged = {i: values[i] for i in old}
         for i, half in added.items():
             merged[i] = values.get(i, 0) + half
-            for r in model.loaded(i):
-                loads[r] += half
+            loads.add(i, half)
         values = merged
         running += sum(added.values())
         iterations += 1
@@ -405,8 +436,8 @@ def _drive(model: _LoadModel, limit: int | None = None, formula: str = "log2(n)"
     """Re-run the side's approximation until no item is left unblocked.
 
     Each iteration approximates on the sub-instance of the alive items and
-    drops every alive item with a freezing resource that a chosen item
-    loads.  Without a ``limit`` it runs at most 32 rho^3 log2(n) + 1
+    drops every alive item that a resource loaded by a chosen item
+    freezes.  Without a ``limit`` it runs at most 32 rho^3 log2(n) + 1
     iterations (n resources) and the output must be maximal.  A second
     iteration needs a greedy base of at least 128: below it `_approx` ends
     in one basic pass over every item, whose output is already maximal.
@@ -423,7 +454,8 @@ def _drive(model: _LoadModel, limit: int | None = None, formula: str = "log2(n)"
             raise RuntimeError("approximation came back empty on a nonempty instance")
         chosen.update(old_ids[i] for i in found)
         blocked = {r for i in found for r in model.loaded(old_ids[i])}
-        alive = tuple(i for i in alive if blocked.isdisjoint(model.freezing(i)))
+        dropped = {j for r in blocked for j in model.frozen_by(r)}
+        alive = tuple(i for i in alive if i not in dropped)
         iterations += 1
         if limit is None and iterations > cap:
             raise RuntimeError(f"driver exceeded {cap} iterations")
@@ -464,7 +496,8 @@ class _MatchingModel(_LoadModel):
     def loaded(self, i):
         return self.h.edges[i]
 
-    freezing = loaded
+    def frozen_by(self, r):
+        return self.h.incidence[r]
 
     def verdict(self, x):
         return validate_fractional_matching(self.h, x)
@@ -521,7 +554,7 @@ def greedy_doubling_step(
     model = _MatchingModel(h)
     _check_input(model, x, x.scale)
     values = dict(x.nums)
-    _double(model, values, _loads(model, values), x.scale, values)
+    _double(values, _Loads(model, x.scale, values), values)
     return _finish(model, values, x.scale, 1, "greedy doubling step")
 
 

@@ -65,3 +65,10 @@ for algo in orientation pseudo-forests; do
   hypermatch run --algo "$algo" --in g60.gr --lambda 1 --eps 1/2 --out g60.out || status=$?
   test "$status" -eq 1
 done
+# a 20-byte header that declares 10^9 vertices runs out of memory under a
+# 600 MB address-space limit, which is exit 4; `&&` keeps the run from
+# starting without the limit
+printf 'gr 1000000000 1\n0 1\n' > huge.gr
+status=0
+( ulimit -v 600000 && hypermatch run --algo mis --in huge.gr --out huge.mis ) || status=$?
+test "$status" -eq 4

@@ -3,7 +3,7 @@
 Most tests call cli.main(argv) in-process and check the exit code plus
 whatever the command left on disk or stdout; the last one runs the
 command-line examples script (`cli_examples.sh`) as CI does.  Exit codes: 0 pass, 1 failed
-verdict, 2 usage or parse error, 3 oracle over budget.
+verdict, 2 usage or parse error, 3 oracle over budget, 4 out of memory.
 """
 
 import hashlib
@@ -16,7 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from hypermatch import apps, cli, generate, io, oracles
+from hypermatch import apps, cli, generate, io, oracles, rounding
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 from hypermatch.core import validate_edge_coloring
 
 
@@ -560,6 +565,50 @@ class TestExitCodes:
         assert run_cli("run", "--algo", "mis", "--in", star, "--oracle") == 3
         assert capsys.readouterr().err == (
             "oracle budget: neighborhood size 27 exceeds oracle budget 26\n")
+
+    def test_failing_slack_oracle_exits_one(self, tmp_path, monkeypatch, capsys):
+        # A planted fault: no edge matched and every edge reported unblocked.
+        # The recount agrees, so only the oracle's slack comparison fails.
+        monkeypatch.setattr(rounding, "almost_maximal_matching",
+                            lambda h, slack, ledger: (frozenset(), frozenset(range(h.m))))
+        inst = write(tmp_path / "h.hgr", ALGORITHM_CASES["maximal-matching"][0])
+        rpt = tmp_path / "h.json"
+        argv = ("run", "--algo", "maximal-matching", "--in", inst, "--slack", "1/2", "--oracle")
+        assert run_cli(*argv, "--json", str(rpt)) == 1
+        report = json.loads(rpt.read_text())
+        assert report["verdicts"]["unblocked_consistent"]["ok"]
+        assert report["oracle"]["verdict"] == {"ok": False, "reason": "unblocked share above slack"}
+        assert report["oracle"]["unblocked_optimum"] == report["oracle"]["optimum"] > 0
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().out == "maximal-matching: FAIL (oracle) rounds=0\n"
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    @pytest.mark.parametrize("algo, header", [
+        ("mis", "gr 1000000000 1"),
+        ("maximal-matching", "hgr 1000000000 1 2"),
+    ])
+    def test_out_of_memory_exits_four(self, tmp_path, algo, header):
+        # a 20-byte file that declares 10^9 vertices, in a child process
+        # whose address space is capped at 600 MB
+        inst = write(tmp_path / "huge.inst", f"{header}\n0 1\n")
+
+        def cap_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            limit = 600 * 10**6
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])}
+        done = subprocess.run(
+            [sys.executable, "-m", "hypermatch.cli", "run", "--algo", algo, "--in", inst],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_address_space,
+        )
+        assert done.returncode == 4, done.stderr
+        assert done.stderr == (
+            "error: out of memory; the instance may declare more vertices or edges than fit\n")
 
     def test_hypergraph_rejected_by_graph_algorithm(self, tmp_path):
         hgr = write(tmp_path / "h.hgr", "hgr 3 1 3\n0 1 2\n")

@@ -12,11 +12,13 @@ from hypermatch.coloring import VertexColoring
 from hypermatch.core import (
     FractionalAssignment,
     build_fractional_assignment,
+    build_graph,
     build_hypergraph,
     line_graph,
     next_power_of_two,
     unblocked_edges,
     validate_fractional_matching,
+    validate_independent_set,
     validate_matching,
 )
 from hypermatch.ledger import RoundLedger
@@ -294,6 +296,31 @@ class TestDrivers:
         assert [(r["rounds"], r["formula"]) for r in ledger.as_records()
                 if r["label"] == "maximal_driver"] == [(1, "32 rank^3 ln(1/slack) iterations")]
 
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_factors_against_networkx_beyond_the_oracle_budget(self, n, seed):
+        # nu(G) is exact from networkx; on the line graph, whose neighborhood
+        # independence is 2, the maximum independent set has nu(G) nodes
+        nx = pytest.importorskip("networkx")
+        g = generate.random_graph(n, 3 / n, seed=seed)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from(g.edges)
+        nu = len(nx.max_weight_matching(ref, maxcardinality=True))
+        lg = line_graph(g)
+        m = maximal_matching(g)
+        assert validate_matching(g, m, require_maximal=True).ok
+        assert 2 * len(m) >= nu
+        m = approx_max_matching(g)
+        assert validate_matching(g, m).ok
+        assert 32 * 2**3 * len(m) >= nu
+        s = packing.maximal_independent_set(lg, 2)
+        assert validate_independent_set(lg, s, require_maximal=True).ok
+        assert 2 * len(s) >= nu
+        s = packing.approx_mis(lg, 2)
+        assert validate_independent_set(lg, s).ok
+        assert 32 * 2**3 * len(s) >= nu
+
     def test_almost_maximal_slack_range(self):
         with pytest.raises(ValueError):
             almost_maximal_matching(triangle(), Fraction(0))
@@ -335,10 +362,30 @@ def test_loads_only_grow_under_doubling_steps():
         prev = cur
 
 
-def _all_items_double_rounds(model, values, loads, scale, cap, items, where):
-    """The doubling loop re-testing every item of ``values`` each round."""
+def _freezing(model, i):
+    """The resources that freeze item i, from each side's definition."""
+    return (i,) if isinstance(model, packing._PackingModel) else model.h.edges[i]
+
+
+def _summed_loads(model, values):
+    loads = [0] * model.resources
+    for i, val in values.items():
+        for r in model.loaded(i):
+            loads[r] += val
+    return loads
+
+
+def _frozen(model, loads, scale, i):
+    return any(2 * loads[r] >= scale for r in _freezing(model, i))
+
+
+def _all_items_double_rounds(model, values, tracker, cap, items, where):
+    """The doubling loop re-testing every item of ``values`` each round
+    against loads it sums itself; it reads only the scale of ``tracker``."""
+    scale = tracker.scale
+    loads = _summed_loads(model, values)
     rounds = 0
-    while movers := sorted(i for i in values if not rounding._frozen(model, loads, scale, i)):
+    while movers := sorted(i for i in values if not _frozen(model, loads, scale, i)):
         for i in movers:
             val = values.pop(i)
             for r in model.loaded(i):
@@ -349,7 +396,7 @@ def _all_items_double_rounds(model, values, loads, scale, cap, items, where):
             raise RuntimeError(f"{where} exceeded {cap} rounds")
         model.recheck(values, scale, movers, where)
     for i in items:
-        if not rounding._frozen(model, loads, scale, i):
+        if not _frozen(model, loads, scale, i):
             raise RuntimeError(f"{model.noun} {i} ended {where} unfrozen")
     return rounds
 
@@ -396,3 +443,51 @@ def test_doubling_retests_only_movers(n, m, r, seed, denom):
         new = _doubling_trace(rounding._double_rounds, run)
         assert new[2], "the case runs no doubling loop"
         assert new == _doubling_trace(_all_items_double_rounds, run)
+
+
+def _recounted(model, values, scale):
+    """``frozen`` and ``over`` recomputed from loads re-summed from ``values``."""
+    loads = _summed_loads(model, values)
+    items = range(model.items)
+    frozen = {i for i in items if any(2 * loads[r] >= scale for r in _freezing(model, i))}
+    over = {i for i in items if any(2 * loads[r] > scale for r in _freezing(model, i))}
+    return frozen, over
+
+
+@given(
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([4, 8, 16]),
+    st.integers(min_value=0, max_value=10),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=99), st.sampled_from([0, 1, 2, 4])),
+        max_size=30,
+    ),
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_load_tracker_matches_a_recount(packing_side, seed, scale, seeded, steps):
+    h = generate.random_hypergraph(8, 10, 3, seed=seed)
+    model = packing._PackingModel(line_graph(h)) if packing_side else rounding._MatchingModel(h)
+    values = dict.fromkeys(range(min(seeded, model.items)), 1)
+    tracker = rounding._Loads(model, scale, dict(values))
+    assert (tracker.frozen, tracker.over) == _recounted(model, values, scale)
+    for k, val in steps:
+        i = k % model.items
+        values[i] = values.get(i, 0) + val
+        tracker.add(i, val)
+        assert tracker.loads == _summed_loads(model, values)
+        assert (tracker.frozen, tracker.over) == _recounted(model, values, scale)
+
+
+def test_a_packing_node_at_exactly_half_is_frozen_but_not_over():
+    # path 0 - 1 - 2; closed loads over scale 4
+    model = packing._PackingModel(build_graph(3, [(0, 1), (1, 2)]))
+    tracker = rounding._Loads(model, 4)
+    tracker.add(0, 1)
+    assert (tracker.frozen, tracker.over) == (set(), set())
+    tracker.add(1, 1)  # nodes 0 and 1 at exactly 1/2
+    assert (tracker.frozen, tracker.over) == ({0, 1}, set())
+    tracker.add(2, 1)  # node 1 past 1/2, node 2 at 1/2
+    assert (tracker.frozen, tracker.over) == ({0, 1, 2}, {1})
+    seeded = rounding._Loads(model, 4, {0: 1, 1: 1, 2: 1})
+    assert (seeded.loads, seeded.frozen, seeded.over) == (tracker.loads, {0, 1, 2}, {1})
