@@ -9,7 +9,9 @@ Three subcommands, each driven by one table whose keys are its choices:
 `generate` rejects a missing, malformed or unknown parameter before it
 reads `--in` or builds anything.  `run --oracle` on an algorithm without
 an oracle comparison (`rand-edge-color`, `vertex-color`) is a usage error
-raised before the instance is read.  `verify orientation` checks
+raised before the instance is read, and so is any of `--eps`, `--lambda`,
+`--arboricity` and `--slack` given to an algorithm that does not read it
+(`--seed` is accepted everywhere).  `verify orientation` checks
 out-degrees against ceil((1+eps)*lambda) when given both `--lambda` and
 `--eps`, against the solution's own maximum when given neither, and
 rejects one without the other; `verify pseudo-forests` takes the two
@@ -338,19 +340,24 @@ def _run_pseudo_forests(g, args, ledger):
 
 
 class _Algorithm(NamedTuple):
-    """One `run --algo` choice.  Once the instance is parsed, the
-    preconditions are checked in this order: graph, flags, edges."""
+    """One `run --algo` choice.  Before the instance is read, `--oracle`
+    and the options of `_DEST` outside ``flags`` and ``optional`` are
+    refused; once it is parsed, the preconditions are checked in this
+    order: graph, flags, edges."""
 
     run: Callable
     graph: bool = True  # needs a gr instance
     flags: tuple[str, ...] = ()  # options that must be given
+    optional: tuple[str, ...] = ()  # options read when given
     edges: bool = False  # needs at least one edge
     oracle: bool = True  # has an oracle comparison
     lists: bool = False  # the instance file carries color lists
 
 
 _ALGORITHMS = {
-    "maximal-matching": _Algorithm(_run_maximal_matching, graph=False),
+    "maximal-matching": _Algorithm(
+        _run_maximal_matching, graph=False, optional=("--slack",)
+    ),
     "approx-matching": _Algorithm(_run_approx_matching, graph=False),
     "edge-color": _Algorithm(_run_edge_color, edges=True),
     "list-edge-color": _Algorithm(_run_list_edge_color, edges=True, lists=True),
@@ -365,14 +372,17 @@ _ALGORITHMS = {
     ),
 }
 
-# argparse dest of each option that `_Algorithm.flags` may name
-_DEST = {"--eps": "eps", "--lambda": "lam", "--arboricity": "arboricity"}
+# argparse dest of each option that `_Algorithm.flags` and `optional` may name
+_DEST = {"--eps": "eps", "--lambda": "lam", "--arboricity": "arboricity", "--slack": "slack"}
 
 
 def _cmd_run(args) -> int:
     algo = _ALGORITHMS[args.algo]
     if args.oracle and not algo.oracle:
         raise UsageError(f"{args.algo} has no oracle comparison")
+    for flag, dest in _DEST.items():
+        if getattr(args, dest) is not None and flag not in algo.flags + algo.optional:
+            raise UsageError(f"{args.algo} takes no {flag}")
     parsed = _parse(_read(args.infile), algo.lists)
     instance: Hypergraph = parsed.g if algo.lists else parsed
     if algo.graph and not isinstance(instance, Graph):

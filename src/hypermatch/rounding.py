@@ -18,17 +18,19 @@ the conflict graph is a `LineGraphView`: the line graph, answered from
 counts and never built); `packing` supplies the closed-neighborhood model
 of greedy packings.  Both sides take and
 return a `FractionalAssignment` that the engine builds and restricts
-itself.  Value dicts inside the engine are kept in witness order, which
-only the packing side reads.
+itself.
 
 Within one pass every value is k/D for one power of two D (1/denom for
 the greedy pass; multiples of 1/denom for the rounding passes), so the
 engine keeps integer numerators over D: values, loads and the share
-checks.  Loads only grow within a pass, so each resource reaches 1/2 at
-most once: a per-pass tracker adds the items a resource freezes to a
-frozen set as its load crosses 2*load >= D, and every frozen test is a
-set lookup.  An output holds its numerators over D as they are, and a
-`Fraction` is built only for a message.
+checks.  One pass object holds the values, in witness order (which only
+the packing side reads), and the loads; raising a value is its one
+change, and it moves the item to the end of the witness order.  Loads
+only grow within a pass, so each resource reaches 1/2 at most once: the
+pass adds the items a resource freezes to a frozen set as its load
+crosses 2*load >= D, and every frozen test is a set lookup.  An output
+holds its numerators over D as they are, and a `Fraction` is built only
+for a message.
 
 Every assignment the engine builds is validated exactly once.  Each
 output is validated as the pass finishes and marked with the side and
@@ -40,9 +42,9 @@ validated by the pass it enters.
 
 Every intermediate assignment is a valid fractional matching: on the
 matching side, after each color class, doubling round and recursive
-accumulation, the model rechecks the values just raised and re-sums the
-loads of the vertices they touch, in ascending vertex order.  Nothing
-else changed since the previous recheck, so this raises on the same first
+accumulation, the pass checks the values just raised and then the loads
+of the vertices they touch, in ascending vertex order.  Nothing else
+changed since the previous check, so this raises on the same first
 violation a full re-scan would, at the cost of the step rather than of
 the whole instance.  All of it is exact integer arithmetic, so a violated
 bound raises instead of drifting.
@@ -116,20 +118,12 @@ class _LoadModel:
     rho_name: str  # how ledger formulas and messages spell rho
     driver: str  # the ledger label of the maximal driver's iterations
     raise_at_half: bool  # the sweep also raises an item frozen exactly at 1/2
+    capped: bool  # every step checks the raised values and their loads against 1
     noun: str  # what messages call an item
     kind: str  # what messages call a valid assignment
     suffix: str  # appended to the greedy, basic and recursive ledger labels
     recursion_rule: str  # can_recurse, spelled out for messages
     ledger: RoundLedger | None
-
-    def recheck(
-        self, values: dict[int, int], scale: int, touched: list[int], where: str
-    ) -> None:
-        """Per-step validity recheck after the ``touched`` items were raised.
-
-        ``values`` are numerators over ``scale``.  A side with no recheck
-        leaves this empty.
-        """
 
     def charge(self, label: str, rounds: int, formula: str) -> None:
         if self.ledger is not None:
@@ -141,22 +135,27 @@ def _base_coloring(model: _LoadModel) -> VertexColoring:
     return linial_coloring(model.conflict(range(model.items)), ledger=model.ledger)
 
 
-class _Loads:
-    """One pass's integer loads over ``scale``, and the items they freeze.
+class _Pass:
+    """One pass's values and loads, integer numerators over ``scale``, and
+    the items the loads freeze.
 
-    ``frozen`` holds the items with a freezing resource at 2*load >= scale,
-    ``over`` those with one at 2*load > scale.  Loads only grow within a
-    pass, so each resource crosses each threshold at most once, and `add`
-    adds the items it freezes to the set as it does.  ``values`` seeds the
-    loads in one sum, followed by one scan of the resources.
+    ``values`` holds the items' values in witness order.  ``frozen`` holds
+    the items with a freezing resource at 2*load >= scale, ``over`` those
+    with one at 2*load > scale.  `add` is the one change: loads only grow
+    within a pass, so each resource crosses each threshold at most once,
+    and `add` adds the items it freezes to the set as it does.  Seed
+    ``values`` (which the pass then owns) are summed into the loads in one
+    sum, followed by one scan of the resources.
     """
 
     def __init__(
         self, model: _LoadModel, scale: int, values: dict[int, int] | None = None
     ) -> None:
+        self.model = model
         self.scale = scale
         self._loaded = model.loaded
         self._frozen_by = model.frozen_by
+        self.values: dict[int, int] = {} if values is None else values
         self.loads = loads = [0] * model.resources
         self.frozen: set[int] = set()
         self.over: set[int] = set()
@@ -171,8 +170,10 @@ class _Loads:
                         self.over.update(self._frozen_by(r))
 
     def add(self, i: int, val: int) -> None:
-        """Raise the loads of item i's resources by ``val`` (>= 0)."""
-        loads, scale = self.loads, self.scale
+        """Raise item i's value, and so its resources' loads, by ``val``
+        (>= 0), and move i to the end of the witness order."""
+        values, loads, scale = self.values, self.loads, self.scale
+        values[i] = values.pop(i, 0) + val
         for r in self._loaded(i):
             old = 2 * loads[r]
             loads[r] += val
@@ -182,49 +183,67 @@ class _Loads:
                 if old + 2 * val > scale:
                     self.over.update(self._frozen_by(r))
 
+    def check(self, touched: list[int], where: str) -> None:
+        """On a capped side, check the ``touched`` values, in order, and
+        then the loads of their resources in ascending id order.
 
-def _double(values: dict[int, int], loads: _Loads, candidates):
-    """Double every one of ``candidates`` (items of ``values``) that is not
+        Nothing else changed since the last check, so this reports the
+        first violation a full scan would.
+        """
+        model = self.model
+        if not model.capped:
+            return
+        values, loads, scale = self.values, self.loads, self.scale
+        for i in touched:
+            if not 0 <= values[i] <= scale:
+                value = Fraction(values[i], scale)
+                raise RuntimeError(f"{where}: {model.noun} {i} value {value} outside [0,1]")
+        for r in sorted({r for i in touched for r in self._loaded(i)}):
+            if loads[r] > scale:
+                raise RuntimeError(f"{where}: vertex {r} overloaded to {Fraction(loads[r], scale)}")
+
+
+def _double(p: _Pass, candidates):
+    """Double every one of ``candidates`` (items of the pass) that is not
     frozen; returns the doubled items.
 
     Doubled items move to the end of the witness order in id order.  A
     packing node with closed load sigma < 1/2 can afford its value plus its
     full neighborhood after doubling, since that is at most 2*sigma < 1.
     """
-    frozen = loads.frozen
+    frozen, values = p.frozen, p.values
     movers = sorted(i for i in candidates if i not in frozen)
     for i in movers:
-        val = values.pop(i)
-        loads.add(i, val)
-        values[i] = val * 2
+        p.add(i, values[i])
     return movers
 
 
-def _double_rounds(model: _LoadModel, values, loads: _Loads, cap: int, items, where: str) -> int:
-    """Double until nothing moves, rechecking each round; returns the round count.
+def _double_rounds(p: _Pass, cap: int, items, where: str) -> int:
+    """Double until nothing moves, checking each round; returns the round count.
 
-    The first round tests every item of ``values``; each later round tests
+    The first round tests every item of the pass; each later round tests
     only the items the round before it doubled.  This is exact: within a
     pass loads only grow, so an item frozen in one round is frozen in every
     later one and would not move again.  Raises past ``cap`` rounds, and
     unless every one of ``items`` ends frozen.
     """
     rounds = 0
-    moved = values
-    while moved := _double(values, loads, moved):
+    moved = p.values
+    while moved := _double(p, moved):
         rounds += 1
         if rounds > cap:
             raise RuntimeError(f"{where} exceeded {cap} rounds")
-        model.recheck(values, loads.scale, moved, where)
+        p.check(moved, where)
     for i in items:
-        if i not in loads.frozen:
-            raise RuntimeError(f"{model.noun} {i} ended {where} unfrozen")
+        if i not in p.frozen:
+            raise RuntimeError(f"{p.model.noun} {i} ended {where} unfrozen")
     return rounds
 
 
-def _finish(model: _LoadModel, values: dict[int, int], scale: int, low: int, what: str):
-    """``values`` (numerators over ``scale``, each in [low, scale]) as a
-    validated and marked assignment; a failure is a bug here."""
+def _finish(p: _Pass, low: int, what: str):
+    """The values of the pass (each in [low, scale]) as a validated and
+    marked assignment; a failure is a bug here."""
+    model, values, scale = p.model, p.values, p.scale
     for i, num in values.items():
         if not low <= num <= scale:
             value, floor = Fraction(num, scale), Fraction(low, scale)
@@ -246,10 +265,9 @@ def _greedy(model: _LoadModel, denom: int | None):
     if not is_power_of_two(denom) or denom < model.base:
         raise ValueError(f"denom must be a power of two >= {model.base}, got {denom}")
     rounds = denom.bit_length() - 1  # after this many doublings an item holds 1: frozen
-    values = dict.fromkeys(range(model.items), 1)  # numerators over denom
-    loads = _Loads(model, denom, values)
-    _double_rounds(model, values, loads, rounds, values, "greedy doubling")
-    out = _finish(model, values, denom, 1, "greedy")
+    p = _Pass(model, denom, dict.fromkeys(range(model.items), 1))
+    _double_rounds(p, rounds, range(model.items), "greedy doubling")
+    out = _finish(p, 1, "greedy")
     model.charge("greedy" + model.suffix, rounds, "log2(denom)")
     return out
 
@@ -288,25 +306,23 @@ def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     defect = max(0, denom // (2 * factor) - 1)
     dcol = defective_coloring(model.conflict(support), restricted, defect, ledger=model.ledger)
 
-    values: dict[int, int] = {}  # numerators over denom
-    loads = _Loads(model, denom)
+    p = _Pass(model, denom)
     by_color: dict[int, list[int]] = {}
     for k, i in enumerate(support):
         by_color.setdefault(dcol.colors[k], []).append(i)
-    blocked = loads.over if model.raise_at_half else loads.frozen
+    blocked = p.over if model.raise_at_half else p.frozen
     for color in sorted(by_color):
         raised = [i for i in by_color[color] if i not in blocked]
         for i in raised:
-            values[i] = factor
-            loads.add(i, factor)
-        model.recheck(values, denom, raised, "basic_round color sweep")
+            p.add(i, factor)
+        p.check(raised, "basic_round color sweep")
     for i in support:
-        if i not in values and i not in loads.frozen:
+        if i not in p.values and i not in p.frozen:
             raise RuntimeError(f"{model.noun} {i} skipped its color class")
     cap = (denom // factor).bit_length() - 1
-    doubling = _double_rounds(model, values, loads, cap, support, "basic_round doubling")
-    out = _finish(model, values, denom, factor, "basic rounding")
-    if sum(values.values()) * 2 * model.rho * x.scale < sum(x.nums.values()) * denom:
+    doubling = _double_rounds(p, cap, support, "basic_round doubling")
+    out = _finish(p, factor, "basic rounding")
+    if sum(p.values.values()) * 2 * model.rho * x.scale < sum(x.nums.values()) * denom:
         raise RuntimeError(
             f"basic rounding lost more than a 1/(2*{model.rho_name}) share"
         )
@@ -349,9 +365,8 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     rho = model.rho
     total_x = sum(x.nums.values())  # numerator over x.scale
     s1, s2 = _split_factor(factor)
-    values: dict[int, int] = {}  # numerators over denom
-    loads = _Loads(model, denom)
-    frozen = loads.frozen
+    p = _Pass(model, denom)
+    frozen = p.frozen
     running = 0  # numerator over denom of the gains kept so far
     iterations = 0
     target_scale = 4 * rho * x.scale  # the target is total_x / target_scale
@@ -378,22 +393,19 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
         if any(num * denom % (2 * z2.scale) for num in z2.nums.values()):
             raise RuntimeError(f"nested rounding left a value off the 1/{denom} grid")
         added = {i: num * denom // (2 * z2.scale) for i, num in z2.nums.items()}
-        old = [i for i in values if i not in added]
-        old.sort(key=lambda i: i not in frozen)
-        merged = {i: values[i] for i in old}
+        for i in [i for i in p.values if i not in frozen]:
+            p.add(i, 0)  # only moves i to the end
         for i, half in added.items():
-            merged[i] = values.get(i, 0) + half
-            loads.add(i, half)
-        values = merged
+            p.add(i, half)
         running += sum(added.values())
         iterations += 1
-        model.recheck(values, denom, list(added), "recursive_round accumulate")
+        p.check(list(added), "recursive_round accumulate")
     if running * target_scale < total_x * denom:
         raise RuntimeError(
             f"recursive rounding kept {Fraction(running, denom)} < "
             f"{Fraction(total_x, target_scale)} after {iterations} iterations"
         )
-    out = _finish(model, values, denom, factor, "recursive rounding")
+    out = _finish(p, factor, "recursive rounding")
     model.charge(
         "recursive_round" + model.suffix, iterations, f"16*{model.rho_name} iterations"
     )
@@ -472,6 +484,7 @@ class _MatchingModel(_LoadModel):
     rho_name = "rank"
     driver = "maximal_driver"
     raise_at_half = False
+    capped = True
     noun = "edge"
     kind = "fractional matching"
     suffix = ""
@@ -523,23 +536,6 @@ class _MatchingModel(_LoadModel):
     def settled(self, chosen, maximal):
         return validate_matching(self.h, chosen, require_maximal=maximal)
 
-    def recheck(self, values, scale, touched, where):
-        """Check the touched values and re-sum the loads of their vertices.
-
-        Nothing else changed since the last recheck, so this reports the
-        first violation a full scan would: values in witness order, then
-        vertices in ascending id order.
-        """
-        h = self.h
-        for i in touched:
-            if not 0 <= values[i] <= scale:
-                value = Fraction(values[i], scale)
-                raise RuntimeError(f"{where}: edge {i} value {value} outside [0,1]")
-        for v in sorted({v for i in touched for v in h.edges[i]}):
-            load = sum(values.get(e, 0) for e in h.incidence[v])
-            if load > scale:
-                raise RuntimeError(f"{where}: vertex {v} overloaded to {Fraction(load, scale)}")
-
 
 def greedy_doubling_step(
     h: Hypergraph, x: FractionalAssignment
@@ -553,9 +549,9 @@ def greedy_doubling_step(
     """
     model = _MatchingModel(h)
     _check_input(model, x, x.scale)
-    values = dict(x.nums)
-    _double(values, _Loads(model, x.scale, values), values)
-    return _finish(model, values, x.scale, 1, "greedy doubling step")
+    p = _Pass(model, x.scale, dict(x.nums))
+    _double(p, p.values)
+    return _finish(p, 1, "greedy doubling step")
 
 
 def greedy_fractional_matching(

@@ -59,6 +59,10 @@ hypermatch verify edge-coloring --in c5.gr c5.ac
 status=0
 hypermatch verify orientation --in c5.gr c5.or --lambda 2 --eps -1 || status=$?
 test "$status" -eq 2
+# an option the algorithm does not read is a usage error
+status=0
+hypermatch run --algo mis --in c5.gr --lambda 3 --out c5.mis || status=$?
+test "$status" -eq 2
 # 144 edges on 60 nodes: out-degree 2 cannot be met, and the run says so at once
 for algo in orientation pseudo-forests; do
   status=0

@@ -508,6 +508,30 @@ class TestExitCodes:
             "failed: out-degree bound 2 cannot be met: the 50 nodes reachable"
         )
 
+    @pytest.mark.parametrize("algo", ALGORITHM_CASES)
+    def test_options_an_algorithm_does_not_read_are_refused(self, algo, tmp_path, capsys):
+        # refused before the instance is read: the file does not exist
+        reads = {
+            "maximal-matching": ("--slack",),
+            "approx-graph-matching": ("--eps",),
+            "orientation": ("--lambda", "--eps"),
+            "pseudo-forests": ("--lambda", "--eps"),
+            "arb-edge-color": ("--arboricity", "--eps"),
+        }.get(algo, ())
+        absent = str(tmp_path / "absent.gr")
+        for option in ("--eps", "--lambda", "--arboricity", "--slack"):
+            if option not in reads:
+                value = "1/2" if option in ("--eps", "--slack") else "2"
+                assert run_cli("run", "--algo", algo, "--in", absent, option, value) == 2
+                assert capsys.readouterr().err == f"error: {algo} takes no {option}\n"
+
+    def test_seed_is_accepted_where_it_is_not_read(self, cycle5, tmp_path):
+        # its default 0 is in every report, so no algorithm refuses it
+        report = tmp_path / "mis.json"
+        assert run_cli("run", "--algo", "mis", "--in", cycle5, "--seed", "4",
+                       "--json", str(report)) == 0
+        assert json.loads(report.read_text())["parameters"]["seed"] == 4
+
     def test_oracle_unavailable_for_randomized_run(self, cycle5, tmp_path):
         # rejected before solving, so no solution file is written
         sol = tmp_path / "c5.out"

@@ -1,5 +1,5 @@
-"""Golden outputs of rounding-heavy runs and of the `apps` drivers, pinned
-byte for byte.
+"""Golden outputs of rounding-heavy runs, of the `apps` drivers and of
+recursive rounding passes in witness order, pinned byte for byte.
 
 Each case pins the solution together with the ledger records of the run:
 its size, its ledger total and a SHA-256 digest of both as canonical
@@ -24,8 +24,8 @@ from hypermatch import apps, generate
 from hypermatch.core import build_hypergraph, line_graph
 from hypermatch.edge_coloring import edge_color
 from hypermatch.ledger import RoundLedger
-from hypermatch.packing import maximal_independent_set
-from hypermatch.rounding import maximal_matching
+from hypermatch.packing import initial_packing, maximal_independent_set, recursive_round_packing
+from hypermatch.rounding import greedy_fractional_matching, maximal_matching, recursive_round
 
 
 def hub_hypergraph():
@@ -155,4 +155,55 @@ def test_apps_output(case, label, count, rounds, digest):
     blob = json.dumps([solution, records], sort_keys=True)
     assert len([r for r in records if r["label"] == label]) == count
     assert ledger.total == rounds
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def recursion_case(side, factor):
+    """A recursive rounding pass at ``factor``: on the hub hypergraph at
+    denom 1024, or on a 12-node random graph (packing side, independence 1).
+
+    The packing case at factor 32 takes two accumulation iterations, and its
+    merge moves the items the second one raises again to the end."""
+    def case(ledger):
+        if side == "matching":
+            h = hub_hypergraph()
+            return recursive_round(h, greedy_fractional_matching(h, 1024), factor, 1024,
+                                   ledger=ledger)
+        g = generate.random_graph(12, 0.3, seed=27 if factor == 32 else 9)
+        denom = 1024 if factor == 32 else 128
+        return recursive_round_packing(g, initial_packing(g, denom), factor, denom, 1,
+                                       ledger=ledger)
+    case.__name__ = f"{side}_factor_{factor}"
+    return case
+
+
+WITNESS = [
+    # case, outer iterations, digest of [numerators in witness order, scale,
+    # ledger records of the pass]
+    (recursion_case("matching", 8), 1,
+     "6a11e446e2345a0ae91786e8b58581fe14b8ec87bb935bb1b377fd73d7d2eae0"),
+    (recursion_case("matching", 16), 1,
+     "6d793f09f721c0336a14301d627d5bcfae09cb9b61fed57a2d85e0f08791e0a7"),
+    (recursion_case("matching", 32), 1,
+     "26edd9a35c3964806a75a80f46ca8589c1c53aa4889a91a602729f00f8ba78e2"),
+    (recursion_case("packing", 8), 1,
+     "86faee781b01c1a746ad3abd82c24137b7c7e60febf8f4fa65ffa38788ba59e7"),
+    (recursion_case("packing", 32), 2,
+     "e42614d054c44f8ee9adae957aac1279dce59b4e68a52f529b5ccd8434265f98"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, iterations, digest", WITNESS, ids=[g[0].__name__ for g in WITNESS]
+)
+def test_recursion_witness_order(case, iterations, digest):
+    """The order of a recursive pass's output is its witness order, which a
+    greedy packing verdict accepts in many variants; this pins the one the
+    merge builds."""
+    ledger = RoundLedger()
+    y = case(ledger)
+    records = ledger.as_records()
+    blob = json.dumps([list(y.nums.items()), y.scale, records], sort_keys=True)
+    assert records[-1]["label"].startswith("recursive_round")
+    assert records[-1]["rounds"] == iterations
     assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -199,6 +199,30 @@ class TestBasicRound:
         ):
             basic_round(h, x, 64, 64)
 
+    def test_doubling_check_catches_an_overloaded_vertex(self, monkeypatch):
+        # a doubling step that ignores frozen items doubles both edges of the
+        # path past the shared vertex's budget in its second round
+        def unfrozen_double(p, candidates):
+            movers = sorted(candidates)
+            for i in movers:
+                p.add(i, p.values[i])
+            return movers
+
+        h = build_hypergraph(3, [{0, 1}, {1, 2}])
+        x = build_fractional_assignment({0: Fraction(1, 4), 1: Fraction(1, 4)}, Fraction(1, 4))
+        monkeypatch.setattr(rounding, "_double", unfrozen_double)
+        with pytest.raises(RuntimeError) as err:
+            basic_round(h, x, 1, 4)
+        assert str(err.value) == "basic_round doubling: vertex 1 overloaded to 2"
+
+
+def _planted_recursion(monkeypatch, value):
+    """Nested recursive passes that return every input item at ``value``."""
+    def planted(h, z, factor, denom, coloring=None, ledger=None):
+        return FractionalAssignment._over(dict.fromkeys(z.nums, value), 1)
+
+    monkeypatch.setattr(rounding, "recursive_round", planted)
+
 
 class TestRecursiveRound:
     def test_small_factor_delegates_to_basic(self):
@@ -237,6 +261,26 @@ class TestRecursiveRound:
         assert validate_fractional_matching(h, y).ok
         assert all(val >= Fraction(8, 128) for val in y.values.values())
         assert y.total() * 4 * h.rank >= x.total()
+
+    def test_accumulate_check_catches_an_overloaded_vertex(self, monkeypatch):
+        # nested passes planted to return 1 everywhere: half of it on each of
+        # the star's three edges overloads the center
+        h = build_hypergraph(4, [{0, 1}, {0, 2}, {0, 3}])
+        x = greedy_fractional_matching(h, 1024)
+        _planted_recursion(monkeypatch, 1)
+        with pytest.raises(RuntimeError) as err:
+            recursive_round(h, x, 8, 1024)
+        assert str(err.value) == "recursive_round accumulate: vertex 0 overloaded to 3/2"
+
+    def test_accumulate_check_reads_the_values_first(self, monkeypatch):
+        # a planted nested value of 4 puts the half kept of it at 2: the edge's
+        # value is reported before the loads of its vertices
+        h = build_hypergraph(2, [{0, 1}])
+        x = greedy_fractional_matching(h, 1024)
+        _planted_recursion(monkeypatch, 4)
+        with pytest.raises(RuntimeError) as err:
+            recursive_round(h, x, 8, 1024)
+        assert str(err.value) == "recursive_round accumulate: edge 0 value 2 outside [0,1]"
 
 
 class TestDrivers:
@@ -345,7 +389,7 @@ def test_non_dyadic_input_gets_one_message(call):
 def test_an_output_outside_its_range_is_a_library_bug():
     model = rounding._MatchingModel(build_hypergraph(2, [{0, 1}]))
     with pytest.raises(RuntimeError) as err:
-        rounding._finish(model, {0: 16}, 8, 1, "basic rounding")
+        rounding._finish(rounding._Pass(model, 8, {0: 16}), 1, "basic rounding")
     assert str(err.value) == "basic rounding left edge 0 at 2, outside [1/8, 1]"
 
 
@@ -379,10 +423,27 @@ def _frozen(model, loads, scale, i):
     return any(2 * loads[r] >= scale for r in _freezing(model, i))
 
 
-def _all_items_double_rounds(model, values, tracker, cap, items, where):
-    """The doubling loop re-testing every item of ``values`` each round
-    against loads it sums itself; it reads only the scale of ``tracker``."""
-    scale = tracker.scale
+def _recheck(model, values, scale, touched, where):
+    """The matching side's per-step check from the values alone: the touched
+    values, then each vertex they touch re-summed over its incidence."""
+    if isinstance(model, packing._PackingModel):
+        return
+    h = model.h
+    for i in touched:
+        if not 0 <= values[i] <= scale:
+            value = Fraction(values[i], scale)
+            raise RuntimeError(f"{where}: edge {i} value {value} outside [0,1]")
+    for v in sorted({v for i in touched for v in h.edges[i]}):
+        load = sum(values.get(e, 0) for e in h.incidence[v])
+        if load > scale:
+            raise RuntimeError(f"{where}: vertex {v} overloaded to {Fraction(load, scale)}")
+
+
+def _all_items_double_rounds(p, cap, items, where):
+    """The doubling loop re-testing every item of the pass each round
+    against loads it sums itself; it reads only the model, scale and values
+    of the pass ``p``, and updates the values in place."""
+    model, values, scale = p.model, p.values, p.scale
     loads = _summed_loads(model, values)
     rounds = 0
     while movers := sorted(i for i in values if not _frozen(model, loads, scale, i)):
@@ -394,7 +455,7 @@ def _all_items_double_rounds(model, values, tracker, cap, items, where):
         rounds += 1
         if rounds > cap:
             raise RuntimeError(f"{where} exceeded {cap} rounds")
-        model.recheck(values, scale, movers, where)
+        _recheck(model, values, scale, movers, where)
     for i in items:
         if not _frozen(model, loads, scale, i):
             raise RuntimeError(f"{model.noun} {i} ended {where} unfrozen")
@@ -406,11 +467,10 @@ def _doubling_trace(impl, run):
     witness order) and round count, with ``impl`` as the loop."""
     calls = []
 
-    def recording(model, values, *rest):
-        rounds = impl(model, values, *rest)
-        calls.append((list(values.items()), rounds))
+    def recording(p, *rest):
+        rounds = impl(p, *rest)
+        calls.append((list(p.values.items()), rounds))
         return rounds
-
     ledger = RoundLedger()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rounding, "_double_rounds", recording)
@@ -469,12 +529,13 @@ def test_load_tracker_matches_a_recount(packing_side, seed, scale, seeded, steps
     h = generate.random_hypergraph(8, 10, 3, seed=seed)
     model = packing._PackingModel(line_graph(h)) if packing_side else rounding._MatchingModel(h)
     values = dict.fromkeys(range(min(seeded, model.items)), 1)
-    tracker = rounding._Loads(model, scale, dict(values))
+    tracker = rounding._Pass(model, scale, dict(values))
     assert (tracker.frozen, tracker.over) == _recounted(model, values, scale)
     for k, val in steps:
         i = k % model.items
-        values[i] = values.get(i, 0) + val
+        values[i] = values.pop(i, 0) + val  # raised items move to the end
         tracker.add(i, val)
+        assert list(tracker.values.items()) == list(values.items())
         assert tracker.loads == _summed_loads(model, values)
         assert (tracker.frozen, tracker.over) == _recounted(model, values, scale)
 
@@ -482,12 +543,12 @@ def test_load_tracker_matches_a_recount(packing_side, seed, scale, seeded, steps
 def test_a_packing_node_at_exactly_half_is_frozen_but_not_over():
     # path 0 - 1 - 2; closed loads over scale 4
     model = packing._PackingModel(build_graph(3, [(0, 1), (1, 2)]))
-    tracker = rounding._Loads(model, 4)
+    tracker = rounding._Pass(model, 4)
     tracker.add(0, 1)
     assert (tracker.frozen, tracker.over) == (set(), set())
     tracker.add(1, 1)  # nodes 0 and 1 at exactly 1/2
     assert (tracker.frozen, tracker.over) == ({0, 1}, set())
     tracker.add(2, 1)  # node 1 past 1/2, node 2 at 1/2
     assert (tracker.frozen, tracker.over) == ({0, 1, 2}, {1})
-    seeded = rounding._Loads(model, 4, {0: 1, 1: 1, 2: 1})
+    seeded = rounding._Pass(model, 4, {0: 1, 1: 1, 2: 1})
     assert (seeded.loads, seeded.frozen, seeded.over) == (tracker.loads, {0, 1, 2}, {1})
