@@ -283,7 +283,7 @@ def _run_mis(g, args, ledger):
 def _run_vertex_color(g, args, ledger):
     independence, source = _independence_for(g, args.oracle)
     out = packing.vertex_color(g, independence, ledger=ledger)
-    palette = g.max_degree + 1
+    palette = out.palette_size  # max_degree + 1
     verdicts = {
         "coloring_proper": validate_vertex_coloring(g, out.colors),
         "palette_respected": _check(
@@ -657,7 +657,7 @@ def main(argv=None) -> int:
     handler = globals()[f"_cmd_{args.command}"]
     try:
         return handler(args)
-    except (UsageError, io.ParseError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # io.ParseError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except oracles.OverBudgetError as exc:

@@ -222,7 +222,7 @@ def randomized_edge_color(
     finished by the list coloring reduction on its residual palettes,
     whose sizes stay above the remaining adjacent-edge counts.
     """
-    palette = 2 * g.max_degree - 1 if g.max_degree >= 1 else 0
+    palette = max(0, 2 * g.max_degree - 1)
     if g.m == 0:
         return EdgeColoringResult(colors={}, palette=palette, stats={
             "trial_rounds": 0, "colored_in_trials": 0, "total_edges": 0,

@@ -24,8 +24,9 @@ Within one pass every value is k/D for one power of two D (1/denom for
 the greedy pass; multiples of 1/denom for the rounding passes), so the
 engine keeps integer numerators over D: values, loads and the share
 checks.  One pass object holds the values, in witness order (which only
-the packing side reads), and the loads; raising a value is its one
-change, and it moves the item to the end of the witness order.  Loads
+the packing side reads), and the loads; raising a value by a positive
+amount is its one change, and it moves the item to the end of the
+witness order, so every item sits where its last raise put it.  Loads
 only grow within a pass, so each resource reaches 1/2 at most once: the
 pass adds the items a resource freezes to a frozen set as its load
 crosses 2*load >= D, and every frozen test is a set lookup.  An output
@@ -141,11 +142,11 @@ class _Pass:
 
     ``values`` holds the items' values in witness order.  ``frozen`` holds
     the items with a freezing resource at 2*load >= scale, ``over`` those
-    with one at 2*load > scale.  `add` is the one change: loads only grow
-    within a pass, so each resource crosses each threshold at most once,
-    and `add` adds the items it freezes to the set as it does.  Seed
-    ``values`` (which the pass then owns) are summed into the loads in one
-    sum, followed by one scan of the resources.
+    with one at 2*load > scale.  `add`, a positive raise, is the one
+    change: loads only grow within a pass, so each resource crosses each
+    threshold at most once, and `add` adds the items it freezes to the set
+    as it does.  Seed ``values`` (which the pass then owns) are summed into
+    the loads in one sum, followed by one scan of the resources.
     """
 
     def __init__(
@@ -171,7 +172,7 @@ class _Pass:
 
     def add(self, i: int, val: int) -> None:
         """Raise item i's value, and so its resources' loads, by ``val``
-        (>= 0), and move i to the end of the witness order."""
+        (> 0), and move i to the end of the witness order."""
         values, loads, scale = self.values, self.loads, self.scale
         values[i] = values.pop(i, 0) + val
         for r in self._loaded(i):
@@ -367,10 +368,9 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     s1, s2 = _split_factor(factor)
     p = _Pass(model, denom)
     frozen = p.frozen
-    running = 0  # numerator over denom of the gains kept so far
     iterations = 0
     target_scale = 4 * rho * x.scale  # the target is total_x / target_scale
-    while running * target_scale < total_x * denom and iterations < 16 * rho:
+    while sum(p.values.values()) * target_scale < total_x * denom and iterations < 16 * rho:
         z = FractionalAssignment._over(
             {i: num for i, num in x.nums.items() if i not in frozen},
             x.scale,
@@ -385,24 +385,17 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
                 f"iteration gain {Fraction(gain, 2 * z2.scale)} below "
                 f"total/(64 {model.rho_name}^2) while behind"
             )
-        # Merge keeps a valid witness: items already frozen stay in place,
-        # still-open old items go next (their load is below 1/2, so any
-        # order works), and the new contribution follows in its own order.
         # Nested outputs are multiples of 2*factor/denom, so every half is
         # a whole numerator over denom.
         if any(num * denom % (2 * z2.scale) for num in z2.nums.values()):
             raise RuntimeError(f"nested rounding left a value off the 1/{denom} grid")
-        added = {i: num * denom // (2 * z2.scale) for i, num in z2.nums.items()}
-        for i in [i for i in p.values if i not in frozen]:
-            p.add(i, 0)  # only moves i to the end
-        for i, half in added.items():
-            p.add(i, half)
-        running += sum(added.values())
+        for i, num in z2.nums.items():
+            p.add(i, num * denom // (2 * z2.scale))
         iterations += 1
-        p.check(list(added), "recursive_round accumulate")
-    if running * target_scale < total_x * denom:
+        p.check(list(z2.nums), "recursive_round accumulate")
+    if sum(p.values.values()) * target_scale < total_x * denom:
         raise RuntimeError(
-            f"recursive rounding kept {Fraction(running, denom)} < "
+            f"recursive rounding kept {Fraction(sum(p.values.values()), denom)} < "
             f"{Fraction(total_x, target_scale)} after {iterations} iterations"
         )
     out = _finish(p, factor, "recursive rounding")
@@ -609,7 +602,7 @@ def recursive_round(
     basic_round.  Otherwise each iteration drops the edges already blocked
     by a half-tight vertex, rounds the rest by two nested factors
     multiplying to 2*factor, and adds half of the result; it stops as soon
-    as the running total reaches a 1/(4*rank) share of the input.
+    as the values kept reach a 1/(4*rank) share of the input.
     """
     model = _MatchingModel(h, ledger)
     return _recursive_round(model, x, factor, denom, edge_coloring)

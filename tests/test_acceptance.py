@@ -14,13 +14,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from helpers import closed_loads, drop_graph_edge, drop_hyperedge, loose_cycle
 
 from hypermatch import apps, coloring, edge_coloring, generate, oracles, packing, rounding
 from hypermatch.audit import PRIMITIVES, audit_locality
 from hypermatch.core import (
     Graph,
     build_graph,
-    build_hypergraph,
     is_power_of_two,
     line_graph,
     next_power_of_two,
@@ -33,12 +33,6 @@ from hypermatch.ledger import RoundLedger, check_recurrence_bound
 
 
 # ---------------------------------------------------------------- helpers
-
-
-def closed_loads(g, values):
-    """Per-vertex sum of the values over its closed neighborhood."""
-    return [sum((values.get(u, 0) for u in g.adjacency[v]), values.get(v, Fraction(0)))
-            for v in range(g.n)]
 
 
 def circulant(n: int, degree: int) -> Graph:
@@ -76,20 +70,6 @@ def grid(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 edges.append((node(r, c), node(r + 1, c)))
     return build_graph(rows * cols, edges)
-
-
-def drop_hyperedge(h, eid):
-    return build_hypergraph(h.n, [e for i, e in enumerate(h.edges) if i != eid])
-
-
-def drop_graph_edge(g, eid):
-    return build_graph(g.n, [e for i, e in enumerate(g.edges) if i != eid])
-
-
-def loose_cycle(k: int):
-    """k rank-3 edges on 2k vertices, consecutive edges sharing one vertex."""
-    edges = [(2 * i, 2 * i + 1, (2 * i + 2) % (2 * k)) for i in range(k)]
-    return build_hypergraph(2 * k, edges)
 
 
 @pytest.fixture(scope="module")

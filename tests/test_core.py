@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import triangle, vertex_loads
 from test_golden import hub_hypergraph
 
 from hypermatch import core, generate, packing, rounding
@@ -37,19 +38,6 @@ from hypermatch.edge_coloring import full_palette_lists, list_edge_color
 from hypermatch.ledger import RoundLedger
 from hypermatch.oracles import max_matching
 from hypermatch.rounding import approx_max_matching, maximal_matching
-
-
-def triangle():
-    return build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
-
-
-def vertex_loads(h, x):
-    """Per-vertex sum of the values of the hyperedges holding it."""
-    loads = [Fraction(0)] * h.n
-    for eid, val in x.values.items():
-        for v in h.edges[eid]:
-            loads[v] += val
-    return loads
 
 
 def test_power_of_two_helpers():

@@ -158,22 +158,25 @@ def test_apps_output(case, label, count, rounds, digest):
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
-def recursion_case(side, factor):
+def recursion_case(side, factor, graph=None, suffix=""):
     """A recursive rounding pass at ``factor``: on the hub hypergraph at
-    denom 1024, or on a 12-node random graph (packing side, independence 1).
+    denom 1024, or on the packing side (independence 1) of ``graph``, the
+    (nodes, seed, denom) of a G(n, 0.3) random graph.
 
-    The packing case at factor 32 takes two accumulation iterations, and its
-    merge moves the items the second one raises again to the end."""
+    Both packing cases at factor 32 take two accumulation iterations.  In
+    the seed-146 one the second iteration's nested pass drops 3 of the 12
+    still-open old items, which keep their places ahead of the items it
+    raises."""
     def case(ledger):
         if side == "matching":
             h = hub_hypergraph()
             return recursive_round(h, greedy_fractional_matching(h, 1024), factor, 1024,
                                    ledger=ledger)
-        g = generate.random_graph(12, 0.3, seed=27 if factor == 32 else 9)
-        denom = 1024 if factor == 32 else 128
+        nodes, seed, denom = graph
+        g = generate.random_graph(nodes, 0.3, seed=seed)
         return recursive_round_packing(g, initial_packing(g, denom), factor, denom, 1,
                                        ledger=ledger)
-    case.__name__ = f"{side}_factor_{factor}"
+    case.__name__ = f"{side}_factor_{factor}{suffix}"
     return case
 
 
@@ -186,10 +189,12 @@ WITNESS = [
      "6d793f09f721c0336a14301d627d5bcfae09cb9b61fed57a2d85e0f08791e0a7"),
     (recursion_case("matching", 32), 1,
      "26edd9a35c3964806a75a80f46ca8589c1c53aa4889a91a602729f00f8ba78e2"),
-    (recursion_case("packing", 8), 1,
+    (recursion_case("packing", 8, (12, 9, 128)), 1,
      "86faee781b01c1a746ad3abd82c24137b7c7e60febf8f4fa65ffa38788ba59e7"),
-    (recursion_case("packing", 32), 2,
+    (recursion_case("packing", 32, (12, 27, 1024)), 2,
      "e42614d054c44f8ee9adae957aac1279dce59b4e68a52f529b5ccd8434265f98"),
+    (recursion_case("packing", 32, (16, 146, 512), "_seed_146"), 2,
+     "1c7710a0ca9832e5a03582d47fa26ce59b212dd895fa11f3dfc84f864e6931c5"),
 ]
 
 
@@ -199,7 +204,7 @@ WITNESS = [
 def test_recursion_witness_order(case, iterations, digest):
     """The order of a recursive pass's output is its witness order, which a
     greedy packing verdict accepts in many variants; this pins the one the
-    merge builds."""
+    pass builds, where each item sits where its last raise put it."""
     ledger = RoundLedger()
     y = case(ledger)
     records = ledger.as_records()

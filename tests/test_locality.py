@@ -1,30 +1,11 @@
 """Radius audits: rerunning primitives on far-apart-differing instances."""
 
 import pytest
+from helpers import drop_graph_edge, drop_hyperedge, loose_cycle
 
 from hypermatch.audit import PRIMITIVES, AuditPrimitive, audit_locality, ball
 from hypermatch.coloring import reduction_schedule
-from hypermatch.core import build_graph, build_hypergraph
 from hypermatch import generate
-
-
-def loose_cycle(k):
-    """k rank-3 hyperedges around a cycle of 2k vertices, consecutive
-    edges sharing one vertex."""
-    n = 2 * k
-    return build_hypergraph(
-        n, [{2 * i, 2 * i + 1, (2 * i + 2) % n} for i in range(k)]
-    )
-
-
-def drop_edge(h, eid):
-    return build_hypergraph(
-        h.n, [sorted(e) for i, e in enumerate(h.edges) if i != eid]
-    )
-
-
-def drop_graph_edge(g, eid):
-    return build_graph(g.n, [e for i, e in enumerate(g.edges) if i != eid])
 
 
 def test_ball_on_graphs():
@@ -41,7 +22,7 @@ def test_ball_on_hypergraphs():
 
 def test_greedy_step_far_edit_passes():
     h = loose_cycle(15)
-    perturbed = drop_edge(h, 7)
+    perturbed = drop_hyperedge(h, 7)
     verdict = audit_locality(
         "greedy_step", h, 0, 1, perturbed, params={"denom": 4}
     )
@@ -55,7 +36,7 @@ def test_identity_perturbation_passes():
 
 def test_greedy_full_run_far_edit_passes():
     h = loose_cycle(15)
-    perturbed = drop_edge(h, 7)
+    perturbed = drop_hyperedge(h, 7)
     verdict = audit_locality(
         "greedy", h, 0, 2, perturbed, params={"denom": 4}
     )
@@ -113,7 +94,7 @@ def test_type_must_match():
 
 def test_perturbation_inside_ball_rejected():
     h = loose_cycle(8)
-    perturbed = drop_edge(h, 0)  # edge 0 contains the audited vertex
+    perturbed = drop_hyperedge(h, 0)  # edge 0 contains the audited vertex
     with pytest.raises(ValueError):
         audit_locality("greedy_step", h, 0, 1, perturbed, params={"denom": 4})
 

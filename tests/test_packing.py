@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import closed_loads
 
 from hypermatch import generate
 from hypermatch.core import (
@@ -25,12 +26,6 @@ from hypermatch.packing import (
 )
 
 HALF = Fraction(1, 2)
-
-
-def closed_loads(g, values):
-    """Per-vertex sum of the values over its closed neighborhood."""
-    return [sum((values.get(u, 0) for u in g.adjacency[v]), values.get(v, Fraction(0)))
-            for v in range(g.n)]
 
 
 class TestVerify:

@@ -1,11 +1,13 @@
 """Fractional matching pipeline: greedy start, rounding, drivers."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import triangle, vertex_loads
 
 from hypermatch import generate, packing, rounding
 from hypermatch.coloring import VertexColoring
@@ -34,19 +36,6 @@ from hypermatch.rounding import (
 )
 
 HALF = Fraction(1, 2)
-
-
-def triangle():
-    return build_hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
-
-
-def vertex_loads(h, x):
-    """Per-vertex sum of the values of the hyperedges holding it."""
-    loads = [Fraction(0)] * h.n
-    for eid, val in x.values.items():
-        for v in h.edges[eid]:
-            loads[v] += val
-    return loads
 
 
 class TestGreedy:
@@ -218,10 +207,36 @@ class TestBasicRound:
 
 def _planted_recursion(monkeypatch, value):
     """Nested recursive passes that return every input item at ``value``."""
+    value = Fraction(value)
+
     def planted(h, z, factor, denom, coloring=None, ledger=None):
-        return FractionalAssignment._over(dict.fromkeys(z.nums, value), 1)
+        return FractionalAssignment._over(
+            dict.fromkeys(z.nums, value.numerator), value.denominator
+        )
 
     monkeypatch.setattr(rounding, "recursive_round", planted)
+
+
+def _truncated_recursion(monkeypatch, keep):
+    """Nested recursive passes that keep the first ``keep`` items of each
+    real nested output."""
+    real = rounding.recursive_round
+
+    def truncated(h, z, factor, denom, coloring=None, ledger=None):
+        y = real(h, z, factor, denom, coloring, ledger)
+        return FractionalAssignment._over(dict(itertools.islice(y.nums.items(), keep)), y.scale)
+
+    monkeypatch.setattr(rounding, "recursive_round", truncated)
+
+
+def _matching_recursion(ledger=None):
+    """The matching side's recursive pass at factor 8 over denom 1024 on a
+    rank-3 hypergraph, called through `_recursive_round` because the
+    public `recursive_round` is the name a planted nested pass replaces."""
+    h = generate.random_hypergraph(200, 600, 3, seed=1)
+    x = greedy_fractional_matching(h, 1024)
+    y = rounding._recursive_round(rounding._MatchingModel(h, ledger), x, 8, 1024, None)
+    return h, x, y
 
 
 class TestRecursiveRound:
@@ -281,6 +296,32 @@ class TestRecursiveRound:
         with pytest.raises(RuntimeError) as err:
             recursive_round(h, x, 8, 1024)
         assert str(err.value) == "recursive_round accumulate: edge 0 value 2 outside [0,1]"
+
+    def test_matching_side_accumulates_past_one_iteration(self, monkeypatch):
+        # nested outputs cut to 8 edges each stay below the 1/(4 rank) target
+        # until the third iteration
+        _truncated_recursion(monkeypatch, 8)
+        ledger = RoundLedger()
+        h, x, y = _matching_recursion(ledger)
+        assert ledger.as_records()[-1] == {
+            "label": "recursive_round", "rounds": 3, "formula": "16*rank iterations",
+        }
+        assert validate_fractional_matching(h, y).ok
+        assert all(val >= Fraction(8, 1024) for val in y.values.values())
+        assert y.total() * 4 * h.rank >= x.total()
+
+    def test_matching_side_gain_check_while_behind(self, monkeypatch):
+        _truncated_recursion(monkeypatch, 0)
+        with pytest.raises(RuntimeError) as err:
+            _matching_recursion()
+        assert str(err.value) == "iteration gain 0 below total/(64 rank^2) while behind"
+
+    def test_matching_side_grid_check(self, monkeypatch):
+        # half of a nested 1/1024 is 1/2048, off the pass's 1/1024 grid
+        _planted_recursion(monkeypatch, Fraction(1, 1024))
+        with pytest.raises(RuntimeError) as err:
+            _matching_recursion()
+        assert str(err.value) == "nested rounding left a value off the 1/1024 grid"
 
 
 class TestDrivers:

@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import hypermatch
@@ -17,3 +18,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package declares no dependencies: every absolute import must be
+    # a standard-library module
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "fractions" in imported  # the scan did read the package
+    assert imported - sys.stdlib_module_names == set()
