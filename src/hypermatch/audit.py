@@ -11,7 +11,8 @@ really is a radius-T function.
 Global parameters a LOCAL algorithm receives up front (vertex count,
 degree cap, palette bound, starting denominator) are passed explicitly
 through ``params`` so that a far edit cannot smuggle information in
-through a recomputed global bound.
+through a recomputed global bound.  The colorings read the palette bound
+as the palette of the id coloring they start from.
 """
 
 from __future__ import annotations
@@ -81,15 +82,15 @@ def _greedy_output(h: Hypergraph, vertex: int, params: dict):
     return _incident_values(h, x, vertex)
 
 
-def _id_coloring(g: Graph) -> VertexColoring:
-    return VertexColoring(colors=tuple(range(g.n)), palette_size=g.n)
+def _id_coloring(g: Graph, palette_bound: int) -> VertexColoring:
+    """Vertex ids as colors, in the global palette bound rather than g.n."""
+    return VertexColoring(colors=tuple(range(g.n)), palette_size=palette_bound)
 
 
 def _linial_output(g: Graph, vertex: int, params: dict):
     out = linial_coloring(
         g,
-        initial=_id_coloring(g),
-        palette_bound=params["palette_bound"],
+        initial=_id_coloring(g, params["palette_bound"]),
         degree_cap=params["degree_cap"],
     )
     return out.colors[vertex]
@@ -98,9 +99,8 @@ def _linial_output(g: Graph, vertex: int, params: dict):
 def _defective_output(g: Graph, vertex: int, params: dict):
     out = defective_coloring(
         g,
-        _id_coloring(g),
+        _id_coloring(g, params["palette_bound"]),
         params["defect"],
-        palette_bound=params["palette_bound"],
         degree_cap=params["degree_cap"],
     )
     return out.colors[vertex]

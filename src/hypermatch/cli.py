@@ -19,8 +19,9 @@ flags by the same rule and then allows at most ceil((1+eps)*lambda)
 classes.  Every other kind rejects both.
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or parse
-error, 3 oracle budget exceeded, 4 out of memory.  Reports carry no
-timestamp, so identical invocations produce byte-identical output.
+error (a file that cannot be read or written included), 3 oracle budget
+exceeded, 4 out of memory.  Reports carry no timestamp, so identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -68,8 +69,11 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_instance(text: str) -> Hypergraph:

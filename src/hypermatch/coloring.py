@@ -14,13 +14,15 @@ how many neighbors of a node share its label.  The label is the color
 for the input and defect checks and the polynomial's value at one point
 for a step.  A `Graph` answers it from its adjacency lists, and a
 `LineGraphView` from per-label histograms, so a hypergraph's line graph
-is colored without being built.
+is colored without being built.  A node stops at its first conflict-free
+point, so a step evaluates the polynomials at a point, one label per
+node, only when the first node reaches that point.
 
-The reduction schedule is computed from the declared palette bound and
-degree cap alone, never from realized colors, so every step is a pure
-radius-1 function of the neighborhood.  Iterating until the palette bound
-stops shrinking stabilizes at O(degree_cap^2) colors after a log* number
-of steps.
+The reduction schedule is computed from the declared palette bound (the
+initial coloring's ``palette_size``) and degree cap alone, never from
+realized colors, so every step is a pure radius-1 function of the
+neighborhood.  Iterating until the palette bound stops shrinking
+stabilizes at O(degree_cap^2) colors after a log* number of steps.
 
 Frozen constants: a stabilized proper palette never exceeds
 PALETTE_FACTOR_PROPER * degree_cap^2 and a defective palette never exceeds
@@ -106,22 +108,6 @@ def reduction_schedule(palette: int, degree_cap: int) -> list[tuple[int, int]]:
         current = q * q
 
 
-def _poly_values(color: int, k: int, q: int) -> tuple[int, ...]:
-    """Evaluations of the degree-<=k polynomial encoding ``color`` at 0..q-1."""
-    coeffs = []
-    c = color
-    for _ in range(k + 1):
-        coeffs.append(c % q)
-        c //= q
-    out = []
-    for a in range(q):
-        acc = 0
-        for coef in reversed(coeffs):
-            acc = (acc * a + coef) % q
-        out.append(acc)
-    return tuple(out)
-
-
 def _check_initial(g: Graph | LineGraphView, colors: tuple[int, ...], palette: int) -> None:
     if len(colors) != g.n:
         raise ValueError(f"expected {g.n} colors, got {len(colors)}")
@@ -145,18 +131,28 @@ def _apply_step(
     ``defect``.
 
     A node stops at its first conflict-free point: when one exists, it is
-    the first with the fewest.  The agreement counts at a point are asked
-    of ``g`` when the first node reaches that point.
+    the first with the fewest.  So a point's column (every node's
+    polynomial at that point) is evaluated, by Horner's rule over the
+    base-q digits of the nodes' colors, and its agreement counts are asked
+    of ``g``, only when the first node reaches that point.
     """
-    values = {c: _poly_values(c, k, q) for c in set(colors)}
-    own = [values[c] for c in colors]
+    digits, rest = [], colors  # digits[j][v]: digit j of colors[v], highest first
+    for _ in range(k + 1):
+        digits.append([c % q for c in rest])
+        rest = [c // q for c in rest]
+    digits.reverse()
+    labels_at: list = [None] * q
     agree_at: list = [None] * q
     new: list[int] = []
-    for v, poly in enumerate(own):
+    for v in range(len(colors)):
         choice, best = -1, defect + 1
         for a in range(q):
             if agree_at[a] is None:
-                agree_at[a] = g.agreement([p[a] for p in own])
+                labels = digits[0]
+                for row in digits[1:]:
+                    labels = [(x * a + d) % q for x, d in zip(labels, row)]
+                labels_at[a] = labels
+                agree_at[a] = g.agreement(labels)
             agree = agree_at[a](v)
             if agree < best:
                 choice, best = a, agree
@@ -164,7 +160,7 @@ def _apply_step(
                     break
         if choice < 0:
             raise RuntimeError("cover-free family exhausted; degree cap too small")
-        new.append(choice * q + poly[choice])
+        new.append(choice * q + labels_at[choice][v])
     return new
 
 
@@ -176,21 +172,21 @@ def count_defect(g: Graph | LineGraphView, colors: list[int] | tuple[int, ...]) 
 def linial_coloring(
     g: Graph | LineGraphView,
     initial: VertexColoring | None = None,
-    palette_bound: int | None = None,
     degree_cap: int | None = None,
     ledger: RoundLedger | None = None,
 ) -> VertexColoring:
     """Proper coloring with at most PALETTE_FACTOR_PROPER * degree_cap^2 colors.
 
-    Starts from ``initial`` (default: vertex ids, palette n) and runs the
-    reduction schedule until the palette bound stabilizes.  The ledger is
-    charged one round per schedule step, a log* number in total.
+    Starts from ``initial`` (default: vertex ids, palette n), whose
+    ``palette_size`` is the palette bound the schedule is computed from,
+    and runs the reduction schedule until that bound stabilizes.  The
+    ledger is charged one round per schedule step, a log* number in total.
     """
     if initial is None:
         initial = VertexColoring(colors=tuple(range(g.n)), palette_size=g.n)
     if initial.defect != 0:
         raise ValueError("initial coloring must be proper")
-    palette = palette_bound if palette_bound is not None else initial.palette_size
+    palette = initial.palette_size
     cap = degree_cap if degree_cap is not None else g.max_degree
     if cap < g.max_degree:
         raise ValueError(f"degree cap {cap} below actual max degree {g.max_degree}")
@@ -217,14 +213,14 @@ def defective_coloring(
     g: Graph | LineGraphView,
     initial: VertexColoring,
     defect: int,
-    palette_bound: int | None = None,
     degree_cap: int | None = None,
     ledger: RoundLedger | None = None,
 ) -> VertexColoring:
     """Coloring where every node has at most ``defect`` same-colored neighbors.
 
-    Runs the proper reduction to stabilization, then one conflict-tolerant
-    step whose field size is shrunk by a factor of defect+1.  With defect 0
+    Runs the proper reduction from ``initial`` (its ``palette_size`` is
+    the palette bound) to stabilization, then one conflict-tolerant step
+    whose field size is shrunk by a factor of defect+1.  With defect 0
     this is exactly the proper reduction; with defect >= degree_cap one
     color suffices.
     """
@@ -237,7 +233,7 @@ def defective_coloring(
         if ledger is not None:
             ledger.charge("defective", 1, "defect >= degree cap, one color")
         return VertexColoring(colors=tuple(0 for _ in range(g.n)), palette_size=1, defect=defect)
-    proper = linial_coloring(g, initial, palette_bound, cap, ledger)
+    proper = linial_coloring(g, initial, degree_cap=cap, ledger=ledger)
     if defect == 0:
         return proper
     k, q = _step_params(proper.palette_size, cap, defect)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Command-line examples: generate instances, run all 11 `run --algo`
-# choices and verify each output, writing every file into the current
+# choices and every `verify` kind, writing every file into the current
 # directory.  The arguments are the command that starts the CLI:
 #
 #   bash tests/cli_examples.sh hypermatch                  # installed script
@@ -47,6 +47,7 @@ hypermatch verify maximal-matching --in h.hgr h.mat
 hypermatch verify maximal-matching --in star.gr star.mat
 hypermatch verify orientation --in c5.gr c5.or --lambda 2 --eps 1/2
 hypermatch verify mis --in lg.gr lg.mis
+hypermatch verify independent-set --in lg.gr lg.mis
 hypermatch verify mis --in ws.gr ws.mis
 hypermatch verify edge-coloring --in p5.gr p5.col
 hypermatch verify matching --in a.hgr a.mat
@@ -58,6 +59,10 @@ hypermatch verify pseudo-forests --in c5.gr c5.pf --lambda 2 --eps 1/2
 hypermatch verify edge-coloring --in c5.gr c5.ac
 status=0
 hypermatch verify orientation --in c5.gr c5.or --lambda 2 --eps -1 || status=$?
+test "$status" -eq 2
+# an output path that cannot be written is a usage error
+status=0
+hypermatch run --algo mis --in c5.gr --out absent-dir/c5.mis || status=$?
 test "$status" -eq 2
 # an option the algorithm does not read is a usage error
 status=0

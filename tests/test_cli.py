@@ -9,6 +9,7 @@ verdict, 2 usage or parse error, 3 oracle over budget, 4 out of memory.
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -467,10 +468,30 @@ class TestListEdgeColoring:
             "error: list-edge-color needs at least one edge\n")
 
 
+def os_error(path, mode):
+    """The message `open` gives for ``path`` in ``mode``, which must fail."""
+    with pytest.raises(OSError) as info:
+        open(path, mode)
+    return str(info.value)
+
+
 class TestExitCodes:
-    def test_missing_instance_file(self, tmp_path):
-        assert run_cli("run", "--algo", "mis", "--in",
-                       str(tmp_path / "absent.gr")) == 2
+    def test_missing_instance_file(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.gr")
+        assert run_cli("run", "--algo", "mis", "--in", absent) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {absent}: {os_error(absent, 'r')}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--algo", "mis", "--in", "{c5}", "--out", "{bad}"),
+        ("run", "--algo", "mis", "--in", "{c5}", "--json", "{bad}"),
+        ("generate", "cycle", "n=5", "--out", "{bad}"),
+    ], ids=["run-out", "run-json", "generate-out"])
+    def test_unwritable_output_is_a_usage_error(self, argv, cycle5, tmp_path, capsys):
+        bad = str(tmp_path / "absent" / "x")
+        assert run_cli(*(arg.format(c5=cycle5, bad=bad) for arg in argv)) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {bad}: {os_error(bad, 'w')}\n")
 
     def test_malformed_instance(self, tmp_path):
         bad = write(tmp_path / "bad.gr", "gr 2 1\n0\n")
@@ -721,6 +742,13 @@ class TestInProcessCalls:
                             lambda args: calls.append(args.kind) or 7)
         assert run_cli("verify", "mis", "--in", "x.gr", "y.sol") == 7
         assert calls == ["mis"]
+
+
+def test_command_line_examples_cover_every_choice():
+    """The script runs every `run --algo` choice and every `verify` kind."""
+    script = Path(__file__).with_name("cli_examples.sh").read_text()
+    assert set(re.findall(r"\brun --algo ([\w-]+)", script)) == set(cli._ALGORITHMS)
+    assert set(re.findall(r"\bverify ([\w-]+)", script)) == set(cli._VERIFY_KINDS)
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")

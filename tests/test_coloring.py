@@ -1,19 +1,23 @@
 """Color reduction sweeps: proper, line-graph and defective variants."""
 
+import random
+
 import pytest
 
-from hypermatch import generate
+from hypermatch import coloring, generate
 from hypermatch.coloring import (
     PALETTE_FACTOR_DEFECTIVE,
     PALETTE_FACTOR_PROPER,
     VertexColoring,
+    _apply_step,
+    _step_params,
     count_defect,
     defective_coloring,
     defective_radius,
     linial_coloring,
     reduction_schedule,
 )
-from hypermatch.core import build_graph, build_hypergraph, line_graph
+from hypermatch.core import LineGraphView, build_graph, build_hypergraph, line_graph
 from hypermatch.ledger import RoundLedger
 
 
@@ -158,3 +162,122 @@ def test_defective_radius_declared_values():
     assert defective_radius(300, 2, 1) == len(reduction_schedule(300, 2)) + 1
     assert defective_radius(300, 2, 2) == 0  # defect >= cap: constant output
     assert defective_radius(10, 0, 0) == 0
+
+
+def _all_points(color, k, q):
+    """The polynomial whose coefficients are the base-q digits of ``color``,
+    evaluated at every point 0..q-1."""
+    coeffs = []
+    c = color
+    for _ in range(k + 1):
+        coeffs.append(c % q)
+        c //= q
+    out = []
+    for a in range(q):
+        acc = 0
+        for coef in reversed(coeffs):
+            acc = (acc * a + coef) % q
+        out.append(acc)
+    return tuple(out)
+
+
+def _reference_step(g, colors, k, q, defect):
+    """One reduction step that evaluates every polynomial and asks every
+    agreement count up front; a node takes the first point of fewest
+    agreeing neighbors."""
+    own = [_all_points(c, k, q) for c in colors]
+    agree = [g.agreement([p[a] for p in own]) for a in range(q)]
+    new = []
+    for v, poly in enumerate(own):
+        best = min(range(q), key=lambda a: agree[a](v))
+        if agree[best](v) > defect:
+            raise RuntimeError("cover-free family exhausted; degree cap too small")
+        new.append(best * q + poly[best])
+    return new
+
+
+def _greedy_colors(g):
+    colors = []
+    for v in range(g.n):
+        taken = {colors[u] for u in g.neighbors(v) if u < v}
+        colors.append(next(c for c in range(g.n) if c not in taken))
+    return colors
+
+
+def _step_instances(seed):
+    rng = random.Random(seed)
+    yield generate.random_graph(rng.randint(8, 40), rng.choice([0.1, 0.2, 0.4]), seed=seed)
+    h = generate.random_hypergraph(rng.randint(8, 20), rng.randint(5, 30), 3, seed=seed)
+    yield LineGraphView(h, range(h.m))
+    support = sorted(rng.sample(range(h.m), h.m // 2))
+    yield LineGraphView(h, support)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_step_matches_the_all_points_reference(seed):
+    """Ids, distinct colors spread over n^2 and a greedy proper coloring,
+    each at the (k, q) of defect 0, 1 and 2."""
+    rng = random.Random(seed)
+    for g in _step_instances(seed):
+        spread = rng.sample(range(max(1, g.n * g.n)), g.n)
+        greedy = _greedy_colors(g)
+        for colors, palette in ((list(range(g.n)), g.n), (spread, g.n * g.n),
+                                (greedy, max(greedy, default=0) + 1)):
+            for defect in (0, 1, 2):
+                k, q = _step_params(palette, max(1, g.max_degree), defect)
+                expected = _reference_step(g, colors, k, q, defect)
+                assert _apply_step(g, colors, k, q, defect) == expected
+
+
+def test_initial_coloring_must_cover_every_node():
+    g = generate.cycle(5)
+    with pytest.raises(ValueError) as err:
+        linial_coloring(g, VertexColoring(colors=(0, 1, 2), palette_size=5))
+    assert str(err.value) == "expected 5 colors, got 3"
+
+
+def test_initial_coloring_with_a_defect_is_refused():
+    g = generate.cycle(5)
+    with pytest.raises(ValueError) as err:
+        linial_coloring(g, VertexColoring(colors=tuple(range(5)), palette_size=5, defect=1))
+    assert str(err.value) == "initial coloring must be proper"
+
+
+def test_stabilized_palette_over_the_bound_raises(monkeypatch):
+    g = generate.cycle(501)
+    palette = linial_coloring(g).palette_size
+    monkeypatch.setattr(coloring, "PALETTE_FACTOR_PROPER", 0)
+    with pytest.raises(RuntimeError) as err:
+        linial_coloring(g)
+    assert str(err.value) == f"stabilized palette {palette} exceeds 0 * 2^2"
+
+
+def test_negative_defect_is_refused():
+    g = generate.cycle(5)
+    with pytest.raises(ValueError) as err:
+        defective_coloring(g, ids(g), -1)
+    assert str(err.value) == "defect must be >= 0, got -1"
+
+
+def test_defective_degree_cap_below_actual_rejected():
+    g = generate.cycle(5)
+    with pytest.raises(ValueError) as err:
+        defective_coloring(g, ids(g), 0, degree_cap=1)
+    assert str(err.value) == "degree cap 1 below actual max degree 2"
+
+
+def test_defective_palette_over_the_bound_raises(monkeypatch):
+    g = generate.d_regular(24, 4, seed=9)
+    palette = defective_coloring(g, ids(g), 1).palette_size
+    monkeypatch.setattr(coloring, "PALETTE_FACTOR_DEFECTIVE", 0)
+    with pytest.raises(RuntimeError) as err:
+        defective_coloring(g, ids(g), 1)
+    assert str(err.value) == f"defective palette {palette} exceeds 0 * (4/1)^2"
+
+
+def test_realized_defect_over_the_request_raises(monkeypatch):
+    g = generate.d_regular(24, 4, seed=9)
+    monkeypatch.setattr(coloring, "_apply_step", lambda g, colors, k, q, defect: [0] * g.n)
+    with pytest.raises(RuntimeError) as err:
+        defective_coloring(g, ids(g), 1)
+    assert str(err.value) == "defect 4 exceeds requested 1"

@@ -233,6 +233,22 @@ def test_noncanonical_graph_text_parses_like_canonical(text):
     assert io.parse_graph(text) == build_graph(3, [(0, 1), (1, 2)])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gr 2 1\n1 \n", "edge 0: expected 'u v', got '1'"),
+    ("gr 2 1\n 1\n", "edge 0: expected 'u v', got '1'"),
+    ("gr 2 1\n\n1\n", "edge 0: expected 'u v', got '1'"),
+    ("gr 3 2\n0 1\n12 \n", "edge 1: expected 'u v', got '12'"),
+])
+def test_short_row_in_the_canonical_layout_gets_the_row_message(text, message):
+    """A row of one token whose separators still read " \\n" is turned to
+    the row-by-row read by the token count, and gets the message that the
+    same row gets after a blank line."""
+    assert io._canonical_graph(text) is None
+    with pytest.raises(io.ParseError) as info:
+        io.parse_graph(text)
+    assert str(info.value) == message
+
+
 def test_canonical_graph_text_is_read_without_the_row_scan(monkeypatch):
     g = generate.random_graph(30, 0.3, seed=1)
     text = io.format_graph(g)
