@@ -16,7 +16,8 @@ out-degrees against ceil((1+eps)*lambda) when given both `--lambda` and
 `--eps`, against the solution's own maximum when given neither, and
 rejects one without the other; `verify pseudo-forests` takes the two
 flags by the same rule and then allows at most ceil((1+eps)*lambda)
-classes.  Every other kind rejects both.
+classes.  Every other kind rejects both.  `run` refuses an `--out` or
+`--json` path that cannot be written before it solves, and writes none.
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or parse
 error (a file that cannot be read or written included), 3 oracle budget
@@ -27,9 +28,12 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -73,6 +77,27 @@ def _write(path: str | None, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise the usage error `_write` would raise for ``path`` where that
+    can be told before anything is written: a missing parent directory, a
+    directory, or no permission to write the file or create it.  Creates
+    and truncates nothing."""
+    if path is None or path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    try:
+        code = 0 if stat.S_ISDIR(os.stat(parent).st_mode) else errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
+    if not code and os.path.isdir(path):
+        code = errno.EISDIR
+    if not code and not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    if code:
+        exc = OSError(code, os.strerror(code), path)
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
@@ -396,6 +421,8 @@ def _cmd_run(args) -> int:
             raise UsageError(f"{args.algo} needs {flag}")
     if algo.edges and instance.m == 0:
         raise UsageError(f"{args.algo} needs at least one edge")
+    _check_writable(args.out)
+    _check_writable(args.json)
     ledger = RoundLedger()
     solution, summary, verdicts, oracle = algo.run(parsed, args, ledger)
     if args.out:

@@ -78,7 +78,6 @@ class _PackingModel(_LoadModel):
     rho_name = "rho"
     driver = "mis_driver"
     raise_at_half = True
-    capped = False
     noun = "vertex"
     kind = "greedy packing"
     suffix = "_packing"

@@ -41,14 +41,10 @@ that `_approx` rounds next, the nested outputs of the recursion).  Every
 assignment from outside, and every restriction the recursion builds, is
 validated by the pass it enters.
 
-Every intermediate assignment is a valid fractional matching: on the
-matching side, after each color class, doubling round and recursive
-accumulation, the pass checks the values just raised and then the loads
-of the vertices they touch, in ascending vertex order.  Nothing else
-changed since the previous check, so this raises on the same first
-violation a full re-scan would, at the cost of the step rather than of
-the whole instance.  All of it is exact integer arithmetic, so a violated
-bound raises instead of drifting.
+A pass is checked once, as it finishes.  Its one change is a positive
+raise, so values and loads only grow within a pass, and a value or load
+past 1 stays past 1.  So `_finish`'s range check and the side's verdict
+on the output also cover every intermediate state of the pass.
 """
 
 from __future__ import annotations
@@ -102,7 +98,8 @@ class _LoadModel:
       it on all items for the base coloring, and on each support;
     - ``loaded(i)``: the resources item i loads;
     - ``frozen_by(r)``: the items resource r freezes;
-    - ``verdict(x)``: the validity verdict of an assignment;
+    - ``verdict(x)``: the validity verdict of an assignment, which a pass
+      runs once, on its output;
     - ``can_recurse(factor, denom)``: the recursive pass's precondition;
     - ``greedy``, ``basic``, ``recurse`` and ``approx``: calls to the
       side's public passes, so that nested passes re-enter through them;
@@ -119,7 +116,6 @@ class _LoadModel:
     rho_name: str  # how ledger formulas and messages spell rho
     driver: str  # the ledger label of the maximal driver's iterations
     raise_at_half: bool  # the sweep also raises an item frozen exactly at 1/2
-    capped: bool  # every step checks the raised values and their loads against 1
     noun: str  # what messages call an item
     kind: str  # what messages call a valid assignment
     suffix: str  # appended to the greedy, basic and recursive ledger labels
@@ -184,25 +180,6 @@ class _Pass:
                 if old + 2 * val > scale:
                     self.over.update(self._frozen_by(r))
 
-    def check(self, touched: list[int], where: str) -> None:
-        """On a capped side, check the ``touched`` values, in order, and
-        then the loads of their resources in ascending id order.
-
-        Nothing else changed since the last check, so this reports the
-        first violation a full scan would.
-        """
-        model = self.model
-        if not model.capped:
-            return
-        values, loads, scale = self.values, self.loads, self.scale
-        for i in touched:
-            if not 0 <= values[i] <= scale:
-                value = Fraction(values[i], scale)
-                raise RuntimeError(f"{where}: {model.noun} {i} value {value} outside [0,1]")
-        for r in sorted({r for i in touched for r in self._loaded(i)}):
-            if loads[r] > scale:
-                raise RuntimeError(f"{where}: vertex {r} overloaded to {Fraction(loads[r], scale)}")
-
 
 def _double(p: _Pass, candidates):
     """Double every one of ``candidates`` (items of the pass) that is not
@@ -220,7 +197,7 @@ def _double(p: _Pass, candidates):
 
 
 def _double_rounds(p: _Pass, cap: int, items, where: str) -> int:
-    """Double until nothing moves, checking each round; returns the round count.
+    """Double until nothing moves; returns the round count.
 
     The first round tests every item of the pass; each later round tests
     only the items the round before it doubled.  This is exact: within a
@@ -234,7 +211,6 @@ def _double_rounds(p: _Pass, cap: int, items, where: str) -> int:
         rounds += 1
         if rounds > cap:
             raise RuntimeError(f"{where} exceeded {cap} rounds")
-        p.check(moved, where)
     for i in items:
         if i not in p.frozen:
             raise RuntimeError(f"{p.model.noun} {i} ended {where} unfrozen")
@@ -313,10 +289,10 @@ def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
         by_color.setdefault(dcol.colors[k], []).append(i)
     blocked = p.over if model.raise_at_half else p.frozen
     for color in sorted(by_color):
+        # a class raises its members together: read them all before any raise
         raised = [i for i in by_color[color] if i not in blocked]
         for i in raised:
             p.add(i, factor)
-        p.check(raised, "basic_round color sweep")
     for i in support:
         if i not in p.values and i not in p.frozen:
             raise RuntimeError(f"{model.noun} {i} skipped its color class")
@@ -392,7 +368,6 @@ def _recursive_round(model: _LoadModel, x, factor: int, denom: int, coloring):
         for i, num in z2.nums.items():
             p.add(i, num * denom // (2 * z2.scale))
         iterations += 1
-        p.check(list(z2.nums), "recursive_round accumulate")
     if sum(p.values.values()) * target_scale < total_x * denom:
         raise RuntimeError(
             f"recursive rounding kept {Fraction(sum(p.values.values()), denom)} < "
@@ -477,7 +452,6 @@ class _MatchingModel(_LoadModel):
     rho_name = "rank"
     driver = "maximal_driver"
     raise_at_half = False
-    capped = True
     noun = "edge"
     kind = "fractional matching"
     suffix = ""

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from hypermatch import apps, generate
+from hypermatch import apps, generate, rounding
 from hypermatch.apps import (
     Orientation,
     OrientationBoundError,
@@ -19,7 +19,7 @@ from hypermatch.apps import (
     validate_path_set,
     validate_pseudo_forest,
 )
-from hypermatch.core import build_graph, validate_matching
+from hypermatch.core import build_graph, unblocked_edges, validate_matching
 from hypermatch.ledger import RoundLedger
 from hypermatch.oracles import arboricity, max_matching
 
@@ -106,6 +106,9 @@ class TestPathSets:
     def test_degenerate_paths_rejected(self):
         assert not validate_path_set(((0,),), "vertex").ok
         assert not validate_path_set(((0, 1, 0),), "vertex").ok
+
+    def test_unknown_mode_rejected(self):
+        assert validate_path_set(((0, 1),), "arc").reason == "unknown mode 'arc'"
 
 
 class TestOrientation:
@@ -261,6 +264,45 @@ def _packed_path_instances():
     unmatched = cycle[1::2] + [(i, 8 + i) for i in range(8)]
     unmatched += [(0, 16), (2, 16), (5, 16)]
     yield _with_matching(17, matched, unmatched)
+
+
+def test_almost_maximal_drops_the_nodes_of_unblocked_paths(monkeypatch):
+    # a planted packing that leaves its last picked path out, so that every
+    # phase reports unblocked paths; their nodes must start or cross no path
+    # of a later phase
+    def leaky(hyp, slack, ledger=None):
+        kept = frozenset(sorted(rounding.maximal_matching(hyp, ledger))[:-1])
+        return kept, unblocked_edges(hyp, kept)
+
+    events = []
+    real_paths, real_pack = apps._simple_paths, apps._pack
+
+    def paths(*args):
+        found = real_paths(*args)
+        events.append(("found", found))
+        return found
+
+    def pack(*args):
+        picked, unblocked = real_pack(*args)
+        events.append(("unblocked", unblocked))
+        return picked, unblocked
+
+    monkeypatch.setattr(apps, "almost_maximal_matching", leaky)
+    monkeypatch.setattr(apps, "_simple_paths", paths)
+    monkeypatch.setattr(apps, "_pack", pack)
+    g = generate.random_graph(40, 0.1, seed=3)
+    m = approx_max_graph_matching(g, Fraction(1, 3), almost_maximal=True)
+    assert validate_matching(g, m).ok
+    dead: set[int] = set()
+    later = 0
+    for kind, found in events:
+        if kind == "unblocked":
+            dead.update(v for nodes, _ in found for v in nodes)
+            continue
+        assert not any(dead & set(nodes) for nodes, _ in found)
+        later += len(found) if dead else 0
+    assert [len(found) for kind, found in events if kind == "unblocked"] == [2, 1, 5]
+    assert later == 7
 
 
 def test_no_augmenting_paths_between_packed_paths():

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermatch import apps, cli, generate, io, oracles, rounding
+from hypermatch import apps, cli, edge_coloring, generate, io, oracles, packing, rounding
 
 try:
     import resource
@@ -420,6 +420,10 @@ class TestVerify:
         assert capsys.readouterr().err == "error: eps must be positive, got -1\n"
 
 
+def _failing_decode(reduced, m, matching):
+    raise RuntimeError("planted")
+
+
 class TestListEdgeColoring:
     def combined(self, tmp_path):
         return write(tmp_path / "c5.lists", c5_with_lists())
@@ -435,6 +439,29 @@ class TestListEdgeColoring:
         colors = io.parse_coloring(sol.read_text())
         for eid, c in colors.items():
             assert c in {3 * eid + 1, 3 * eid + 2, 3 * eid + 3}
+
+    @pytest.mark.parametrize("decode, reason", [
+        (_failing_decode, "a maximal matching fails to decode: planted"),
+        (lambda reduced, m, mm: {0: 7, 1: 7},
+         "a decoded coloring is improper: edges 0 and 1 at vertex 1 share color 7"),
+    ], ids=["decode-fails", "improper"])
+    def test_failing_soundness_oracle_exits_one(self, decode, reason, tmp_path, monkeypatch):
+        # the run solves with the real decode; the oracle's decode is planted
+        real = edge_coloring.list_edge_color
+
+        def solve_then_plant(g, lists, ledger=None):
+            res = real(g, lists, ledger)
+            monkeypatch.setattr(edge_coloring, "decode_matching", decode)
+            return res
+
+        monkeypatch.setattr(edge_coloring, "list_edge_color", solve_then_plant)
+        # four hyperedges in the reduction: inside the enumeration budget
+        inst = write(tmp_path / "p3.lists", "gr 3 2\n0 1\n1 2\n0: 5 7\n1: 7 9\n")
+        rpt = tmp_path / "p3.json"
+        assert run_cli("run", "--algo", "list-edge-color", "--in", inst, "--json", str(rpt)) == 1
+        report = json.loads(rpt.read_text())
+        assert report["verdicts"]["coloring_respects_lists"]["ok"]
+        assert report["oracle"]["reduction_soundness"] == {"ok": False, "reason": reason}
 
     def test_off_list_color_fails(self, tmp_path, capsys):
         inst = self.combined(tmp_path)
@@ -475,6 +502,10 @@ def os_error(path, mode):
     return str(info.value)
 
 
+def _unreached(*args, **kwargs):
+    raise AssertionError("the solve ran although an output path cannot be written")
+
+
 class TestExitCodes:
     def test_missing_instance_file(self, tmp_path, capsys):
         absent = str(tmp_path / "absent.gr")
@@ -483,15 +514,52 @@ class TestExitCodes:
             f"error: cannot read {absent}: {os_error(absent, 'r')}\n")
 
     @pytest.mark.parametrize("argv", [
-        ("run", "--algo", "mis", "--in", "{c5}", "--out", "{bad}"),
-        ("run", "--algo", "mis", "--in", "{c5}", "--json", "{bad}"),
+        ("run", "--algo", "mis", "--in", "{c5}", "--out", "{bad}", "--json", "{ok}"),
+        ("run", "--algo", "mis", "--in", "{c5}", "--out", "{ok}", "--json", "{bad}"),
         ("generate", "cycle", "n=5", "--out", "{bad}"),
     ], ids=["run-out", "run-json", "generate-out"])
-    def test_unwritable_output_is_a_usage_error(self, argv, cycle5, tmp_path, capsys):
-        bad = str(tmp_path / "absent" / "x")
-        assert run_cli(*(arg.format(c5=cycle5, bad=bad) for arg in argv)) == 2
+    def test_unwritable_output_is_a_usage_error(self, argv, cycle5, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(packing, "maximal_independent_set", _unreached)
+        bad, ok = str(tmp_path / "absent" / "x"), str(tmp_path / "ok")
+        assert run_cli(*(arg.format(c5=cycle5, bad=bad, ok=ok) for arg in argv)) == 2
         assert capsys.readouterr().err == (
             f"error: cannot write {bad}: {os_error(bad, 'w')}\n")
+        assert not os.path.exists(bad) and not os.path.exists(ok)
+
+    @pytest.mark.parametrize("bad", ["{tmp}", "{c5}/x"], ids=["directory", "file-parent"])
+    def test_output_paths_are_checked_before_the_solve(self, bad, cycle5, tmp_path,
+                                                       capsys, monkeypatch):
+        # the message is the one `open` gives, and an existing file at the
+        # other output path keeps its bytes
+        monkeypatch.setattr(packing, "maximal_independent_set", _unreached)
+        bad = bad.format(tmp=tmp_path, c5=cycle5)
+        ok = write(tmp_path / "kept.mis", "kept\n")
+        assert run_cli("run", "--algo", "mis", "--in", cycle5,
+                       "--out", ok, "--json", bad) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {bad}: {os_error(bad, 'w')}\n")
+        assert Path(ok).read_text() == "kept\n"
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["file", "directory"])
+    def test_output_path_without_write_permission(self, existing, cycle5, tmp_path, capsys,
+                                                  monkeypatch):
+        # a privileged process may write anywhere, so the refusal is planted:
+        # on the file when it exists, else on the directory it would go in
+        monkeypatch.setattr(packing, "maximal_independent_set", _unreached)
+        bad = tmp_path / "locked.json"
+        if existing:
+            bad.write_text("kept\n")
+        locked = str(bad) if existing else str(tmp_path)
+        real = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: path != locked and real(path, mode))
+        assert run_cli("run", "--algo", "mis", "--in", cycle5, "--json", str(bad)) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {bad}: [Errno 13] Permission denied: '{bad}'\n")
+        if existing:
+            assert bad.read_text() == "kept\n"
+        else:
+            assert not bad.exists()
 
     def test_malformed_instance(self, tmp_path):
         bad = write(tmp_path / "bad.gr", "gr 2 1\n0\n")

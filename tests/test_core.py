@@ -274,6 +274,15 @@ def test_matching_validation_on_triangle():
     assert "share vertex 1" in bad.reason
 
 
+def test_validators_name_an_id_outside_the_instance():
+    h = build_hypergraph(3, [{0, 1}, {1, 2}])
+    assert validate_matching(h, frozenset({5})).reason == "edge id 5 outside 0..1"
+    assert validate_matching(h, frozenset({-1})).reason == "edge id -1 outside 0..1"
+    g = generate.path(3)
+    assert validate_independent_set(g, frozenset({3})).reason == "node id 3 outside 0..2"
+    assert validate_independent_set(g, frozenset({-1})).reason == "node id -1 outside 0..2"
+
+
 def test_matching_validation_flags_missed_edge():
     h = build_hypergraph(4, [{0, 1}, {2, 3}])
     verdict = validate_matching(h, frozenset({0}), require_maximal=True)
@@ -294,6 +303,13 @@ def test_fractional_assignment_builder():
         build_fractional_assignment({0: Fraction(1, 8)}, Fraction(1, 4))
     with pytest.raises(ValueError):
         build_fractional_assignment({}, Fraction(0))
+
+
+def test_fractional_assignment_equals_only_an_assignment():
+    x = build_fractional_assignment({0: Fraction(1, 2)}, Fraction(1, 2))
+    assert x.__eq__(1) is NotImplemented
+    assert x != 1 and not x == Fraction(1, 2)
+    assert x == FractionalAssignment(values={0: Fraction(1, 2)})
 
 
 def test_fractional_validation_zero_assignment():

@@ -7,6 +7,7 @@ import pytest
 
 from hypermatch import core, edge_coloring, generate
 from hypermatch.core import (
+    Verdict,
     build_graph,
     build_hypergraph,
     validate_edge_coloring,
@@ -187,6 +188,13 @@ class TestRandomized:
         monkeypatch.setattr(core, "_freeze_graph", refuse)
         assert randomized_edge_color(g, seed=1) == expected
 
+    def test_edgeless_graph_needs_no_trial(self):
+        out = randomized_edge_color(build_graph(5, []), seed=1)
+        assert out == EdgeColoringResult(colors={}, palette=0, stats={
+            "trial_rounds": 0, "colored_in_trials": 0, "total_edges": 0,
+            "components_finished": 0,
+        })
+
     def test_single_edge_colored_in_first_trial(self):
         g = build_graph(2, [(0, 1)])
         out = randomized_edge_color(g, seed=123)
@@ -254,6 +262,8 @@ class TestHPartition:
             layers=tuple(reversed(hp.layers)), threshold=Fraction(1)
         )
         assert not validate_h_partition(g, reversed_layers).ok
+        short = HPartition(layers=hp.layers[:1], threshold=hp.threshold)
+        assert validate_h_partition(g, short) == Verdict(False, "layers do not cover every vertex")
 
 
 class TestArboricityColor:

@@ -34,6 +34,27 @@ def test_d_regular_degrees():
         generate.d_regular(5, 3, seed=0)  # odd n * d
 
 
+def test_d_regular_of_degree_zero_is_edgeless():
+    g = generate.d_regular(6, 0, seed=3)
+    assert (g.n, g.edges) == (6, ())
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: generate.random_hypergraph(3, 1, 0), "need 1 <= r <= n, got r=0, n=3"),
+    (lambda: generate.random_hypergraph(2, 1, 3), "need 1 <= r <= n, got r=3, n=2"),
+    (lambda: generate.random_graph(4, 1.5), "edge probability must be in [0,1], got 1.5"),
+    (lambda: generate.d_regular(4, 4), "need 0 <= d < n, got d=4, n=4"),
+    (lambda: generate.d_regular(4, -1), "need 0 <= d < n, got d=-1, n=4"),
+    (lambda: generate.star(0), "star needs n >= 1, got 0"),
+    (lambda: generate.path(0), "path needs n >= 1, got 0"),
+    (lambda: generate.complete(0), "complete graph needs n >= 1, got 0"),
+])
+def test_generator_parameter_messages(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_d_regular_repairs_an_exhausted_pairing_loop():
     # no simple pairing turns up in 10000 tries here, so switches finish it
     a = generate.d_regular(10, 8, seed=2)

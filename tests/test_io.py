@@ -80,6 +80,7 @@ def test_lists_round_trip():
     assert io.parse_lists(io.format_lists(lists)) == lists
     with pytest.raises(io.ParseError):
         io.parse_lists("0 1 2\n")
+    assert io.parse_lists("0: 1 5\n\n  \n1: 2\n") == {0: (1, 5), 1: (2,)}
 
 
 def test_orientation_round_trip():

@@ -34,6 +34,18 @@ def test_negative_charge_rejected():
         RoundLedger().charge("x", -1)
 
 
+def test_recurrence_bound_rejects_rank_zero():
+    with pytest.raises(ValueError, match="^rank and max_degree must be >= 1$"):
+        check_recurrence_bound(10, 8, 0, 4, 2, 1)
+
+
+def test_recurrence_bound_rounds_the_log_of_a_degree_up():
+    # log2(5) rounds up to 3, the term of degree 8: 2*(2*2)^1*(4 + 3) = 56
+    odd = check_recurrence_bound(10, 8, 2, 5, 2, 1)
+    assert odd.bound == check_recurrence_bound(10, 8, 2, 8, 2, 1).bound == 56
+    assert check_recurrence_bound(10, 8, 2, 4, 2, 1).bound == 48
+
+
 def test_full_run_charges_a_finite_total():
     h = generate.random_graph(24, 0.2, seed=5)
     assert h.m >= 40  # the seed is fixed; keep the instance honest

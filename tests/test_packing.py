@@ -219,6 +219,13 @@ class TestIndependentSets:
         assert maximal_independent_set(g, 1) == frozenset(range(5))
 
 
+def test_a_graph_without_nodes_packs_and_colors_nothing():
+    g = build_graph(0, [])
+    assert initial_packing(g).values == {}
+    out = vertex_color(g, independence=1)
+    assert (out.colors, out.palette_size) == ((), 1)
+
+
 class TestVertexColor:
     def test_single_node_unit_palette(self):
         g = build_graph(1, [])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import triangle, vertex_loads
+from test_golden import hub_hypergraph
 
 from hypermatch import generate, packing, rounding
 from hypermatch.coloring import VertexColoring
@@ -23,6 +24,7 @@ from hypermatch.core import (
     validate_independent_set,
     validate_matching,
 )
+from hypermatch.edge_coloring import edge_color
 from hypermatch.ledger import RoundLedger
 from hypermatch.oracles import max_matching
 from hypermatch.rounding import (
@@ -176,21 +178,23 @@ class TestBasicRound:
 
     def test_sweep_recheck_catches_an_overloaded_vertex(self, monkeypatch):
         # a coloring that puts every edge in one class raises adjacent edges
-        # together; the per-class recheck must stop the sweep right there
+        # together; the overload stays, and the verdict on the output fails
         def one_class(conflict, initial, defect, ledger=None):
             return VertexColoring((0,) * conflict.n, palette_size=1, defect=defect)
 
         monkeypatch.setattr(rounding, "defective_coloring", one_class)
         h = generate.random_graph(20, 0.3, seed=1)
         x = greedy_fractional_matching(h, 64)
-        with pytest.raises(
-            RuntimeError, match="^basic_round color sweep: vertex 0 overloaded to 6$"
-        ):
+        with pytest.raises(RuntimeError) as err:
             basic_round(h, x, 64, 64)
+        assert str(err.value) == (
+            "basic rounding produced an invalid fractional matching: vertex 0 carries load 6 > 1"
+        )
 
     def test_doubling_check_catches_an_overloaded_vertex(self, monkeypatch):
         # a doubling step that ignores frozen items doubles both edges of the
-        # path past the shared vertex's budget in its second round
+        # path past the shared vertex's budget in its second round, and keeps
+        # doubling them until the round cap stops it
         def unfrozen_double(p, candidates):
             movers = sorted(candidates)
             for i in movers:
@@ -202,7 +206,7 @@ class TestBasicRound:
         monkeypatch.setattr(rounding, "_double", unfrozen_double)
         with pytest.raises(RuntimeError) as err:
             basic_round(h, x, 1, 4)
-        assert str(err.value) == "basic_round doubling: vertex 1 overloaded to 2"
+        assert str(err.value) == "basic_round doubling exceeded 2 rounds"
 
 
 def _planted_recursion(monkeypatch, value):
@@ -279,23 +283,27 @@ class TestRecursiveRound:
 
     def test_accumulate_check_catches_an_overloaded_vertex(self, monkeypatch):
         # nested passes planted to return 1 everywhere: half of it on each of
-        # the star's three edges overloads the center
+        # the star's three edges overloads the center, and the verdict on the
+        # output fails
         h = build_hypergraph(4, [{0, 1}, {0, 2}, {0, 3}])
         x = greedy_fractional_matching(h, 1024)
         _planted_recursion(monkeypatch, 1)
         with pytest.raises(RuntimeError) as err:
             recursive_round(h, x, 8, 1024)
-        assert str(err.value) == "recursive_round accumulate: vertex 0 overloaded to 3/2"
+        assert str(err.value) == (
+            "recursive rounding produced an invalid fractional matching: "
+            "vertex 0 carries load 3/2 > 1"
+        )
 
     def test_accumulate_check_reads_the_values_first(self, monkeypatch):
-        # a planted nested value of 4 puts the half kept of it at 2: the edge's
-        # value is reported before the loads of its vertices
+        # a planted nested value of 4 puts the half kept of it at 2: the range
+        # check reports the edge's value before the verdict reads the loads
         h = build_hypergraph(2, [{0, 1}])
         x = greedy_fractional_matching(h, 1024)
         _planted_recursion(monkeypatch, 4)
         with pytest.raises(RuntimeError) as err:
             recursive_round(h, x, 8, 1024)
-        assert str(err.value) == "recursive_round accumulate: edge 0 value 2 outside [0,1]"
+        assert str(err.value) == "recursive rounding left edge 0 at 2, outside [1/128, 1]"
 
     def test_matching_side_accumulates_past_one_iteration(self, monkeypatch):
         # nested outputs cut to 8 edges each stay below the 1/(4 rank) target
@@ -465,10 +473,8 @@ def _frozen(model, loads, scale, i):
 
 
 def _recheck(model, values, scale, touched, where):
-    """The matching side's per-step check from the values alone: the touched
-    values, then each vertex they touch re-summed over its incidence."""
-    if isinstance(model, packing._PackingModel):
-        return
+    """A matching pass's bound from the values alone: the touched values,
+    then each vertex they touch re-summed over its incidence."""
     h = model.h
     for i in touched:
         if not 0 <= values[i] <= scale:
@@ -496,7 +502,6 @@ def _all_items_double_rounds(p, cap, items, where):
         rounds += 1
         if rounds > cap:
             raise RuntimeError(f"{where} exceeded {cap} rounds")
-        _recheck(model, values, scale, movers, where)
     for i in items:
         if not _frozen(model, loads, scale, i):
             raise RuntimeError(f"{model.noun} {i} ended {where} unfrozen")
@@ -593,3 +598,67 @@ def test_a_packing_node_at_exactly_half_is_frozen_but_not_over():
     assert (tracker.frozen, tracker.over) == ({0, 1, 2}, {1})
     seeded = rounding._Pass(model, 4, {0: 1, 1: 1, 2: 1})
     assert (seeded.loads, seeded.frozen, seeded.over) == (tracker.loads, {0, 1, 2}, {1})
+
+
+def _every_raise_valid(run):
+    """Run ``run()`` with `_Pass.add` wrapped so that after every raise of a
+    matching pass the raise is positive, the value is within 1, and every
+    vertex of the raised edge carries at most 1 by a re-sum that the
+    tracked loads equal; returns the number of raises checked."""
+    real = rounding._Pass.add
+    checked = 0
+
+    def add(p, i, val):
+        nonlocal checked
+        real(p, i, val)
+        if not isinstance(p.model, rounding._MatchingModel):
+            return
+        h, values = p.model.h, p.values
+        assert val > 0
+        _recheck(p.model, values, p.scale, [i], "raise")
+        for v in h.edges[i]:
+            assert p.loads[v] == sum(values.get(e, 0) for e in h.incidence[v])
+        checked += 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rounding._Pass, "add", add)
+        run()
+    return checked
+
+
+def _basic_round_case():
+    h = generate.random_graph(20, 0.3, seed=1)
+    return basic_round(h, greedy_fractional_matching(h, 64), 8, 64)
+
+
+def _recursion_case(factor):
+    h = generate.random_hypergraph(200, 600, 3, seed=1)
+    return lambda: recursive_round(h, greedy_fractional_matching(h, 1024), factor, 1024)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: greedy_fractional_matching(generate.random_hypergraph(40, 90, 3, seed=2)),
+    _basic_round_case,
+    _recursion_case(8),
+    _recursion_case(16),
+    _recursion_case(32),
+    lambda: maximal_matching(hub_hypergraph()),
+    lambda: edge_color(generate.random_graph(36, 0.12, seed=3)),
+], ids=["greedy", "basic_round", "recursive_8", "recursive_16", "recursive_32",
+        "two_hubs", "edge_color"])
+def test_every_matching_raise_leaves_a_valid_state(case):
+    assert _every_raise_valid(case) > 0
+
+
+@given(
+    st.integers(min_value=3, max_value=30),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_every_raise_of_a_random_matching_pass_leaves_a_valid_state(n, m, r, seed):
+    r = min(r, n)
+    h = generate.random_hypergraph(n, min(m, math.comb(n, r)), r, seed=seed)
+    # below degree 2 the greedy start is integral and no pass raises
+    assert (_every_raise_valid(lambda: maximal_matching(h)) > 0) == (h.max_degree >= 2)
