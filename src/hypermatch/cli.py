@@ -6,6 +6,12 @@ Three subcommands, each driven by one table whose keys are its choices:
   run --algo NAME --in FILE ...     run, report, write solution  (_ALGORITHMS)
   verify KIND --in FILE SOLUTION    re-validate a solution file  (_VERIFY_KINDS)
 
+Each `_ALGORITHMS` row names a solution kind, a `_VERIFY_KINDS` row.  The
+kind writes `run`'s solution file, reads it for `verify`, and holds the one
+check both commands give it; `run` reports that check first.  A
+`pseudo-forests` run reports its own verdicts instead: the orientation and
+one per class, which its file cannot show.
+
 `generate` rejects a missing, malformed or unknown parameter before it
 reads `--in` or builds anything.  `run --oracle` on an algorithm without
 an oracle comparison (`rand-edge-color`, `vertex-color`) is a usage error
@@ -172,18 +178,99 @@ def _instance_summary(path: str, instance: Hypergraph) -> dict:
     }
 
 
-# Runners take (instance, args, ledger) and return (solution_text, summary,
-# verdicts, oracle); oracle() computes the oracle block lazily (it may raise
-# OverBudgetError) and is None when the algorithm has no oracle.  A failing
-# `Verdict` in the oracle block fails the run.  Runners look library
-# functions up when called, so a rebound module attribute (as a tracer
-# installs) is the one they reach.
+# (write, read) of each solution file format: (solution, instance) -> text and
+# (text, instance) -> solution.  Both look `io`'s functions up when called.
+_ID_SET = (lambda ids, _: io.format_id_set(ids), lambda text, _: io.parse_id_set(text))
+_COLORING = (lambda c, _: io.format_coloring(c), lambda text, _: io.parse_coloring(text))
+_ORIENTATION = (lambda tails, g: io.format_orientation(g.edges, tails),
+                lambda text, g: io.parse_orientation(text, g))
 
 
-def _matched(m: frozenset[int], verdicts: dict, oracle, **summary):
+def _check_vertex_coloring(g: Graph, colors, _) -> Verdict:
+    if sorted(colors) != list(range(g.n)):
+        return Verdict(False, "coloring must assign every node exactly once")
+    return validate_vertex_coloring(g, [colors[v] for v in range(g.n)])
+
+
+def _check_orientation(g: Graph, tails, bound: int | None) -> Verdict:
+    """Out-degrees against `bound`, else against the solution's own maximum."""
+    if bound is None:
+        bound = max(Counter(tails).values(), default=0)
+    return apps.validate_orientation(g, apps.Orientation(tails, bound))
+
+
+def _check_pseudo_forests(g: Graph, assignment, bound: int | None) -> Verdict:
+    if sorted(assignment) != list(range(g.m)):
+        return Verdict(False, "every edge needs exactly one class")
+    classes: dict[int, set[int]] = {}
+    for eid, cls in assignment.items():
+        classes.setdefault(cls, set()).add(eid)
+    if bound is not None and len(classes) > bound:
+        return Verdict(False, f"{len(classes)} classes exceed the bound {bound}")
+    for cls in sorted(classes):
+        verdict = apps.validate_pseudo_forest(g, frozenset(classes[cls]))
+        if not verdict:
+            return Verdict(False, f"class {cls}: {verdict.reason}")
+    return Verdict(True)
+
+
+class _Kind(NamedTuple):
+    """One solution kind: the file `run --out` writes and `verify` reads,
+    and the one check both commands give it.  The check's bound is the
+    palette or out-degree bound a run supplies, or the one `verify` takes
+    from --lambda and --eps; None when there is none."""
+
+    write: Callable
+    read: Callable
+    check: Callable  # (instance, solution, bound) -> Verdict
+    verdict: str | None  # the check's name in a run report; None: no run reports it
+    graph: str | None = None  # needs a gr instance; the error names this kind
+    lists: bool = False  # the instance file carries color lists
+    bounds: bool = False  # `verify` takes --lambda and --eps
+
+
+_VERIFY_KINDS = {
+    "matching": _Kind(*_ID_SET, lambda h, m, _: validate_matching(h, m), "matching_valid"),
+    "maximal-matching": _Kind(
+        *_ID_SET, lambda h, m, _: validate_matching(h, m, require_maximal=True),
+        "matching_maximal"),
+    "independent-set": _Kind(
+        *_ID_SET, lambda g, s, _: validate_independent_set(g, s), None, "independent-set"),
+    "mis": _Kind(
+        *_ID_SET, lambda g, s, _: validate_independent_set(g, s, require_maximal=True),
+        "independent_and_maximal", "independent-set"),
+    "edge-coloring": _Kind(
+        *_COLORING, lambda g, c, palette: validate_edge_coloring(g, c, palette=palette),
+        "coloring_proper", "edge-coloring"),
+    "list-edge-coloring": _Kind(
+        *_COLORING, lambda inst, c, _: validate_edge_coloring(inst.g, c, lists=inst.lists),
+        "coloring_respects_lists", lists=True),
+    "vertex-coloring": _Kind(
+        *_COLORING, _check_vertex_coloring, "coloring_proper", "vertex-coloring"),
+    "orientation": _Kind(
+        *_ORIENTATION, _check_orientation, "orientation_bounded", "orientation", bounds=True),
+    "pseudo-forests": _Kind(
+        *_COLORING, _check_pseudo_forests, None, "pseudo-forests", bounds=True),
+}
+
+
+class _Solved(NamedTuple):
+    """What a runner, given (instance, args, ledger), returns.  `oracle`
+    builds the oracle block; it may raise OverBudgetError, and a failing
+    `Verdict` in it fails the run.  Runners look library functions up when
+    called, so a rebound module attribute (as a tracer installs) is reached."""
+
+    solution: object  # in the form its kind writes
+    summary: dict
+    oracle: Callable | None
+    bound: int | None = None  # given to the kind's check
+    verdicts: dict = {}  # the run's own, reported after the kind's
+    kind: str | None = None  # when not the algorithm's
+
+
+def _matched(m: frozenset[int], oracle, **summary) -> _Solved:
     """The result of a run whose solution is a matching."""
-    summary = {"kind": "matching", "size": len(m), **summary}
-    return io.format_id_set(m), summary, verdicts, oracle
+    return _Solved(m, {"kind": "matching", "size": len(m), **summary}, oracle)
 
 
 def _optimum_oracle(h: Hypergraph, m: frozenset[int]):
@@ -222,31 +309,20 @@ def _soundness_oracle(g: Graph, lists):
     return lambda: {"reduction_soundness": _check_reduction_soundness(g, lists)}
 
 
-def _edge_colored(g: Graph, res, oracle, palette=None, lists=None):
-    """The result of a run whose solution is an edge coloring, checked
-    against `lists` when given, else against `palette`."""
-    verdict = validate_edge_coloring(g, res.colors, palette=palette, lists=lists)
-    name = "coloring_proper" if lists is None else "coloring_respects_lists"
+def _edge_colored(res, oracle, **summary) -> _Solved:
+    """The result of a run whose solution is an edge coloring."""
     summary = {"kind": "edge-coloring", "max_color": max(res.colors.values()),
-               "stats": res.stats}
-    if lists is None:
-        summary["palette_bound"] = palette
-    return io.format_coloring(res.colors), summary, {name: verdict}, oracle
+               "stats": res.stats, **summary}
+    return _Solved(res.colors, summary, oracle, res.palette)
 
 
 def _run_maximal_matching(h, args, ledger):
     if args.slack is None:
         m = rounding.maximal_matching(h, ledger)
-        verdicts = {"matching_maximal": validate_matching(h, m, require_maximal=True)}
-        return _matched(m, verdicts, _optimum_oracle(h, m))
+        return _matched(m, _optimum_oracle(h, m))
     m, unblocked = rounding.almost_maximal_matching(h, args.slack, ledger)
-    verdicts = {
-        "matching_valid": validate_matching(h, m),
-        "unblocked_consistent": _check(
-            unblocked == unblocked_edges(h, m),
-            "reported unblocked set disagrees with a recount",
-        ),
-    }
+    consistent = _check(unblocked == unblocked_edges(h, m),
+                        "reported unblocked set disagrees with a recount")
 
     def oracle():
         opt = oracles.max_matching(h).size
@@ -257,44 +333,41 @@ def _run_maximal_matching(h, args, ledger):
         verdict = _check(left <= args.slack * opt, "unblocked share above slack")
         return {"optimum": opt, "unblocked_optimum": left, "verdict": verdict}
 
-    return _matched(m, verdicts, oracle, unblocked=sorted(unblocked))
+    return _matched(m, oracle, unblocked=sorted(unblocked))._replace(
+        verdicts={"unblocked_consistent": consistent}, kind="matching"
+    )
 
 
 def _run_approx_matching(h, args, ledger):
     m = rounding.approx_max_matching(h, ledger)
-    verdicts = {"matching_valid": validate_matching(h, m)}
-    return _matched(m, verdicts, _optimum_oracle(h, m))
+    return _matched(m, _optimum_oracle(h, m))
 
 
 def _run_edge_color(g, args, ledger):
     res = edge_coloring.edge_color(g, ledger)
     oracle = _soundness_oracle(g, edge_coloring.full_palette_lists(g, res.palette))
-    return _edge_colored(g, res, oracle, palette=res.palette)
+    return _edge_colored(res, oracle, palette_bound=res.palette)
 
 
 def _run_list_edge_color(inst, args, ledger):
     res = edge_coloring.list_edge_color(inst.g, inst.lists, ledger)
-    oracle = _soundness_oracle(inst.g, inst.lists)
-    return _edge_colored(inst.g, res, oracle, lists=inst.lists)
+    return _edge_colored(res, _soundness_oracle(inst.g, inst.lists))
 
 
 def _run_rand_edge_color(g, args, ledger):
     res = edge_coloring.randomized_edge_color(g, args.seed, ledger)
-    return _edge_colored(g, res, None, palette=res.palette)
+    return _edge_colored(res, None, palette_bound=res.palette)
 
 
 def _run_arb_edge_color(g, args, ledger):
     res = edge_coloring.arboricity_edge_color(g, args.arboricity, args.eps, ledger)
     oracle = _arboricity_oracle(g, "bound", args.arboricity)
-    return _edge_colored(g, res, oracle, palette=res.palette)
+    return _edge_colored(res, oracle, palette_bound=res.palette)
 
 
 def _run_mis(g, args, ledger):
     independence, source = _independence_for(g, args.oracle)
     s = packing.maximal_independent_set(g, independence, ledger)
-    verdicts = {
-        "independent_and_maximal": validate_independent_set(g, s, require_maximal=True)
-    }
 
     def oracle():
         best = oracles.max_independent_set(g).size
@@ -306,29 +379,23 @@ def _run_mis(g, args, ledger):
 
     summary = {"kind": "independent-set", "size": len(s),
                "independence": independence, "independence_source": source}
-    return io.format_id_set(s), summary, verdicts, oracle
+    return _Solved(s, summary, oracle)
 
 
 def _run_vertex_color(g, args, ledger):
     independence, source = _independence_for(g, args.oracle)
     out = packing.vertex_color(g, independence, ledger=ledger)
     palette = out.palette_size  # max_degree + 1
-    verdicts = {
-        "coloring_proper": validate_vertex_coloring(g, out.colors),
-        "palette_respected": _check(
-            all(1 <= c <= palette for c in out.colors), "color outside palette"
-        ),
-    }
+    in_palette = _check(all(1 <= c <= palette for c in out.colors), "color outside palette")
     summary = {"kind": "vertex-coloring", "palette_bound": palette,
                "colors_used": len(set(out.colors)),
                "independence": independence, "independence_source": source}
     colors = {v: out.colors[v] for v in range(g.n)}
-    return io.format_coloring(colors), summary, verdicts, None
+    return _Solved(colors, summary, None, verdicts={"palette_respected": in_palette})
 
 
 def _run_approx_graph_matching(g, args, ledger):
     m = apps.approx_max_graph_matching(g, args.eps, ledger=ledger)
-    valid = validate_matching(g, m)
 
     def oracle():
         opt = oracles.max_matching(g).size
@@ -337,16 +404,14 @@ def _run_approx_graph_matching(g, args, ledger):
         return {"optimum": opt, "required": need, "size": len(m),
                 "verdict": verdict}
 
-    return _matched(m, {"matching_valid": valid}, oracle)
+    return _matched(m, oracle)
 
 
 def _run_orientation(g, args, ledger):
     o = apps.low_outdegree_orientation(g, args.lam, args.eps, ledger)
-    verdicts = {"orientation_bounded": apps.validate_orientation(g, o)}
     summary = {"kind": "orientation", "bound": o.bound,
                "max_out_degree": o.max_out_degree}
-    oracle = _arboricity_oracle(g, "lambda", args.lam)
-    return io.format_orientation(g.edges, o.tails), summary, verdicts, oracle
+    return _Solved(o.tails, summary, _arboricity_oracle(g, "lambda", args.lam), o.bound)
 
 
 def _run_pseudo_forests(g, args, ledger):
@@ -365,7 +430,7 @@ def _run_pseudo_forests(g, args, ledger):
     summary = {"kind": "pseudo-forests", "classes": len(classes),
                "class_sizes": [len(c) for c in classes]}
     oracle = _arboricity_oracle(g, "lambda", args.lam)
-    return io.format_coloring(assignment), summary, verdicts, oracle
+    return _Solved(assignment, summary, oracle, verdicts=verdicts)
 
 
 class _Algorithm(NamedTuple):
@@ -375,29 +440,31 @@ class _Algorithm(NamedTuple):
     order: graph, flags, edges."""
 
     run: Callable
+    kind: str  # its `_VERIFY_KINDS` key
     graph: bool = True  # needs a gr instance
     flags: tuple[str, ...] = ()  # options that must be given
     optional: tuple[str, ...] = ()  # options read when given
     edges: bool = False  # needs at least one edge
     oracle: bool = True  # has an oracle comparison
-    lists: bool = False  # the instance file carries color lists
 
 
 _ALGORITHMS = {
     "maximal-matching": _Algorithm(
-        _run_maximal_matching, graph=False, optional=("--slack",)
+        _run_maximal_matching, "maximal-matching", graph=False, optional=("--slack",)
     ),
-    "approx-matching": _Algorithm(_run_approx_matching, graph=False),
-    "edge-color": _Algorithm(_run_edge_color, edges=True),
-    "list-edge-color": _Algorithm(_run_list_edge_color, edges=True, lists=True),
-    "rand-edge-color": _Algorithm(_run_rand_edge_color, edges=True, oracle=False),
-    "mis": _Algorithm(_run_mis),
-    "vertex-color": _Algorithm(_run_vertex_color, oracle=False),
-    "approx-graph-matching": _Algorithm(_run_approx_graph_matching, flags=("--eps",)),
-    "orientation": _Algorithm(_run_orientation, flags=("--lambda", "--eps")),
-    "pseudo-forests": _Algorithm(_run_pseudo_forests, flags=("--lambda", "--eps")),
+    "approx-matching": _Algorithm(_run_approx_matching, "matching", graph=False),
+    "edge-color": _Algorithm(_run_edge_color, "edge-coloring", edges=True),
+    "list-edge-color": _Algorithm(_run_list_edge_color, "list-edge-coloring", edges=True),
+    "rand-edge-color": _Algorithm(_run_rand_edge_color, "edge-coloring", edges=True, oracle=False),
+    "mis": _Algorithm(_run_mis, "mis"),
+    "vertex-color": _Algorithm(_run_vertex_color, "vertex-coloring", oracle=False),
+    "approx-graph-matching": _Algorithm(_run_approx_graph_matching, "matching", flags=("--eps",)),
+    "orientation": _Algorithm(_run_orientation, "orientation", flags=("--lambda", "--eps")),
+    "pseudo-forests": _Algorithm(
+        _run_pseudo_forests, "pseudo-forests", flags=("--lambda", "--eps")
+    ),
     "arb-edge-color": _Algorithm(
-        _run_arb_edge_color, flags=("--arboricity", "--eps"), edges=True
+        _run_arb_edge_color, "edge-coloring", flags=("--arboricity", "--eps"), edges=True
     ),
 }
 
@@ -412,8 +479,9 @@ def _cmd_run(args) -> int:
     for flag, dest in _DEST.items():
         if getattr(args, dest) is not None and flag not in algo.flags + algo.optional:
             raise UsageError(f"{args.algo} takes no {flag}")
-    parsed = _parse(_read(args.infile), algo.lists)
-    instance: Hypergraph = parsed.g if algo.lists else parsed
+    lists = _VERIFY_KINDS[algo.kind].lists
+    parsed = _parse(_read(args.infile), lists)
+    instance: Hypergraph = parsed.g if lists else parsed
     if algo.graph and not isinstance(instance, Graph):
         raise UsageError(f"{args.algo} needs a gr instance, got a hypergraph")
     for flag in algo.flags:
@@ -424,13 +492,17 @@ def _cmd_run(args) -> int:
     _check_writable(args.out)
     _check_writable(args.json)
     ledger = RoundLedger()
-    solution, summary, verdicts, oracle = algo.run(parsed, args, ledger)
+    solved = algo.run(parsed, args, ledger)
+    kind = _VERIFY_KINDS[solved.kind or algo.kind]
+    verdicts = solved.verdicts
+    if kind.verdict is not None:
+        verdicts = {kind.verdict: kind.check(parsed, solved.solution, solved.bound), **verdicts}
     if args.out:
-        _write(args.out, solution)
+        _write(args.out, kind.write(solved.solution, parsed))
     oracle_block = None
-    if oracle is not None:
+    if solved.oracle is not None:
         try:
-            oracle_block = oracle()
+            oracle_block = solved.oracle()
         except oracles.OverBudgetError:
             if args.oracle:
                 raise
@@ -447,7 +519,7 @@ def _cmd_run(args) -> int:
         "algorithm": args.algo,
         "instance": _instance_summary(args.infile, instance),
         "parameters": params,
-        "solution": summary,
+        "solution": solved.summary,
         "verdicts": _to_json(verdicts),
         "oracle": None if oracle_block is None else _to_json(oracle_block),
         "ledger": {"entries": ledger.as_records(), "total": ledger.total},
@@ -464,94 +536,11 @@ def _cmd_run(args) -> int:
     return 1 if failed else 0
 
 
-def _solution(parse):
-    """A (text, instance) solution parser from one that reads the text alone."""
-    return lambda text, _: parse(text)
-
-
-def _matching_check(maximal: bool):
-    return lambda h, m, _: validate_matching(h, m, require_maximal=maximal)
-
-
-def _independent_check(maximal: bool):
-    return lambda g, s, _: validate_independent_set(g, s, require_maximal=maximal)
-
-
-def _check_vertex_coloring(g: Graph, colors, args) -> Verdict:
-    if sorted(colors) != list(range(g.n)):
-        return Verdict(False, "coloring must assign every node exactly once")
-    return validate_vertex_coloring(g, [colors[v] for v in range(g.n)])
-
-
 def _given_bound(args) -> int | None:
     """ceil((1+eps)*lambda) from `--lambda` and `--eps`, or None if neither."""
     if (args.lam is None) != (args.eps is None):
         raise UsageError(f"verify {args.kind} needs --lambda and --eps together")
     return None if args.lam is None else apps.out_degree_bound(args.lam, args.eps)
-
-
-def _check_orientation(g: Graph, tails, args) -> Verdict:
-    bound = _given_bound(args)
-    if bound is None:
-        bound = max(Counter(tails).values(), default=0)
-    return apps.validate_orientation(g, apps.Orientation(tails, bound))
-
-
-def _check_pseudo_forests(g: Graph, assignment, args) -> Verdict:
-    bound = _given_bound(args)
-    if sorted(assignment) != list(range(g.m)):
-        return Verdict(False, "every edge needs exactly one class")
-    classes: dict[int, set[int]] = {}
-    for eid, cls in assignment.items():
-        classes.setdefault(cls, set()).add(eid)
-    if bound is not None and len(classes) > bound:
-        return Verdict(False, f"{len(classes)} classes exceed the bound {bound}")
-    for cls in sorted(classes):
-        verdict = apps.validate_pseudo_forest(g, frozenset(classes[cls]))
-        if not verdict:
-            return Verdict(False, f"class {cls}: {verdict.reason}")
-    return Verdict(True)
-
-
-class _VerifyKind(NamedTuple):
-    """One `verify` kind."""
-
-    parse: Callable  # (solution text, instance) -> solution
-    check: Callable  # (instance, solution, args) -> Verdict
-    graph: str | None = None  # needs a gr instance; the error names this kind
-    lists: bool = False  # the instance file carries color lists
-    bounds: bool = False  # takes --lambda and --eps
-
-
-_VERIFY_KINDS = {
-    "matching": _VerifyKind(_solution(io.parse_id_set), _matching_check(False)),
-    "maximal-matching": _VerifyKind(_solution(io.parse_id_set), _matching_check(True)),
-    "independent-set": _VerifyKind(
-        _solution(io.parse_id_set), _independent_check(False), "independent-set"
-    ),
-    "mis": _VerifyKind(
-        _solution(io.parse_id_set), _independent_check(True), "independent-set"
-    ),
-    "edge-coloring": _VerifyKind(
-        _solution(io.parse_coloring),
-        lambda g, colors, _: validate_edge_coloring(g, colors),
-        "edge-coloring",
-    ),
-    "list-edge-coloring": _VerifyKind(
-        _solution(io.parse_coloring),
-        lambda inst, colors, _: validate_edge_coloring(
-            inst.g, colors, lists=inst.lists
-        ),
-        lists=True,
-    ),
-    "vertex-coloring": _VerifyKind(
-        _solution(io.parse_coloring), _check_vertex_coloring, "vertex-coloring"
-    ),
-    "orientation": _VerifyKind(io.parse_orientation, _check_orientation, "orientation", bounds=True),
-    "pseudo-forests": _VerifyKind(
-        _solution(io.parse_coloring), _check_pseudo_forests, "pseudo-forests", bounds=True
-    ),
-}
 
 
 def _cmd_verify(args) -> int:
@@ -563,7 +552,9 @@ def _cmd_verify(args) -> int:
     instance = _parse(instance_text, kind.lists)
     if kind.graph is not None and not isinstance(instance, Graph):
         raise UsageError(f"{kind.graph} verification needs a gr instance")
-    verdict = kind.check(instance, kind.parse(solution_text, instance), args)
+    solution = kind.read(solution_text, instance)
+    bound = _given_bound(args) if kind.bounds else None
+    verdict = kind.check(instance, solution, bound)
     if verdict.ok:
         sys.stdout.write("pass\n")
         return 0

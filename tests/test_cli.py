@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from hypermatch import apps, cli, edge_coloring, generate, io, oracles, packing, rounding
+from hypermatch import (
+    apps, cli, coloring, edge_coloring, generate, io, oracles, packing, rounding,
+)
 
 try:
     import resource
@@ -726,6 +728,98 @@ class TestExitCodes:
     def test_hypergraph_rejected_by_graph_algorithm(self, tmp_path):
         hgr = write(tmp_path / "h.hgr", "hgr 3 1 3\n0 1 2\n")
         assert run_cli("run", "--algo", "edge-color", "--in", hgr) == 2
+
+    @pytest.mark.parametrize("algo, module, factor, instance, options, error", [
+        ("orientation", apps, "ORIENTATION_ROUND_FACTOR", generate.star(5),
+         ("--lambda", "1", "--eps", "1/2"),
+         "out-degree above 2 persists after 0 iterations;"
+         " the arboricity bound 1 is too small"),
+        ("arb-edge-color", edge_coloring, "PEELING_ROUND_FACTOR", generate.path(6),
+         ("--arboricity", "1", "--eps", "1"),
+         "peeling needed more than 0 layers; the arboricity bound 1 is too small"),
+    ], ids=["orientation-iterations", "peeling-layers"])
+    def test_iteration_cap_reached_exits_one(self, algo, module, factor, instance, options,
+                                             error, tmp_path, monkeypatch, capsys):
+        # With no iterations allowed, a star's hub keeps all four tails and
+        # a path's second peeling layer passes the cap.
+        monkeypatch.setattr(module, factor, 0)
+        inst = write(tmp_path / "g.gr", io.format_graph(instance))
+        assert run_cli("run", "--algo", algo, "--in", inst, *options) == 1
+        assert capsys.readouterr().err == f"failed: {error}\n"
+
+
+def _one_color(g, *args, **kwargs):
+    """An edge coloring that gives every edge color 1, within palette 3."""
+    return edge_coloring.EdgeColoringResult({eid: 1 for eid in range(g.m)}, 3, {})
+
+
+P4 = io.format_graph(generate.path(4))  # edges 0 and 1 share vertex 1
+OVERLAP = frozenset({0, 1})
+
+# Per algorithm whose first verdict is its kind's check: its instance, the
+# library entry its runner calls and a wrong answer for it, the options,
+# the verdict and its reason, and the verify kind and options that read
+# the solution file.  The oracle verdicts, where there are any, still pass.
+FAILING_RUNS = {
+    "maximal-matching": (
+        P4, rounding, "maximal_matching", lambda h, ledger: frozenset(), (),
+        "matching_maximal", "edge 0 is disjoint from the matching", "maximal-matching", ()),
+    "maximal-matching-slack": (
+        P4, rounding, "almost_maximal_matching", lambda h, slack, ledger: (OVERLAP, frozenset()),
+        ("--slack", "1/4"), "matching_valid", "edges 0 and 1 share vertex 1", "matching", ()),
+    "approx-matching": (
+        P4, rounding, "approx_max_matching", lambda h, ledger: OVERLAP, (),
+        "matching_valid", "edges 0 and 1 share vertex 1", "matching", ()),
+    "edge-color": (
+        P4, edge_coloring, "edge_color", _one_color, (), "coloring_proper",
+        "edges 0 and 1 at vertex 1 share color 1", "edge-coloring", ()),
+    "list-edge-color": (
+        P4 + "0: 1 2 3\n1: 1 2 3\n2: 1 2 3\n", edge_coloring, "list_edge_color", _one_color,
+        (), "coloring_respects_lists", "edges 0 and 1 at vertex 1 share color 1",
+        "list-edge-coloring", ()),
+    "rand-edge-color": (
+        P4, edge_coloring, "randomized_edge_color", _one_color, (), "coloring_proper",
+        "edges 0 and 1 at vertex 1 share color 1", "edge-coloring", ()),
+    "arb-edge-color": (
+        P4, edge_coloring, "arboricity_edge_color", _one_color,
+        ("--arboricity", "1", "--eps", "1"), "coloring_proper",
+        "edges 0 and 1 at vertex 1 share color 1", "edge-coloring", ()),
+    "mis": (
+        P4, packing, "maximal_independent_set", lambda g, r, ledger: frozenset({0, 1}), (),
+        "independent_and_maximal", "nodes 0 and 1 are adjacent", "mis", ()),
+    "vertex-color": (
+        P4, packing, "vertex_color", lambda g, r, ledger: coloring.VertexColoring((1,) * g.n, 3),
+        (), "coloring_proper", "nodes 0 and 1 share color 1", "vertex-coloring", ()),
+    "approx-graph-matching": (
+        P4, apps, "approx_max_graph_matching", lambda g, eps, ledger: OVERLAP, ("--eps", "1/2"),
+        "matching_valid", "edges 0 and 1 share vertex 1", "matching", ()),
+    "orientation": (
+        io.format_graph(generate.star(5)), apps, "low_outdegree_orientation",
+        lambda g, lam, eps, ledger: apps.Orientation((0,) * g.m, 2),  # all tails at the hub
+        ("--lambda", "1", "--eps", "1/2"), "orientation_bounded",
+        "out-degree 4 exceeds bound 2", "orientation", ("--lambda", "1", "--eps", "1/2")),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_RUNS))
+def test_a_failing_run_verdict_is_the_one_verify_gives(case, tmp_path, monkeypatch, capsys):
+    text, module, entry, wrong, options, verdict, reason, kind, verify_options = (
+        FAILING_RUNS[case])
+    algo = case.removesuffix("-slack")
+    monkeypatch.setattr(module, entry, wrong)
+    inst = write(tmp_path / "instance", text)
+    sol, rpt = tmp_path / "solution", tmp_path / "report.json"
+    argv = ("run", "--algo", algo, "--in", inst, *options, "--out", str(sol))
+    assert run_cli(*argv, "--json", str(rpt)) == 1
+    report = json.loads(rpt.read_text())
+    assert report["verdicts"][verdict] == {"ok": False, "reason": reason}
+    assert [name for name, v in report["verdicts"].items() if not v["ok"]] == [verdict]
+    oracle = report["oracle"] or {}
+    assert all(v["ok"] for v in oracle.values() if isinstance(v, dict))
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().out == f"{algo}: FAIL ({verdict}) rounds=0\n"
+    assert run_cli("verify", kind, "--in", inst, str(sol), *verify_options) == 1
+    assert capsys.readouterr().out == f"fail: {reason}\n"
 
 
 class TestInProcessCalls:
