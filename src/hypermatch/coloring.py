@@ -14,9 +14,11 @@ how many neighbors of a node share its label.  The label is the color
 for the input and defect checks and the polynomial's value at one point
 for a step.  A `Graph` answers it from its adjacency lists, and a
 `LineGraphView` from per-label histograms, so a hypergraph's line graph
-is colored without being built.  A node stops at its first conflict-free
-point, so a step evaluates the polynomials at a point, one label per
-node, only when the first node reaches that point.
+is colored without being built.  A node takes the first point of its
+polynomial that at most ``defect`` neighbors share (Kuhn's defective
+step; a conflict-free point when the defect is 0), so a step evaluates
+the polynomials at a point, one label per node, only when the first node
+reaches that point.
 
 The reduction schedule is computed from the declared palette bound (the
 initial coloring's ``palette_size``) and degree cap alone, never from
@@ -127,14 +129,14 @@ def _apply_step(
     g: Graph | LineGraphView, colors: list[int], k: int, q: int, defect: int
 ) -> list[int]:
     """One reduction step: each node takes the first point of its polynomial
-    with the fewest agreeing neighbors, and raises if all have more than
-    ``defect``.
+    with at most ``defect`` agreeing neighbors, and raises if none has.
 
-    A node stops at its first conflict-free point: when one exists, it is
-    the first with the fewest.  So a point's column (every node's
-    polynomial at that point) is evaluated, by Horner's rule over the
-    base-q digits of the nodes' colors, and its agreement counts are asked
-    of ``g``, only when the first node reaches that point.
+    A neighbor that shares the node's new color agrees with it at the point
+    taken, so the new coloring's defect is at most ``defect``.  A point's
+    column (every node's polynomial at that point) is evaluated, by
+    Horner's rule over the base-q digits of the nodes' colors, and its
+    agreement counts are asked of ``g``, only when the first node reaches
+    that point.
     """
     digits, rest = [], colors  # digits[j][v]: digit j of colors[v], highest first
     for _ in range(k + 1):
@@ -145,7 +147,6 @@ def _apply_step(
     agree_at: list = [None] * q
     new: list[int] = []
     for v in range(len(colors)):
-        choice, best = -1, defect + 1
         for a in range(q):
             if agree_at[a] is None:
                 labels = digits[0]
@@ -153,14 +154,11 @@ def _apply_step(
                     labels = [(x * a + d) % q for x, d in zip(labels, row)]
                 labels_at[a] = labels
                 agree_at[a] = g.agreement(labels)
-            agree = agree_at[a](v)
-            if agree < best:
-                choice, best = a, agree
-                if not agree:
-                    break
-        if choice < 0:
+            if agree_at[a](v) <= defect:
+                break
+        else:
             raise RuntimeError("cover-free family exhausted; degree cap too small")
-        new.append(choice * q + labels_at[choice][v])
+        new.append(a * q + labels_at[a][v])
     return new
 
 
@@ -220,9 +218,11 @@ def defective_coloring(
 
     Runs the proper reduction from ``initial`` (its ``palette_size`` is
     the palette bound) to stabilization, then one conflict-tolerant step
-    whose field size is shrunk by a factor of defect+1.  With defect 0
-    this is exactly the proper reduction; with defect >= degree_cap one
-    color suffices.
+    whose field size is shrunk by a factor of defect+1, in which each node
+    takes the first point that at most ``defect`` neighbors share.  The
+    realized defect is counted again before the coloring is returned.
+    With defect 0 this is exactly the proper reduction; with defect >=
+    degree_cap one color suffices.
     """
     if defect < 0:
         raise ValueError(f"defect must be >= 0, got {defect}")

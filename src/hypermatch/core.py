@@ -28,11 +28,14 @@ Instances and assignments are immutable after construction and every
 function here is pure, so sharing objects across threads or processes is
 safe.  An instance stores its vertex count and edges (and a graph its
 adjacency lists); its rank, maximum degree and incidence lists are
-derived views.  Each is built on first read and kept; all are immutable
-and deterministic too, so a race can at worst build one twice.  A line
-graph is built anew on each `line_graph` call and kept nowhere; the
-rounding engine reads a `LineGraphView` instead, which counts conflicts
-from the hyperedges themselves.
+derived views, and so is a hypergraph's ``line_view``, the
+`LineGraphView` of all its hyperedges.  Each is built on first read and
+kept; all are immutable and deterministic too, so a race can at worst
+build one twice.  The line graph itself is built anew on each
+`line_graph` call and kept nowhere.  The rounding engine never builds
+it: it reads a `LineGraphView`, which counts conflicts from the
+hyperedges themselves, and every pass that colors all hyperedges of one
+instance, nested ones included, reads that instance's one ``line_view``.
 """
 
 from __future__ import annotations
@@ -76,9 +79,9 @@ class Hypergraph:
     and keep distinct ids (their list positions).  Each edge is the tuple
     of its vertex ids in ascending order.  The instance stores
     ``n`` and ``edges`` only.  ``rank`` (the largest hyperedge size),
-    ``max_degree`` (the largest vertex degree, counting multiplicity) and
-    ``incidence`` derive from them on first read; they are kept outside
-    ``==``, ``repr``, ``hash``, pickles and copies.
+    ``max_degree`` (the largest vertex degree, counting multiplicity),
+    ``incidence`` and ``line_view`` derive from them on first read; they
+    are kept outside ``==``, ``repr``, ``hash``, pickles and copies.
     """
 
     n: int
@@ -110,6 +113,11 @@ class Hypergraph:
             for v in members:
                 incidence[v].append(eid)
         return tuple(map(tuple, incidence))
+
+    @cached_property
+    def line_view(self) -> LineGraphView:
+        """The `LineGraphView` of all hyperedges, node i standing for edge i."""
+        return LineGraphView(self, range(self.m))
 
 
 def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:

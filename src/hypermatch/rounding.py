@@ -15,8 +15,9 @@ denominator, its loads, the items each resource freezes, its
 sub-instances and its checks.  This module supplies the matching side
 (hyperedges load and are frozen by their vertices, rho is the rank, and
 the conflict graph is a `LineGraphView`: the line graph, answered from
-counts and never built); `packing` supplies the closed-neighborhood model
-of greedy packings.  Both sides take and
+counts and never built, and for all hyperedges the hypergraph's own
+``line_view``, which every pass on it shares); `packing` supplies the
+closed-neighborhood model of greedy packings.  Both sides take and
 return a `FractionalAssignment` that the engine builds and restricts
 itself.
 
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 
 from .coloring import VertexColoring, defective_coloring, linial_coloring
 from .core import (
@@ -466,12 +466,10 @@ class _MatchingModel(_LoadModel):
         self.rho = max(1, h.rank)
 
     def conflict(self, support):
-        """A `LineGraphView`; the one of all items is built once per model."""
-        return self._every if len(support) == self.items else LineGraphView(self.h, support)
-
-    @cached_property
-    def _every(self):
-        return LineGraphView(self.h, range(self.items))
+        """A `LineGraphView`; the one of all items is the hypergraph's own
+        ``line_view``, built once per instance and shared by every model
+        on it."""
+        return self.h.line_view if len(support) == self.items else LineGraphView(self.h, support)
 
     def loaded(self, i):
         return self.h.edges[i]

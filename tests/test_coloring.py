@@ -183,16 +183,16 @@ def _all_points(color, k, q):
 
 def _reference_step(g, colors, k, q, defect):
     """One reduction step that evaluates every polynomial and asks every
-    agreement count up front; a node takes the first point of fewest
-    agreeing neighbors."""
+    agreement count up front; a node takes the first point with at most
+    ``defect`` agreeing neighbors."""
     own = [_all_points(c, k, q) for c in colors]
     agree = [g.agreement([p[a] for p in own]) for a in range(q)]
     new = []
     for v, poly in enumerate(own):
-        best = min(range(q), key=lambda a: agree[a](v))
-        if agree[best](v) > defect:
+        admissible = [a for a in range(q) if agree[a](v) <= defect]
+        if not admissible:
             raise RuntimeError("cover-free family exhausted; degree cap too small")
-        new.append(best * q + poly[best])
+        new.append(admissible[0] * q + poly[admissible[0]])
     return new
 
 
@@ -227,6 +227,22 @@ def test_step_matches_the_all_points_reference(seed):
                 k, q = _step_params(palette, max(1, g.max_degree), defect)
                 expected = _reference_step(g, colors, k, q, defect)
                 assert _apply_step(g, colors, k, q, defect) == expected
+
+
+def test_step_takes_the_first_admissible_point_not_the_fewest():
+    """On a triangle colored by ids at defect 1 (k = 1, q = 2), node 0
+    shares point 0 with node 2 but point 1 with no one.  Point 0 is
+    admissible, so node 0 takes it, where the rule of fewest agreeing
+    neighbors would take point 1."""
+    g = generate.complete(3)
+    k, q = _step_params(3, 2, 1)
+    assert (k, q) == (1, 2)
+    own = [_all_points(c, k, q) for c in range(3)]
+    assert [g.agreement([p[a] for p in own])(0) for a in range(q)] == [1, 0]
+    fewest = [2, 1, 0]  # node 0 at point 1, where it agrees with no one
+    assert _reference_step(g, [0, 1, 2], k, q, 1) == [0, 1, 0] != fewest
+    assert _apply_step(g, [0, 1, 2], k, q, 1) == [0, 1, 0]
+    assert count_defect(g, [0, 1, 0]) == 1
 
 
 def test_initial_coloring_must_cover_every_node():

@@ -491,7 +491,9 @@ def test_incidence_is_derived_on_first_read(monkeypatch):
     """The packing side reads only the adjacency of a graph, so the input
     graph and its support restrictions build no incidence lists, and
     maximal matching builds no line graph to hold any; where incidence is
-    read, it equals the lists derived from ``edges``."""
+    read, it equals the lists derived from ``edges``.  Maximal matching
+    keeps the line view of all hyperedges on the hypergraph, and a
+    restriction builds its own."""
     rng = random.Random(13)
     g = build_graph(60, rng.sample([(u, v) for u in range(60) for v in range(u + 1, 60)], 150))
     restrictions = []
@@ -513,8 +515,26 @@ def test_incidence_is_derived_on_first_read(monkeypatch):
     assert sub.incidence == _incidence_from_edges(sub)
     h = hub_hypergraph()
     maximal_matching(h)
-    assert set(vars(h)) == {"n", "edges", "incidence", "rank", "max_degree"}
+    assert set(vars(h)) == {"n", "edges", "incidence", "rank", "max_degree", "line_view"}
     assert vars(h)["incidence"] == _incidence_from_edges(h)
+    # the view of all hyperedges is kept too, outside ==, repr, hash,
+    # pickles and copies
+    view = h.line_view
+    assert view is vars(h)["line_view"] and view.n == h.m
+    fresh = hub_hypergraph()
+    assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+    assert pickle.dumps(h) == pickle.dumps(fresh)
+    for back in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+        assert back == h and set(vars(back)) == {"n", "edges"}
+    # a restriction builds its own view; keeping every edge keeps h, and so its view
+    sub, kept = induced_subhypergraph(h, range(0, h.m, 3))
+    assert sub.line_view is not view and sub.line_view.n == len(kept) == sub.m
+    assert induced_subhypergraph(h, range(h.m))[0].line_view is view
+    # where the view is read, it counts the neighbors of the line graph
+    small = generate.random_hypergraph(30, 40, 3, seed=1)
+    for k in (small, induced_subhypergraph(small, range(0, 40, 2))[0]):
+        degree = k.line_view.agreement([0] * k.m)
+        assert [degree(i) for i in range(k.m)] == list(map(len, line_graph(k).adjacency))
 
 
 def test_derived_views_stay_out_of_equality_and_copies():

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermatch import core, generate
+from test_golden import hub_hypergraph
+
+from hypermatch import coloring, core, generate
 from hypermatch.coloring import (
     VertexColoring,
     _apply_step,
@@ -196,3 +198,39 @@ def test_large_overlaps_cost_no_subset_enumeration(case):
     assert [degree(v) for v in range(h.m)] == list(map(len, sub.adjacency))
     assert validate_matching(h, maximal_matching(h), require_maximal=True).ok
     assert time.perf_counter() - start < 2.0
+
+
+def test_hub_matching_builds_one_full_view_and_few_columns(monkeypatch):
+    """On the two-hub instance of tests/test_golden.py, a maximal matching
+    builds the view of all hyperedges once, which every pass on the
+    instance shares, and each of its two defective steps (q = 11) asks
+    for the agreement counts of at most 2 points, not of all 11."""
+    h = hub_hypergraph()
+    init, agreement, step = LineGraphView.__init__, LineGraphView.agreement, coloring._apply_step
+    full, asked, columns = [], [0], []
+
+    def recording_init(self, of, support):
+        support = list(support)
+        full.append(len(support) == of.m)
+        init(self, of, support)
+
+    def counting_agreement(self, labels):
+        asked[0] += 1
+        return agreement(self, labels)
+
+    def recording_step(g, colors, k, q, defect):
+        before = asked[0]
+        new = step(g, colors, k, q, defect)
+        if defect:
+            columns.append(asked[0] - before)
+        return new
+
+    monkeypatch.setattr(LineGraphView, "__init__", recording_init)
+    monkeypatch.setattr(LineGraphView, "agreement", counting_agreement)
+    monkeypatch.setattr(coloring, "_apply_step", recording_step)
+    ledger = RoundLedger()
+    found = maximal_matching(h, ledger)
+    assert validate_matching(h, found, require_maximal=True).ok
+    assert ledger.total == 1296
+    assert full.count(True) == 1
+    assert len(columns) == 2 and max(columns) <= 2

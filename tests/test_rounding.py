@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import triangle, vertex_loads
 from test_golden import hub_hypergraph
 
-from hypermatch import generate, packing, rounding
+from hypermatch import cli, generate, io, packing, rounding
 from hypermatch.coloring import VertexColoring
 from hypermatch.core import (
     FractionalAssignment,
@@ -208,6 +208,40 @@ class TestBasicRound:
             basic_round(h, x, 1, 4)
         assert str(err.value) == "basic_round doubling exceeded 2 rounds"
 
+    @pytest.mark.parametrize("fault, message", [
+        ("lost-raise", "edge 2 skipped its color class"),
+        ("starts-frozen", "basic rounding lost more than a 1/(2*rank) share"),
+    ])
+    def test_sweep_checks_catch_a_broken_pass(self, fault, message, tmp_path, monkeypatch):
+        """Two planted faults in the pass that the color sweep raises: a
+        raise of the isolated edge 2 that is lost, and a pass that starts
+        with every edge frozen, so the sweep raises nothing.  Each is a
+        library bug: it raises RuntimeError, also through `run`, and is
+        never reported as a usage error (exit 2)."""
+        h = build_hypergraph(5, [{0, 1}, {1, 2}, {3, 4}])
+
+        class Broken(rounding._Pass):
+            def __init__(self, model, scale, values=None):
+                super().__init__(model, scale, values)
+                if fault == "starts-frozen" and values is None:  # not the greedy pass
+                    self.frozen.update(range(model.items))
+
+            def add(self, i, val):
+                if fault != "lost-raise" or i != 2 or i in self.values:
+                    super().add(i, val)
+
+        monkeypatch.setattr(rounding, "_Pass", Broken)
+        x = greedy_fractional_matching(h)
+        assert x.values == dict.fromkeys(range(3), HALF)
+        with pytest.raises(RuntimeError) as err:
+            basic_round(h, x, 2, 2)
+        assert str(err.value) == message
+        inst = tmp_path / "h.hgr"
+        inst.write_text(io.format_hypergraph(h))
+        with pytest.raises(RuntimeError) as err:
+            cli.main(["run", "--algo", "maximal-matching", "--in", str(inst)])
+        assert str(err.value) == message
+
 
 def _planted_recursion(monkeypatch, value):
     """Nested recursive passes that return every input item at ``value``."""
@@ -385,7 +419,7 @@ class TestDrivers:
         ledger = RoundLedger()
         m, leftover = almost_maximal_matching(g, Fraction(511, 512), ledger)
         assert validate_matching(g, m).ok
-        assert leftover == unblocked_edges(g, m) == frozenset({2022})
+        assert leftover == unblocked_edges(g, m) == frozenset({2037})
         assert [(r["rounds"], r["formula"]) for r in ledger.as_records()
                 if r["label"] == "maximal_driver"] == [(1, "32 rank^3 ln(1/slack) iterations")]
 
