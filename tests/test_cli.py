@@ -697,6 +697,66 @@ class TestExitCodes:
         assert run_cli(*argv) == 1
         assert capsys.readouterr().out == "maximal-matching: FAIL (oracle) rounds=0\n"
 
+    @pytest.mark.parametrize("algo, options, key, reason", [
+        ("orientation", ("--lambda", "1", "--eps", "1"), "lambda",
+         "lambda below true arboricity"),
+        ("pseudo-forests", ("--lambda", "1", "--eps", "1"), "lambda",
+         "lambda below true arboricity"),
+        ("arb-edge-color", ("--arboricity", "1", "--eps", "1"), "bound",
+         "bound below true arboricity"),
+    ])
+    def test_claimed_bound_below_arboricity_fails_the_oracle(
+            self, algo, options, key, reason, tmp_path, capsys):
+        # K4 has arboricity 2; the claimed 1 still lets every solve finish
+        k4 = write(tmp_path / "k4.gr", io.format_graph(generate.complete(4)))
+        rpt = tmp_path / "k4.json"
+        assert run_cli("run", "--algo", algo, "--in", k4, *options, "--json", str(rpt)) == 1
+        report = json.loads(rpt.read_text())
+        assert all(v["ok"] for v in report["verdicts"].values())
+        assert report["oracle"] == {"arboricity": 2, key: 1,
+                                    "verdict": {"ok": False, "reason": reason}}
+        assert run_cli("run", "--algo", algo, "--in", k4, *options) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{algo}: FAIL (oracle) rounds=")
+
+    @pytest.mark.parametrize("algo, module, entry, small, options, failed, oracle", [
+        # C5: a maximum matching has 2 edges, 2/(1+1/3) rounds up to 2
+        ("approx-graph-matching", apps, "approx_max_graph_matching",
+         lambda g, eps, ledger: frozenset({0}), ("--eps", "1/3"), "oracle",
+         {"optimum": 2, "required": 2, "size": 1,
+          "verdict": {"ok": False, "reason": "size 1 below 2"}}),
+        # C5: independence 2 and neighborhood independence 2 ask for 2/256
+        ("mis", packing, "maximal_independent_set",
+         lambda g, r, ledger: frozenset(), (), "independent_and_maximal, oracle",
+         {"optimum": 2, "independence": 2, "size": 0,
+          "verdict": {"ok": False, "reason": "size 0 below 1/128"}}),
+    ])
+    def test_answer_below_the_optimum_bound_fails_the_oracle(
+            self, algo, module, entry, small, options, failed, oracle, cycle5, tmp_path,
+            monkeypatch, capsys):
+        monkeypatch.setattr(module, entry, small)
+        rpt = tmp_path / "c5.json"
+        argv = ("run", "--algo", algo, "--in", cycle5, *options)
+        assert run_cli(*argv, "--json", str(rpt)) == 1
+        assert json.loads(rpt.read_text())["oracle"] == oracle
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().out == f"{algo}: FAIL ({failed}) rounds=0\n"
+
+    @pytest.mark.parametrize("algo", list(cli._ALGORITHMS))
+    def test_oracle_is_refused_exactly_where_there_is_none(self, algo, tmp_path, capsys):
+        # refused before the instance is read: the file does not exist
+        absent = str(tmp_path / "absent.gr")
+        assert run_cli("run", "--algo", algo, "--in", absent, "--oracle") == 2
+        if cli._ALGORITHMS[algo].oracle:
+            error = f"cannot read {absent}: {os_error(absent, 'r')}"
+        else:
+            error = f"{algo} has no oracle comparison"
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_only_the_randomized_and_vertex_coloring_runs_have_no_oracle(self):
+        assert sorted(name for name, algo in cli._ALGORITHMS.items() if not algo.oracle) == [
+            "rand-edge-color", "vertex-color"]
+
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     @pytest.mark.parametrize("algo, header", [
         ("mis", "gr 1000000000 1"),
