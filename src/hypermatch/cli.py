@@ -6,11 +6,11 @@ Three subcommands, each driven by one table whose keys are its choices:
   run --algo NAME --in FILE ...     run, report, write solution  (_ALGORITHMS)
   verify KIND --in FILE SOLUTION    re-validate a solution file  (_VERIFY_KINDS)
 
-Each `_ALGORITHMS` row names a solution kind, a `_VERIFY_KINDS` row.  The
-kind writes `run`'s solution file, reads it for `verify`, and holds the one
-check both commands give it; `run` reports that check first.  A
-`pseudo-forests` run reports its own verdicts instead: the orientation and
-one per class, which its file cannot show.
+Each `_ALGORITHMS` row holds its oracle comparison and names a solution
+kind, a `_VERIFY_KINDS` row.  The kind writes `run`'s solution file, reads
+it for `verify`, and holds the one check both commands give it; `run`
+reports that check first.  A `pseudo-forests` run reports its own verdicts
+instead: the orientation and one per class, which its file cannot show.
 
 `generate` rejects a missing, malformed or unknown parameter before it
 reads `--in` or builds anything.  `run --oracle` on an algorithm without
@@ -255,131 +255,47 @@ _VERIFY_KINDS = {
 
 
 class _Solved(NamedTuple):
-    """What a runner, given (instance, args, ledger), returns.  `oracle`
-    builds the oracle block; it may raise OverBudgetError, and a failing
-    `Verdict` in it fails the run.  Runners look library functions up when
-    called, so a rebound module attribute (as a tracer installs) is reached."""
+    """What a runner, given (instance, args, ledger), returns.  Runners
+    look library functions up when called, so a rebound module attribute
+    (as a tracer installs) is reached."""
 
     solution: object  # in the form its kind writes
     summary: dict
-    oracle: Callable | None
     bound: int | None = None  # given to the kind's check
     verdicts: dict = {}  # the run's own, reported after the kind's
     kind: str | None = None  # when not the algorithm's
 
 
-def _matched(m: frozenset[int], oracle, **summary) -> _Solved:
+def _matched(m: frozenset[int], **summary) -> _Solved:
     """The result of a run whose solution is a matching."""
-    return _Solved(m, {"kind": "matching", "size": len(m), **summary}, oracle)
+    return _Solved(m, {"kind": "matching", "size": len(m), **summary})
 
 
-def _optimum_oracle(h: Hypergraph, m: frozenset[int]):
-    return lambda: {"optimum": oracles.max_matching(h).size, "size": len(m)}
-
-
-def _arboricity_oracle(g: Graph, key: str, claimed: int):
-    """Oracle block checking a claimed arboricity bound, reported as `key`."""
-
-    def oracle():
-        a = oracles.arboricity(g)
-        verdict = _check(claimed >= a, f"{key} below true arboricity")
-        return {"arboricity": a, key: claimed, "verdict": verdict}
-
-    return oracle
-
-
-def _check_reduction_soundness(h, lists) -> Verdict:
-    # The reduction has one hyperedge per listed color of each edge.
-    oracles.require_enumerable(sum(map(len, lists.values())))
-    reduced = edge_coloring.reduce_hypergraph_list_edge_coloring(h, lists)
-    for mm in oracles.enumerate_maximal_matchings(reduced.hypergraph):
-        try:
-            colors = edge_coloring.decode_matching(reduced, h.m, mm)
-        except RuntimeError as exc:
-            return Verdict(False, f"a maximal matching fails to decode: {exc}")
-        verdict = validate_edge_coloring(h, colors, lists=lists)
-        if not verdict:
-            return Verdict(False, f"a decoded coloring is improper: {verdict.reason}")
-    return Verdict(True)
-
-
-def _soundness_oracle(g: Graph, lists):
-    """Oracle block: every maximal matching of the list reduction of g
-    decodes to a proper coloring."""
-    return lambda: {"reduction_soundness": _check_reduction_soundness(g, lists)}
-
-
-def _edge_colored(res, oracle, **summary) -> _Solved:
+def _edge_colored(res) -> _Solved:
     """The result of a run whose solution is an edge coloring."""
     summary = {"kind": "edge-coloring", "max_color": max(res.colors.values()),
-               "stats": res.stats, **summary}
-    return _Solved(res.colors, summary, oracle, res.palette)
+               "stats": res.stats}
+    if res.palette is not None:
+        summary["palette_bound"] = res.palette
+    return _Solved(res.colors, summary, res.palette)
 
 
 def _run_maximal_matching(h, args, ledger):
     if args.slack is None:
-        m = rounding.maximal_matching(h, ledger)
-        return _matched(m, _optimum_oracle(h, m))
+        return _matched(rounding.maximal_matching(h, ledger))
     m, unblocked = rounding.almost_maximal_matching(h, args.slack, ledger)
     consistent = _check(unblocked == unblocked_edges(h, m),
                         "reported unblocked set disagrees with a recount")
-
-    def oracle():
-        opt = oracles.max_matching(h).size
-        left = 0
-        if unblocked:
-            rest = induced_subhypergraph(h, sorted(unblocked))[0]
-            left = oracles.max_matching(rest).size
-        verdict = _check(left <= args.slack * opt, "unblocked share above slack")
-        return {"optimum": opt, "unblocked_optimum": left, "verdict": verdict}
-
-    return _matched(m, oracle, unblocked=sorted(unblocked))._replace(
-        verdicts={"unblocked_consistent": consistent}, kind="matching"
-    )
-
-
-def _run_approx_matching(h, args, ledger):
-    m = rounding.approx_max_matching(h, ledger)
-    return _matched(m, _optimum_oracle(h, m))
-
-
-def _run_edge_color(g, args, ledger):
-    res = edge_coloring.edge_color(g, ledger)
-    oracle = _soundness_oracle(g, edge_coloring.full_palette_lists(g, res.palette))
-    return _edge_colored(res, oracle, palette_bound=res.palette)
-
-
-def _run_list_edge_color(inst, args, ledger):
-    res = edge_coloring.list_edge_color(inst.g, inst.lists, ledger)
-    return _edge_colored(res, _soundness_oracle(inst.g, inst.lists))
-
-
-def _run_rand_edge_color(g, args, ledger):
-    res = edge_coloring.randomized_edge_color(g, args.seed, ledger)
-    return _edge_colored(res, None, palette_bound=res.palette)
-
-
-def _run_arb_edge_color(g, args, ledger):
-    res = edge_coloring.arboricity_edge_color(g, args.arboricity, args.eps, ledger)
-    oracle = _arboricity_oracle(g, "bound", args.arboricity)
-    return _edge_colored(res, oracle, palette_bound=res.palette)
+    return _matched(m, unblocked=sorted(unblocked))._replace(
+        verdicts={"unblocked_consistent": consistent}, kind="matching")
 
 
 def _run_mis(g, args, ledger):
     independence, source = _independence_for(g, args.oracle)
     s = packing.maximal_independent_set(g, independence, ledger)
-
-    def oracle():
-        best = oracles.max_independent_set(g).size
-        r = independence if source == "oracle" else oracles.neighborhood_independence(g)
-        bound = Fraction(best, 32 * max(1, r) ** 3)
-        verdict = _check(len(s) >= bound, f"size {len(s)} below {bound}")
-        return {"optimum": best, "independence": r, "size": len(s),
-                "verdict": verdict}
-
     summary = {"kind": "independent-set", "size": len(s),
                "independence": independence, "independence_source": source}
-    return _Solved(s, summary, oracle)
+    return _Solved(s, summary)
 
 
 def _run_vertex_color(g, args, ledger):
@@ -391,27 +307,14 @@ def _run_vertex_color(g, args, ledger):
                "colors_used": len(set(out.colors)),
                "independence": independence, "independence_source": source}
     colors = {v: out.colors[v] for v in range(g.n)}
-    return _Solved(colors, summary, None, verdicts={"palette_respected": in_palette})
-
-
-def _run_approx_graph_matching(g, args, ledger):
-    m = apps.approx_max_graph_matching(g, args.eps, ledger=ledger)
-
-    def oracle():
-        opt = oracles.max_matching(g).size
-        need = math.ceil(opt / (1 + args.eps))
-        verdict = _check(len(m) >= need, f"size {len(m)} below {need}")
-        return {"optimum": opt, "required": need, "size": len(m),
-                "verdict": verdict}
-
-    return _matched(m, oracle)
+    return _Solved(colors, summary, verdicts={"palette_respected": in_palette})
 
 
 def _run_orientation(g, args, ledger):
     o = apps.low_outdegree_orientation(g, args.lam, args.eps, ledger)
     summary = {"kind": "orientation", "bound": o.bound,
                "max_out_degree": o.max_out_degree}
-    return _Solved(o.tails, summary, _arboricity_oracle(g, "lambda", args.lam), o.bound)
+    return _Solved(o.tails, summary, o.bound)
 
 
 def _run_pseudo_forests(g, args, ledger):
@@ -429,8 +332,75 @@ def _run_pseudo_forests(g, args, ledger):
     assignment = {eid: idx for idx, cls in enumerate(classes, 1) for eid in cls}
     summary = {"kind": "pseudo-forests", "classes": len(classes),
                "class_sizes": [len(c) for c in classes]}
-    oracle = _arboricity_oracle(g, "lambda", args.lam)
-    return _Solved(assignment, summary, oracle, verdicts=verdicts)
+    return _Solved(assignment, summary, verdicts=verdicts)
+
+
+# Oracle comparisons, each (instance, args, solved) -> the report's oracle block.  One
+# may raise OverBudgetError; a failing `Verdict` in its block fails the run.
+
+
+def _against_optimum(optimum: int, size: int, need=None, **block) -> dict:
+    """A solution's size beside the optimum; with `need`, whether it reaches `need`."""
+    if need is not None:
+        block["verdict"] = _check(size >= need, f"size {size} below {need}")
+    return {"optimum": optimum, "size": size, **block}
+
+
+def _matching_oracle(h, args, solved) -> dict:
+    """With --slack, the unblocked edges' optimum against slack times the optimum."""
+    opt = oracles.max_matching(h).size
+    if args.slack is None:
+        return _against_optimum(opt, len(solved.solution))
+    unblocked = solved.summary["unblocked"]
+    left = 0
+    if unblocked:
+        left = oracles.max_matching(induced_subhypergraph(h, unblocked)[0]).size
+    verdict = _check(left <= args.slack * opt, "unblocked share above slack")
+    return {"optimum": opt, "unblocked_optimum": left, "verdict": verdict}
+
+
+def _graph_matching_oracle(g, args, solved) -> dict:
+    opt = oracles.max_matching(g).size
+    need = math.ceil(opt / (1 + args.eps))
+    return _against_optimum(opt, len(solved.solution), need, required=need)
+
+
+def _mis_oracle(g, args, solved) -> dict:
+    best = oracles.max_independent_set(g).size
+    r = solved.summary["independence"]
+    if solved.summary["independence_source"] != "oracle":
+        r = oracles.neighborhood_independence(g)
+    need = Fraction(best, 32 * max(1, r) ** 3)
+    return _against_optimum(best, len(solved.solution), need, independence=r)
+
+
+def _arboricity_oracle(key: str, dest: str):
+    """The comparison of the arboricity bound given as ``args.<dest>`` with
+    the true arboricity, reported as `key`."""
+
+    def oracle(g, args, solved) -> dict:
+        a, claimed = oracles.arboricity(g), getattr(args, dest)
+        verdict = _check(claimed >= a, f"{key} below true arboricity")
+        return {"arboricity": a, key: claimed, "verdict": verdict}
+
+    return oracle
+
+
+def _check_reduction_soundness(h, lists) -> Verdict:
+    """Every maximal matching of the list reduction of h decodes to a
+    proper coloring."""
+    # The reduction has one hyperedge per listed color of each edge.
+    oracles.require_enumerable(sum(map(len, lists.values())))
+    reduced = edge_coloring.reduce_hypergraph_list_edge_coloring(h, lists)
+    for mm in oracles.enumerate_maximal_matchings(reduced.hypergraph):
+        try:
+            colors = edge_coloring.decode_matching(reduced, h.m, mm)
+        except RuntimeError as exc:
+            return Verdict(False, f"a maximal matching fails to decode: {exc}")
+        verdict = validate_edge_coloring(h, colors, lists=lists)
+        if not verdict:
+            return Verdict(False, f"a decoded coloring is improper: {verdict.reason}")
+    return Verdict(True)
 
 
 class _Algorithm(NamedTuple):
@@ -439,33 +409,53 @@ class _Algorithm(NamedTuple):
     refused; once it is parsed, the preconditions are checked in this
     order: graph, flags, edges."""
 
-    run: Callable
+    run: Callable  # (instance, args, ledger) -> _Solved
     kind: str  # its `_VERIFY_KINDS` key
     graph: bool = True  # needs a gr instance
     flags: tuple[str, ...] = ()  # options that must be given
     optional: tuple[str, ...] = ()  # options read when given
     edges: bool = False  # needs at least one edge
-    oracle: bool = True  # has an oracle comparison
+    oracle: Callable | None = None  # its oracle comparison; None: it has none
 
 
 _ALGORITHMS = {
     "maximal-matching": _Algorithm(
-        _run_maximal_matching, "maximal-matching", graph=False, optional=("--slack",)
-    ),
-    "approx-matching": _Algorithm(_run_approx_matching, "matching", graph=False),
-    "edge-color": _Algorithm(_run_edge_color, "edge-coloring", edges=True),
-    "list-edge-color": _Algorithm(_run_list_edge_color, "list-edge-coloring", edges=True),
-    "rand-edge-color": _Algorithm(_run_rand_edge_color, "edge-coloring", edges=True, oracle=False),
-    "mis": _Algorithm(_run_mis, "mis"),
-    "vertex-color": _Algorithm(_run_vertex_color, "vertex-coloring", oracle=False),
-    "approx-graph-matching": _Algorithm(_run_approx_graph_matching, "matching", flags=("--eps",)),
-    "orientation": _Algorithm(_run_orientation, "orientation", flags=("--lambda", "--eps")),
+        _run_maximal_matching, "maximal-matching", graph=False, optional=("--slack",),
+        oracle=_matching_oracle),
+    "approx-matching": _Algorithm(
+        lambda h, args, ledger: _matched(rounding.approx_max_matching(h, ledger)),
+        "matching", graph=False, oracle=_matching_oracle),
+    "edge-color": _Algorithm(
+        lambda g, args, ledger: _edge_colored(edge_coloring.edge_color(g, ledger)),
+        "edge-coloring", edges=True, oracle=lambda g, args, solved: {
+            "reduction_soundness": _check_reduction_soundness(
+                g, edge_coloring.full_palette_lists(g, solved.bound))}),
+    "list-edge-color": _Algorithm(
+        lambda inst, args, ledger: _edge_colored(
+            edge_coloring.list_edge_color(inst.g, inst.lists, ledger)),
+        "list-edge-coloring", edges=True, oracle=lambda inst, args, solved: {
+            "reduction_soundness": _check_reduction_soundness(inst.g, inst.lists)}),
+    "rand-edge-color": _Algorithm(
+        lambda g, args, ledger: _edge_colored(
+            edge_coloring.randomized_edge_color(g, args.seed, ledger)),
+        "edge-coloring", edges=True),
+    "mis": _Algorithm(_run_mis, "mis", oracle=_mis_oracle),
+    "vertex-color": _Algorithm(_run_vertex_color, "vertex-coloring"),
+    "approx-graph-matching": _Algorithm(
+        lambda g, args, ledger: _matched(
+            apps.approx_max_graph_matching(g, args.eps, ledger=ledger)),
+        "matching", flags=("--eps",), oracle=_graph_matching_oracle),
+    "orientation": _Algorithm(
+        _run_orientation, "orientation", flags=("--lambda", "--eps"),
+        oracle=_arboricity_oracle("lambda", "lam")),
     "pseudo-forests": _Algorithm(
-        _run_pseudo_forests, "pseudo-forests", flags=("--lambda", "--eps")
-    ),
+        _run_pseudo_forests, "pseudo-forests", flags=("--lambda", "--eps"),
+        oracle=_arboricity_oracle("lambda", "lam")),
     "arb-edge-color": _Algorithm(
-        _run_arb_edge_color, "edge-coloring", flags=("--arboricity", "--eps"), edges=True
-    ),
+        lambda g, args, ledger: _edge_colored(edge_coloring.arboricity_edge_color(
+            g, args.arboricity, args.eps, ledger)),
+        "edge-coloring", flags=("--arboricity", "--eps"), edges=True,
+        oracle=_arboricity_oracle("bound", "arboricity")),
 }
 
 # argparse dest of each option that `_Algorithm.flags` and `optional` may name
@@ -474,7 +464,7 @@ _DEST = {"--eps": "eps", "--lambda": "lam", "--arboricity": "arboricity", "--sla
 
 def _cmd_run(args) -> int:
     algo = _ALGORITHMS[args.algo]
-    if args.oracle and not algo.oracle:
+    if args.oracle and algo.oracle is None:
         raise UsageError(f"{args.algo} has no oracle comparison")
     for flag, dest in _DEST.items():
         if getattr(args, dest) is not None and flag not in algo.flags + algo.optional:
@@ -500,9 +490,9 @@ def _cmd_run(args) -> int:
     if args.out:
         _write(args.out, kind.write(solved.solution, parsed))
     oracle_block = None
-    if solved.oracle is not None:
+    if algo.oracle is not None:
         try:
-            oracle_block = solved.oracle()
+            oracle_block = algo.oracle(parsed, args, solved)
         except oracles.OverBudgetError:
             if args.oracle:
                 raise
