@@ -160,7 +160,8 @@ def approx_max_graph_matching(
 ) -> frozenset[int]:
     """Matching of size at least OPT/(1+eps), for 0 < eps <= 1.
 
-    Runs one phase per odd length 1, 3, ..., 2*ceil(1/eps)-1.  A phase
+    Runs one phase per odd length 1, 3, ..., 2*ceil(1/eps)-1, stopping
+    at n-1: an augmenting path is simple, so no longer one exists.  A phase
     enumerates every augmenting path of that exact length, packs a
     maximal vertex-disjoint subset via hypergraph maximal matching (one
     hypergraph vertex per exposed endpoint and per matching edge), and
@@ -197,7 +198,7 @@ def approx_max_graph_matching(
         # exposed far end, each path once (smaller endpoint first)
         return nodes[-1] not in mate and nodes[0] < nodes[-1]
 
-    for length in range(1, 2 * k, 2):
+    for length in range(1, min(2 * k, g.n), 2):
         if ledger is not None:
             ledger.charge(
                 "augmenting_phase", length, "radius-l path enumeration"

@@ -98,7 +98,7 @@ PINNED_DIGESTS = {
     "rand-edge-color": "723a0c1921f465d52f44b6a518ad36651711ca85f8cda0968302a9a61547820e",
     "mis": "982729488713e2b848f80bb44f6b07259a113c638a7ba2e8f793e51099462e06",
     "vertex-color": "d850f463cf6d8407a2fb803c3c8003c8fa91ccfb16ae9e1e76cbc60f3802ef3a",
-    "approx-graph-matching": "ac1e484649e69f7315c391b196ff69b224f960b2a27d152e5236acf7cb609b90",
+    "approx-graph-matching": "3ec6055328dfc5b8cbbc0681802030a27abcdee8cd815ea442de3fec4858c2b6",
     "orientation": "4c194319449278d4cae34182aa2f00903c30488bad96c9a6855ca63a26f4202f",
     "pseudo-forests": "ea26f0d264424c3269848b0765d5afe8ba8cf221d605dc49ca7485e337b63b10",
     "arb-edge-color": "9d57b225316575897fe5ead841dd23764e470330ae16f11bd7c239a1ec5b2a51",
@@ -211,6 +211,16 @@ class TestRunHappyPaths:
         assert run_cli("run", "--algo", "approx-graph-matching",
                        "--in", cycle5, "--eps", "1/3", "--out", str(sol)) == 0
         assert len(io.parse_id_set(sol.read_text())) == 2
+
+    def test_approx_graph_matching_phases_stop_at_the_longest_simple_path(
+            self, tmp_path, cycle5):
+        # a simple path on five nodes has at most four edges, so a tiny eps
+        # adds no phase past length 3
+        rpt = tmp_path / "c5.json"
+        assert run_cli("run", "--algo", "approx-graph-matching", "--in", cycle5,
+                       "--eps", "1e-400", "--json", str(rpt)) == 0
+        entries = json.loads(rpt.read_text())["ledger"]["entries"]
+        assert [e["rounds"] for e in entries if e["label"] == "augmenting_phase"] == [1, 3]
 
     def test_orientation_on_tree(self, tmp_path):
         p6 = write(tmp_path / "p6.gr", io.format_graph(generate.path(6)))
