@@ -132,15 +132,12 @@ def _graph_rows(text: str) -> tuple[int, list[tuple[int, int]]]:
     body = rows[1:]
     if len(body) != m:
         raise ParseError(f"header announces {m} edges, found {len(body)}")
-    try:
-        return n, [(int(u), int(v)) for u, v in body]
-    except ValueError:
-        edges = []
-        for i, row in enumerate(body):
-            if len(row) != 2:
-                raise ParseError(f"edge {i}: expected 'u v', got {' '.join(row)!r}")
-            edges.append((_int(row[0], f"edge {i}"), _int(row[1], f"edge {i}")))
-        return n, edges
+    edges = []
+    for i, row in enumerate(body):
+        if len(row) != 2:
+            raise ParseError(f"edge {i}: expected 'u v', got {' '.join(row)!r}")
+        edges.append((_int(row[0], f"edge {i}"), _int(row[1], f"edge {i}")))
+    return n, edges
 
 
 def parse_graph(text: str) -> Graph:
