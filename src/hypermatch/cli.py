@@ -366,10 +366,10 @@ def _graph_matching_oracle(g, args, solved) -> dict:
 
 
 def _mis_oracle(g, args, solved) -> dict:
-    best = oracles.max_independent_set(g).size
     r = solved.summary["independence"]
     if solved.summary["independence_source"] != "oracle":
         r = oracles.neighborhood_independence(g)
+    best = oracles.max_independent_set(g).size
     need = Fraction(best, 32 * max(1, r) ** 3)
     return _against_optimum(best, len(solved.solution), need, independence=r)
 
