@@ -6,7 +6,8 @@ test ran, then their count.  Docstrings, ``def`` and ``class`` lines and
 ``global``/``nonlocal`` declarations are skipped; a compound statement
 counts as run when its header (an ``if``'s test, a ``for``'s iterable)
 ran.  Code that runs only in a child process counts as unexecuted.  The
-suite runs at about half its usual speed.  Extra arguments go to pytest::
+suite runs at about half its usual speed.  The exit status is pytest's.
+Extra arguments go to pytest::
 
     python tests/unexecuted.py
     python tests/unexecuted.py -k test_cli
@@ -97,7 +98,7 @@ def main(argv: list[str]) -> int:
                 count += 1
                 print(f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}")
     print(f"{count} statements never executed (pytest exit status {int(status)})")
-    return 0
+    return int(status)
 
 
 if __name__ == "__main__":
