@@ -286,14 +286,22 @@ def low_outdegree_orientation(
     once.  If excess survives all ceil(4*log2(n)/eps) iterations,
     OrientationBoundError is raised as well.  Either way the arboricity
     bound lam was too small.
+
+    Raises ValueError for eps > max(1, m): at eps = m every orientation
+    already meets the bound, and a larger eps only inflates it.
     """
     bound = out_degree_bound(lam, eps)
+    eps = Fraction(eps)
+    if eps > max(1, g.m):
+        raise ValueError(f"eps must be at most max(1, m) = {max(1, g.m)}, got {eps}")
     tails = [u for u, _ in g.edges]
     outdeg = [0] * g.n
     for tail in tails:
         outdeg[tail] += 1
+    # Divided as a Fraction (the float log2 taken as it is), so that no eps
+    # overflows a float or rounds to zero.
     iteration_cap = math.ceil(
-        ORIENTATION_ROUND_FACTOR * math.log2(max(2, g.n)) / float(eps)
+        ORIENTATION_ROUND_FACTOR * Fraction(math.log2(max(2, g.n))) / eps
     )
     for i in range(iteration_cap):
         excess = [max(0, outdeg[v] - bound) for v in range(g.n)]

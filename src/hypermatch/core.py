@@ -46,8 +46,8 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, repeat
-from operator import add, eq, ge, mul
+from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
+from operator import add, eq, ge, lt, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -149,10 +149,15 @@ class Graph(Hypergraph):
     """A simple undirected graph: a rank-2 hypergraph with adjacency lists.
 
     Edges are normalized ``(u, v)`` tuples with u < v; edge ids are their
-    positions in ``edges``.  ``max_degree`` is read from ``adjacency``.
+    positions in ``edges``.  ``rank`` is 2 (0 without edges) and
+    ``max_degree`` is read from ``adjacency``.
     """
 
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def rank(self) -> int:
+        return 2 if self.edges else 0
 
     @cached_property
     def max_degree(self) -> int:
@@ -176,28 +181,34 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate and freeze a simple graph (no loops, no parallel edges).
 
     ``edges`` is any iterable of pairs, read once.  The whole list is
-    checked in bulk on its sorted adjacency lists, and a pair that is
-    already a tuple ``(u, v)`` with u < v is stored as it is.  Only when
-    that check fails does the per-edge scan run, so an error names the
-    first bad edge in input order, with the same message as always.
+    checked in bulk, and a pair that is already a tuple ``(u, v)`` with
+    u < v is stored as it is.  Only when that check fails does the
+    per-edge scan run, so an error names the first bad edge in input
+    order, with the same message as always.
     """
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
     pairs = list(edges)
-    adjacency = _checked_adjacency(n, pairs)
-    if adjacency is None:
+    checked = _checked_adjacency(n, pairs)
+    if checked is None:
         return _scan_edges(n, pairs)
+    adjacency, ascending = checked
     return Graph(
         n=n,
-        edges=tuple([e if e[0] < e[1] else (e[1], e[0]) for e in pairs]),
+        edges=tuple(pairs if ascending else [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]),
         adjacency=tuple(map(tuple, adjacency)),
     )
 
 
-def _checked_adjacency(n: int, pairs: list) -> list[list[int]] | None:
-    """Sorted adjacency lists of ``pairs``, or None unless every pair is a
-    tuple of two distinct ids in 0..n-1 and no pair repeats in either
-    orientation."""
+def _checked_adjacency(n: int, pairs: list) -> tuple[list[list[int]], bool] | None:
+    """Sorted adjacency lists of ``pairs`` and whether every pair is
+    already ascending, or None unless every pair is a tuple of two
+    distinct ids in 0..n-1 and no pair repeats in either orientation.
+
+    A list laid out as `format_graph` writes a built graph (ascending
+    pairs, in strictly ascending order) can repeat no pair, so only its
+    first id is tested; any other list is scanned node by node.
+    """
     if not set(map(type, pairs)) <= {tuple}:
         return None
     adjacency: list[list[int]] = [[] for _ in range(n)]
@@ -209,11 +220,15 @@ def _checked_adjacency(n: int, pairs: list) -> list[list[int]] | None:
         return None
     for adj in adjacency:
         adj.sort()
+    ascending = all(starmap(lt, pairs))
+    if ascending and all(map(lt, pairs, islice(pairs, 1, None))):
+        if pairs and pairs[0][0] < 0:  # the smallest id
+            return None
     # A self-loop or a repeated pair lists one node twice; a negative id
     # heads the list of the node it was paired with.
-    if any(adj and (adj[0] < 0 or any(map(eq, adj, adj[1:]))) for adj in adjacency):
+    elif any(adj and (adj[0] < 0 or any(map(eq, adj, adj[1:]))) for adj in adjacency):
         return None
-    return adjacency
+    return adjacency, ascending
 
 
 def _scan_edges(n: int, pairs: list) -> Graph:
@@ -571,7 +586,9 @@ def validate_independent_set(
         for u in g.adjacency[v]:
             if u in nodes and u > v:
                 return Verdict(False, f"nodes {v} and {u} are adjacent")
-    if require_maximal:
+    # Maximal means the set and its neighbors cover every node; only a
+    # failed cover test scans for the first node left out.
+    if require_maximal and len(set(nodes).union(*map(g.adjacency.__getitem__, nodes))) < g.n:
         for v in range(g.n):
             if v not in nodes and not any(u in nodes for u in g.adjacency[v]):
                 return Verdict(False, f"node {v} could be added")

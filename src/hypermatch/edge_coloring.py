@@ -302,14 +302,20 @@ def h_partition(
 
     Stalls (and raises) when the bound is below the true arboricity, since
     then a remaining subgraph can be dense enough that nothing peels.
+    Raises ValueError for eps > max(1, m): at eps = m every vertex already
+    peels in the first layer, and a larger eps only inflates the threshold.
     """
     if arboricity_bound < 1:
         raise ValueError("arboricity bound must be at least 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if eps > max(1, g.m):
+        raise ValueError(f"eps must be at most max(1, m) = {max(1, g.m)}, got {eps}")
     threshold = (2 + eps) * arboricity_bound
+    # Divided as a Fraction (the float log2 taken as it is), so that no eps
+    # overflows a float or rounds to zero.
     cap = math.ceil(
-        PEELING_ROUND_FACTOR * math.log2(max(2, g.n)) / float(eps)
+        PEELING_ROUND_FACTOR * Fraction(math.log2(max(2, g.n))) / Fraction(eps)
     )
     remaining = set(range(g.n))
     layers: list[frozenset[int]] = []

@@ -13,7 +13,12 @@ through labeled ``_int`` only after plain ``int()`` failed on them.
 Graph text laid out exactly as ``format_graph`` writes it (a ``gr n m``
 line, then ``u v`` lines of ASCII digits, each ended by a newline) is read
 in bulk: one split of the body, converted and paired straight into
-``build_graph``, with no per-row container.  Text in any other layout
+``build_graph``, with no per-row container.  The conversion looks each
+token up in one table from the decimal strings of 0..min(n, 2m)-1 to their
+ints, so that all edges share one int per id; a token outside the table
+(leading zeros, an id at or above that range) sends the whole body through
+``int()`` instead.  The table never grows with the declared n alone.
+Text in any other layout
 (blank lines, tabs, CRLF, padding spaces, signs, wrong token counts) is
 read row by row.  The two paths accept the same texts, build equal graphs
 and raise the same messages.
@@ -97,7 +102,8 @@ def _canonical_graph(text: str):
 
     Canonical text is a ``gr n m`` line, then m ``u v`` lines of ASCII
     digits, each ended by a newline.  The pairs come from one split of the
-    body, converted and paired lazily, with no per-row container.
+    body, converted in one pass and paired lazily, with no per-row
+    container.
     """
     head, newline, body = text.partition("\n")
     fields = head.split(" ")
@@ -116,8 +122,13 @@ def _canonical_graph(text: str):
     tokens = body.split()
     if len(tokens) != 2 * m:
         return None
-    ints = map(int, tokens)
-    return int(n), zip(ints, ints)
+    n = int(n)
+    ids = {str(v): v for v in range(min(n, len(tokens)))}
+    try:
+        ints = iter(list(map(ids.__getitem__, tokens)))
+    except KeyError:
+        ints = map(int, tokens)
+    return n, zip(ints, ints)
 
 
 def _graph_rows(text: str) -> tuple[int, list[tuple[int, int]]]:

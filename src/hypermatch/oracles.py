@@ -174,11 +174,16 @@ def arboricity(g: Graph) -> int:
 
 
 def neighborhood_independence(g: Graph) -> int:
-    """Largest independent set inside any single vertex neighborhood."""
+    """Largest independent set inside any single vertex neighborhood.
+
+    The first neighborhood over the budget is refused before any search.
+    """
+    if g.max_degree > NEIGHBORHOOD_NODES:
+        first = next(d for d in map(len, g.adjacency) if d > NEIGHBORHOOD_NODES)
+        _require(first, NEIGHBORHOOD_NODES, "neighborhood size")
     best = 0
     for v in range(g.n):
         nbrs = g.adjacency[v]
-        _require(len(nbrs), NEIGHBORHOOD_NODES, "neighborhood size")
         index = {u: i for i, u in enumerate(nbrs)}
         adj = [0] * len(nbrs)
         for i, u in enumerate(nbrs):

@@ -13,11 +13,12 @@ Rounding a packing to an integral one yields an independent set.
 
 The rounding algorithm and the maximal driver live once, in `rounding`.
 This module supplies their load model: nodes load their closed
-neighborhood and are frozen by their own closed load, the conflict graph
-is the graph itself, the greedy base is max_degree + 1 rounded up to a
-power of two, rho is the independence bound, validity is
-`verify_greedy_packing`, sub-instances are induced subgraphs, and the
-color sweep also raises a node whose closed load is exactly 1/2.
+neighborhood (so a resource's fan-in is its closed degree) and are frozen
+by their own closed load, the conflict graph is the graph itself, the
+greedy base is max_degree + 1 rounded up to a power of two, rho is the
+independence bound, validity is `verify_greedy_packing`, sub-instances
+are induced subgraphs, and the color sweep also raises a node whose
+closed load is exactly 1/2.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ class _PackingModel(_LoadModel):
 
     def loaded(self, i):
         return (i, *self.graph.adjacency[i])
+
+    @property
+    def fan_in(self):
+        """The closed degrees: a node loads its own closed neighborhood."""
+        return [len(adj) + 1 for adj in self.graph.adjacency]
 
     def frozen_by(self, r):
         return (r,)

@@ -97,6 +97,8 @@ class _LoadModel:
       (ascending), node j standing for item support[j]; the engine colors
       it on all items for the base coloring, and on each support;
     - ``loaded(i)``: the resources item i loads;
+    - ``fan_in``: for each resource, the number of items that load it, so
+      that a uniform start at val loads resource r with val * fan_in[r];
     - ``frozen_by(r)``: the items resource r freezes;
     - ``verdict(x)``: the validity verdict of an assignment, which a pass
       runs once, on its output;
@@ -138,46 +140,57 @@ class _Pass:
 
     ``values`` holds the items' values in witness order.  ``frozen`` holds
     the items with a freezing resource at 2*load >= scale, ``over`` those
-    with one at 2*load > scale.  `add`, a positive raise, is the one
-    change: loads only grow within a pass, so each resource crosses each
-    threshold at most once, and `add` adds the items it freezes to the set
-    as it does.  Seed ``values`` (which the pass then owns) are summed into
-    the loads in one sum, followed by one scan of the resources.
+    with one at 2*load > scale; on integer loads these are load >=
+    ceil(scale/2) and load >= floor(scale/2) + 1, two thresholds the pass
+    computes once.  `add`, a positive raise, is the one change: loads only
+    grow within a pass, so each resource crosses each threshold at most
+    once, and `add` adds the items it freezes to the set as it does.
+    A seed ``values`` is either a dict (which the pass then owns), summed
+    into the loads item by item, or one int, the uniform start of every
+    item, whose loads are read off the side's ``fan_in``.  A nonempty seed
+    is followed by one scan of the resources.
     """
 
     def __init__(
-        self, model: _LoadModel, scale: int, values: dict[int, int] | None = None
+        self, model: _LoadModel, scale: int, values: dict[int, int] | int | None = None
     ) -> None:
         self.model = model
         self.scale = scale
+        self.freeze_at = -(-scale // 2)
+        self.over_at = scale // 2 + 1
         self._loaded = model.loaded
         self._frozen_by = model.frozen_by
-        self.values: dict[int, int] = {} if values is None else values
-        self.loads = loads = [0] * model.resources
         self.frozen: set[int] = set()
         self.over: set[int] = set()
-        if values:
-            for i, val in values.items():
+        if isinstance(values, int):
+            self.values = dict.fromkeys(range(model.items), values)
+            self.loads = [values * k for k in model.fan_in]
+        else:
+            self.values = {} if values is None else values
+            self.loads = loads = [0] * model.resources
+            for i, val in self.values.items():
                 for r in self._loaded(i):
                     loads[r] += val
-            for r, load in enumerate(loads):
-                if 2 * load >= scale:
+        if values:
+            for r, load in enumerate(self.loads):
+                if load >= self.freeze_at:
                     self.frozen.update(self._frozen_by(r))
-                    if 2 * load > scale:
+                    if load >= self.over_at:
                         self.over.update(self._frozen_by(r))
 
     def add(self, i: int, val: int) -> None:
         """Raise item i's value, and so its resources' loads, by ``val``
         (> 0), and move i to the end of the witness order."""
-        values, loads, scale = self.values, self.loads, self.scale
+        values, loads = self.values, self.loads
+        freeze_at, over_at = self.freeze_at, self.over_at
         values[i] = values.pop(i, 0) + val
         for r in self._loaded(i):
-            old = 2 * loads[r]
-            loads[r] += val
-            if old <= scale <= old + 2 * val:
-                if old < scale:
+            old = loads[r]
+            loads[r] = new = old + val
+            if new >= freeze_at and old < over_at:
+                if old < freeze_at:
                     self.frozen.update(self._frozen_by(r))
-                if old + 2 * val > scale:
+                if new >= over_at:
                     self.over.update(self._frozen_by(r))
 
 
@@ -242,7 +255,7 @@ def _greedy(model: _LoadModel, denom: int | None):
     if not is_power_of_two(denom) or denom < model.base:
         raise ValueError(f"denom must be a power of two >= {model.base}, got {denom}")
     rounds = denom.bit_length() - 1  # after this many doublings an item holds 1: frozen
-    p = _Pass(model, denom, dict.fromkeys(range(model.items), 1))
+    p = _Pass(model, denom, 1)
     _double_rounds(p, rounds, range(model.items), "greedy doubling")
     out = _finish(p, 1, "greedy")
     model.charge("greedy" + model.suffix, rounds, "log2(denom)")
@@ -474,6 +487,10 @@ class _MatchingModel(_LoadModel):
     def loaded(self, i):
         return self.h.edges[i]
 
+    @property
+    def fan_in(self):
+        return map(len, self.h.incidence)
+
     def frozen_by(self, r):
         return self.h.incidence[r]
 
@@ -607,5 +624,8 @@ def almost_maximal_matching(
     if not 0 < slack < 1:
         raise ValueError(f"slack must be in (0,1), got {slack}")
     r = max(1, h.rank)
-    limit = math.ceil(32 * r**3 * math.log(1 / slack))
+    slack = Fraction(slack)
+    # ln(1/slack) from the two integers, so that no slack overflows a float
+    log_inverse = math.log(slack.denominator) - math.log(slack.numerator)
+    limit = math.ceil(32 * r**3 * log_inverse)
     return _drive(_MatchingModel(h, ledger), limit, "ln(1/slack)")

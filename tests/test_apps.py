@@ -145,6 +145,14 @@ class TestOrientation:
         o = low_outdegree_orientation(g, 2, Fraction(1, 2))
         assert o.bound == 3
 
+    def test_eps_is_at_most_max_one_m(self):
+        # eps <= 1 stays allowed on an edgeless graph
+        assert low_outdegree_orientation(build_graph(3, []), 1, 1).bound == 2
+        assert low_outdegree_orientation(generate.cycle(4), 1, 4).bound == 5
+        for g, eps in ((build_graph(3, []), Fraction(3, 2)), (generate.cycle(4), 5)):
+            with pytest.raises(ValueError, match=r"^eps must be at most max\(1, m\)"):
+                low_outdegree_orientation(g, 1, eps)
+
     def test_validator_catches_wrong_counts(self):
         g = generate.cycle(4)
         # every node sends its one out-edge to its successor: 0->1, 1->2, 2->3, 3->0

@@ -25,7 +25,7 @@ try:
     import resource
 except ImportError:  # not on every platform
     resource = None
-from hypermatch.core import validate_edge_coloring
+from hypermatch.core import line_graph, validate_edge_coloring
 
 
 def run_cli(*argv):
@@ -78,14 +78,18 @@ ALGORITHM_CASES = {
 
 # Every --algo case above, plus the hypergraph algorithms and edge-color on
 # a gr instance whose vertex ids pass 8, where a frozenset of two vertices
-# may list them out of order.
+# may list them out of order, and mis on a line graph of 650 nodes whose
+# max degree (45) is past the independence oracle's budget, so that the
+# max-degree fallback runs.
 GRAPH12 = io.format_graph(generate.random_graph(12, 0.3, seed=2))
+LINE650 = io.format_graph(line_graph(generate.random_hypergraph(200, 650, 3, seed=1)))
 PINNED_CASES = {
     **{algo: (algo, *case) for algo, case in ALGORITHM_CASES.items()},
     "maximal-matching-gr": ("maximal-matching", GRAPH12, ()),
     "maximal-matching-slack-gr": ("maximal-matching", GRAPH12, ("--slack", "1/4")),
     "approx-matching-gr": ("approx-matching", GRAPH12, ()),
     "edge-color-gr": ("edge-color", GRAPH12, ()),
+    "mis-line-graph-650": ("mis", LINE650, ()),
 }
 
 # SHA-256 of the --json report followed by the --out solution, run in the
@@ -106,6 +110,7 @@ PINNED_DIGESTS = {
     "maximal-matching-slack-gr": "a170fb28367c844a03dd868b7b8506b0ff3b2f189bfff62d2a112f0e3ff86db0",
     "approx-matching-gr": "f64bacbd4cec006d144f746c9e8e2424c2f86af3f62d48edf0facef6aea39353",
     "edge-color-gr": "1cf084bcd4360bd983205b7f22727b0d279432c87551945e7b997d91442a4a84",
+    "mis-line-graph-650": "be2972afd6064a4b7aa1864a1a3532e19e212186504bd8efc1c1f5d7a7a6d04e",
 }
 
 
@@ -588,9 +593,33 @@ class TestExitCodes:
         assert run_cli("run", "--algo", "arb-edge-color", "--in", cycle5,
                        "--eps", "1") == 2
 
+    def test_slack_past_a_float_is_run(self, cycle5, tmp_path):
+        # 1/slack overflows a float; the driver's limit takes ln(1/slack)
+        # from the two integers
+        assert run_cli("run", "--algo", "maximal-matching", "--in", cycle5,
+                       "--slack", "1e-400") == 0
+
     def test_bad_eps_value(self, cycle5):
         assert run_cli("run", "--algo", "approx-graph-matching",
                        "--in", cycle5, "--eps", "zero") == 2
+
+    @pytest.mark.parametrize("algo, option", [
+        ("orientation", ("--lambda", "2")),
+        ("pseudo-forests", ("--lambda", "2")),
+        ("arb-edge-color", ("--arboricity", "2")),
+    ])
+    def test_eps_past_a_float_is_run_or_refused(self, algo, option, cycle5, capsys):
+        # 1e-400 is 0.0 as a float and 1e400 overflows one: the iteration
+        # and layer caps divide by eps exactly, and an eps above m (5 on
+        # C5) is refused, since eps = m already makes every bound trivial
+        args = ("run", "--algo", algo, "--in", cycle5, *option)
+        assert run_cli(*args, "--eps", "1e-400") == 0
+        assert run_cli(*args, "--eps", "5") == 0
+        capsys.readouterr()
+        for eps, shown in (("1e400", str(10**400)), ("51/10", "51/10")):
+            assert run_cli(*args, "--eps", eps) == 2
+            assert capsys.readouterr().err == (
+                f"error: eps must be at most max(1, m) = 5, got {shown}\n")
 
     def test_path_budget_exceeded_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(apps, "PATH_CAP", 2)

@@ -606,6 +606,32 @@ def test_independent_set_validation():
     assert validate_independent_set(g, frozenset({0, 2}), require_maximal=True).ok
 
 
+def _first_addable(g, nodes):
+    """The maximality verdict as a scan of every node in id order."""
+    for v in range(g.n):
+        if v not in nodes and not any(u in nodes for u in g.adjacency[v]):
+            return f"node {v} could be added"
+    return ""
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_maximality_verdict_names_the_first_node_left_out(seed):
+    # independent sets grown in a random order and stopped early or run to
+    # the end: the cover test passes exactly the maximal ones, and a failed
+    # one names the node the full scan names
+    rng = random.Random(seed)
+    g = generate.random_graph(40, 0.1, seed=seed)
+    order = rng.sample(range(g.n), g.n)
+    for stop in (0, 3, 10, g.n):
+        nodes = set()
+        for v in order[:stop]:
+            if nodes.isdisjoint(g.adjacency[v]):
+                nodes.add(v)
+        verdict = validate_independent_set(g, frozenset(nodes), require_maximal=True)
+        assert verdict.reason == _first_addable(g, nodes)
+        assert verdict.ok == (verdict.reason == "")
+
+
 def test_edge_coloring_validation():
     g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     good = {0: 1, 1: 2, 2: 3}

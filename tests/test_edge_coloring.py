@@ -248,6 +248,12 @@ class TestHPartition:
         hp = h_partition(g, 1, Fraction(1))
         assert hp.layers == (frozenset(range(4)),)
 
+    def test_eps_is_at_most_max_one_m(self):
+        assert len(h_partition(generate.cycle(4), 1, Fraction(4)).layers) == 1
+        for g, eps in ((build_graph(4, []), Fraction(3, 2)), (generate.cycle(4), Fraction(5))):
+            with pytest.raises(ValueError, match=r"^eps must be at most max\(1, m\)"):
+                h_partition(g, 1, eps)
+
     def test_k4_stalls_on_low_bound(self):
         g = generate.complete(4)
         with pytest.raises(PeelingStallError):

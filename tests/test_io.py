@@ -263,6 +263,27 @@ def test_canonical_graph_text_is_read_without_the_row_scan(monkeypatch):
         io.parse_graph("gr 4 3\n0 1\n2 3\n0 1\n")
 
 
+def test_canonical_ids_outside_the_lookup_table_fall_back_to_int(monkeypatch):
+    """The canonical read looks ids below min(n, 2m) up in a table; leading
+    zeros and larger ids are read by int() with the same outcome."""
+    def refuse(text):
+        raise AssertionError("canonical text needs no row scan")
+
+    monkeypatch.setattr(io, "_tokenize", refuse)
+    assert io.parse_graph("gr 3 2\n00 01\n001 2\n") == io.parse_graph("gr 3 2\n0 1\n1 2\n")
+    assert io.parse_graph("gr 10 1\n5 7\n") == build_graph(10, [(5, 7)])
+    with pytest.raises(io.ParseError) as info:
+        io.parse_graph("gr 3 1\n0 3\n")
+    assert str(info.value) == "edge 0 = (0,3) outside 0..2"
+
+
+def test_canonical_edges_share_one_int_per_id():
+    g = generate.random_graph(600, 0.02, seed=1)  # ids well past the small-int cache
+    seen = {}
+    for v in (v for edge in io.parse_graph(io.format_graph(g)).edges for v in edge):
+        assert seen.setdefault(v, v) is v
+
+
 @pytest.mark.parametrize("parse, text, error", [
     (io.parse_hypergraph, "hgr 3 1\n0 1\n", "bad hgr header: 'hgr 3 1'"),
     (io.parse_hypergraph, "hgr 3 1 2\n1 1\n", "hyperedge 0 repeats a vertex: [1, 1]"),

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from hypermatch import cli, edge_coloring, generate, io
+from hypermatch import cli, edge_coloring, generate, io, oracles
 from hypermatch.core import (
     build_graph,
     build_hypergraph,
@@ -273,6 +273,19 @@ def test_neighborhood_budget_counts_neighbors_not_nodes():
     with pytest.raises(OverBudgetError):
         neighborhood_independence(generate.star(40))
     assert neighborhood_independence(generate.star(20)) == 19
+
+
+def test_the_first_neighborhood_over_budget_is_refused_before_any_search(monkeypatch):
+    # a path on nodes 0..2, then hubs 3 and 31 with 27 and 30 leaves: the
+    # message names hub 3, the first neighborhood over the budget, and no
+    # neighborhood is searched first
+    edges = [(0, 1), (1, 2)]
+    edges += [(3, v) for v in range(4, 31)] + [(31, v) for v in range(32, 62)]
+    g = build_graph(62, edges)
+    monkeypatch.setattr(oracles, "_mis_mask", lambda *args: pytest.fail("searched"))
+    with pytest.raises(OverBudgetError) as info:
+        neighborhood_independence(g)
+    assert str(info.value) == "neighborhood size 27 exceeds oracle budget 26"
 
 
 def test_budget_errors_are_not_value_errors():

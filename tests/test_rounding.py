@@ -620,6 +620,19 @@ def test_load_tracker_matches_a_recount(packing_side, seed, scale, seeded, steps
         assert (tracker.frozen, tracker.over) == _recounted(model, values, scale)
 
 
+@pytest.mark.parametrize("packing_side", [False, True])
+@pytest.mark.parametrize("scale, start", [(4, 1), (8, 1), (16, 2), (16, 3), (64, 1)])
+def test_a_uniform_start_loads_like_a_per_item_sum(packing_side, scale, start):
+    h = generate.random_hypergraph(12, 20, 3, seed=5)
+    model = packing._PackingModel(line_graph(h)) if packing_side else rounding._MatchingModel(h)
+    uniform = rounding._Pass(model, scale, start)
+    summed = rounding._Pass(model, scale, dict.fromkeys(range(model.items), start))
+    assert list(uniform.values.items()) == list(summed.values.items())
+    assert uniform.loads == summed.loads == _summed_loads(model, summed.values)
+    assert (uniform.frozen, uniform.over) == (summed.frozen, summed.over)
+    assert (uniform.frozen, uniform.over) == _recounted(model, summed.values, scale)
+
+
 def test_a_packing_node_at_exactly_half_is_frozen_but_not_over():
     # path 0 - 1 - 2; closed loads over scale 4
     model = packing._PackingModel(build_graph(3, [(0, 1), (1, 2)]))
