@@ -593,7 +593,7 @@ class TestExitCodes:
         assert run_cli("run", "--algo", "arb-edge-color", "--in", cycle5,
                        "--eps", "1") == 2
 
-    def test_slack_past_a_float_is_run(self, cycle5, tmp_path):
+    def test_slack_past_a_float_is_run(self, cycle5):
         # 1/slack overflows a float; the driver's limit takes ln(1/slack)
         # from the two integers
         assert run_cli("run", "--algo", "maximal-matching", "--in", cycle5,
