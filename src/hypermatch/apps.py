@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Graph, Verdict, build_hypergraph
+from .core import Graph, Verdict, freeze_hypergraph
 from .ledger import RoundLedger
 from .rounding import almost_maximal_matching, maximal_matching
 
@@ -139,7 +139,7 @@ def _pack(candidates, universe: int, disjoint: str, ledger, slack=None):
         if count > PATH_CAP:
             raise PathBudgetError(f"more than {PATH_CAP} path/slot combinations")
         first.setdefault(members, path)
-    hyp = build_hypergraph(universe, first)
+    hyp = freeze_hypergraph(universe, [tuple(sorted(members)) for members in first])
     paths = list(first.values())
     if slack is None:
         packed, unblocked = maximal_matching(hyp, ledger), frozenset()

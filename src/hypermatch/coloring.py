@@ -53,8 +53,7 @@ class VertexColoring:
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
+    """Primality of q >= 2 by trial division."""
     f = 2
     while f * f <= q:
         if q % f == 0:

@@ -1,22 +1,20 @@
 """Hypergraph and graph data model with exact-rational validators.
 
-A graph is a hypergraph of rank 2 (rank 0 when it has no edges) that also
-keeps adjacency lists, so every function taking a ``Hypergraph`` takes a
-``Graph`` as it is.  Every edge, of a hypergraph or a graph, is the
-tuple of its vertex ids in ascending order, as the instance files write
-it.
-
-``build_hypergraph`` and ``build_graph`` validate input from outside the
-library, and also freeze instances the library builds itself: the
-hypergraphs of the edge-coloring reduction and of the two path
-hypergraphs in ``apps``, and the product graph of
-``packing.vertex_color``.  A failure there on a derived instance is a
-library bug that still raises ValueError.  Line graphs and induced
-subgraphs are frozen from adjacency lists the library built sorted and
-unique, under a cheaper check whose failure raises RuntimeError.
-``induced_subhypergraph`` reuses the already validated hyperedges of its
-input and checks only the ids it keeps.  A matching is a frozenset of
-edge ids, as an independent set is a frozenset of node ids.
+A graph is a hypergraph of rank 2 (rank 0 when it has no edges), so every
+function taking a ``Hypergraph`` takes a ``Graph`` as it is.  An instance
+is its vertex count ``n`` plus its ``edges``, each the tuple of its
+vertex ids in ascending order, as the instance files write it.  Outside
+input is frozen by ``build_hypergraph`` or ``build_graph``, which take
+edges in any order and raise ValueError on the first bad one.  An
+instance the library derives (a line graph, an induced subgraph,
+``packing.vertex_color``'s product graph, the hypergraphs of the
+edge-coloring reduction and of ``apps``' path packings) is frozen by
+``freeze_graph`` or ``freeze_hypergraph``, which keep its edges as they
+are and raise RuntimeError unless they are ascending tuples in 0..n-1:
+a library bug is never a usage error.  ``induced_subhypergraph`` reuses
+the already frozen hyperedges of its input and checks only the ids it
+keeps.  A matching is a frozenset of edge ids, as an independent set is
+a frozenset of node ids.
 
 A fractional assignment holds integer numerators over one scale: the
 engine's power-of-two denominator, so its values are dyadic by
@@ -26,14 +24,13 @@ loads as ``load > scale`` and ``2*load >= scale``; a ``Fraction`` is
 built only for a message and for the read-only ``values`` view.
 Instances and assignments are immutable after construction and every
 function here is pure, so sharing objects across threads or processes is
-safe.  An instance stores its vertex count and edges (and a graph its
-adjacency lists); its rank, maximum degree and incidence lists are
-derived views, and so is a hypergraph's ``line_view``, the
-`LineGraphView` of all its hyperedges.  Each is built on first read and
-kept; all are immutable and deterministic too, so a race can at worst
-build one twice.  The line graph itself is built anew on each
-`line_graph` call and kept nowhere.  The rounding engine never builds
-it: it reads a `LineGraphView`, which counts conflicts from the
+safe.  An instance's rank, maximum degree, incidence lists and (for a
+graph) adjacency lists are derived views, and so is a hypergraph's
+``line_view``, the `LineGraphView` of all its hyperedges.  Each is built
+on first read and kept; all are immutable and deterministic too, so a
+race can at worst build one twice.  The line graph itself is built anew
+on each `line_graph` call and kept nowhere.  The rounding engine never
+builds it: it reads a `LineGraphView`, which counts conflicts from the
 hyperedges themselves, and every pass that colors all hyperedges of one
 instance, nested ones included, reads that instance's one ``line_view``.
 """
@@ -41,15 +38,14 @@ instance, nested ones included, reads that instance's one ``line_view``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
-from operator import add, eq, ge, lt, mul
+from operator import add, eq, itemgetter, lt, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -144,16 +140,28 @@ def build_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     return Hypergraph(n=n, edges=tuple(frozen))
 
 
+def freeze_hypergraph(n: int, edges: Iterable[tuple[int, ...]]) -> Hypergraph:
+    """Freeze hyperedges that the library derived itself, as they are.
+
+    Each must be a nonempty, strictly ascending tuple of ids in 0..n-1.
+    A violation is a library bug, so it raises RuntimeError.
+    """
+    edges = tuple(edges)
+    for eid, e in enumerate(edges):
+        if not (type(e) is tuple and e and 0 <= e[0] and e[-1] < n and all(map(lt, e, e[1:]))):
+            raise RuntimeError(f"derived hyperedge {eid} is not an ascending tuple in 0..{n - 1}: {e!r}")
+    return Hypergraph(n=n, edges=edges)
+
+
 @dataclass(frozen=True)
 class Graph(Hypergraph):
-    """A simple undirected graph: a rank-2 hypergraph with adjacency lists.
+    """A simple undirected graph: a rank-2 hypergraph.
 
     Edges are normalized ``(u, v)`` tuples with u < v; edge ids are their
-    positions in ``edges``.  ``rank`` is 2 (0 without edges) and
-    ``max_degree`` is read from ``adjacency``.
+    positions in ``edges``.  ``rank`` is 2 (0 without edges).
+    ``adjacency``, the ascending neighbor lists, and ``max_degree``, read
+    from it, are derived views like those of every hypergraph.
     """
-
-    adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @cached_property
     def rank(self) -> int:
@@ -162,6 +170,14 @@ class Graph(Hypergraph):
     @cached_property
     def max_degree(self) -> int:
         return max(map(len, self.adjacency), default=0)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        adjacency: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        return tuple(map(tuple, map(sorted, adjacency)))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -182,8 +198,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     ``edges`` is any iterable of pairs, read once.  The whole list is
     checked in bulk, and a pair that is already a tuple ``(u, v)`` with
-    u < v is stored as it is.  Only when that check fails does the
-    per-edge scan run, so an error names the first bad edge in input
+    u < v is stored as it is; the adjacency lists that check sorts are
+    kept as the graph's ``adjacency``.  Only when that check fails does
+    the per-edge scan run, so an error names the first bad edge in input
     order, with the same message as always.
     """
     if n < 0:
@@ -193,11 +210,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if checked is None:
         return _scan_edges(n, pairs)
     adjacency, ascending = checked
-    return Graph(
-        n=n,
-        edges=tuple(pairs if ascending else [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]),
-        adjacency=tuple(map(tuple, adjacency)),
-    )
+    g = Graph(n=n, edges=tuple(pairs if ascending else [e if e[0] < e[1] else (e[1], e[0]) for e in pairs]))
+    vars(g)["adjacency"] = tuple(map(tuple, adjacency))
+    return g
 
 
 def _checked_adjacency(n: int, pairs: list) -> tuple[list[list[int]], bool] | None:
@@ -235,7 +250,6 @@ def _scan_edges(n: int, pairs: list) -> Graph:
     """`build_graph` edge by edge: raises on the first bad edge."""
     norm: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    adjacency: list[list[int]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(pairs):
         if u == v:
             raise ValueError(f"edge {eid} is a self-loop at {u}")
@@ -246,40 +260,23 @@ def _scan_edges(n: int, pairs: list) -> Graph:
             raise ValueError(f"edge {eid} duplicates {key}")
         seen.add(key)
         norm.append(key)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return Graph(n=n, edges=tuple(norm), adjacency=tuple(tuple(sorted(a)) for a in adjacency))
+    return Graph(n=n, edges=tuple(norm))
 
 
-def _freeze_graph(adjacency: list[list[int]]) -> Graph:
-    """Freeze adjacency lists that the library derived itself.
+def freeze_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Freeze graph edges that the library derived itself, as they are.
 
-    Each list must be strictly ascending, within 0..n-1 and free of its
-    own node, and v must list u exactly when u lists v.  A violation is a
-    library bug, so it raises RuntimeError.  Edges come out in
-    lexicographic order: the graph ``build_graph`` makes of the sorted
-    edge list.
+    The edges must be ascending pairs of ids in 0..n-1, in strictly
+    ascending order, so no pair repeats; a violation is a library bug, so
+    it raises RuntimeError.  The result equals what ``build_graph`` makes
+    of the same list.
     """
-    n = len(adjacency)
-    edges: list[tuple[int, int]] = []
-    # pending[w]: the neighbors above w that have not yet listed w, ascending
-    pending: list[Iterator[int]] = []
-    for u, adj in enumerate(adjacency):
-        if adj and (adj[0] < 0 or adj[-1] >= n or any(map(ge, adj, adj[1:]))):
-            raise RuntimeError(f"adjacency of {u} is not strictly ascending in 0..{n - 1}")
-        split = bisect_left(adj, u)
-        if split < len(adj) and adj[split] == u:
-            raise RuntimeError(f"adjacency of {u} lists {u} itself")
-        for w in adj[:split]:
-            if next(pending[w], -1) != u:
-                raise RuntimeError(f"adjacency of {u} is not symmetric")
-        upper = adj[split:]
-        pending.append(iter(upper))
-        edges.extend(zip(repeat(u), upper))
-    for w, rest in enumerate(pending):
-        if next(rest, None) is not None:
-            raise RuntimeError(f"adjacency of {w} is not symmetric")
-    return Graph(n=n, edges=tuple(edges), adjacency=tuple(map(tuple, adjacency)))
+    edges = tuple(edges)
+    if not (set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}
+            and all(starmap(lt, edges)) and all(map(lt, edges, edges[1:]))
+            and (not edges or edges[0][0] >= 0 and max(map(itemgetter(1), edges)) < n)):
+        raise RuntimeError(f"derived edges are not ascending pairs in 0..{n - 1}, in ascending order")
+    return Graph(n=n, edges=edges)
 
 
 def line_graph(h: Hypergraph) -> Graph:
@@ -290,14 +287,13 @@ def line_graph(h: Hypergraph) -> Graph:
     conflicts through a `LineGraphView` instead.
     """
     inc = h.incidence
-    adjacency = []
+    edges: list[tuple[int, int]] = []
     for eid, members in enumerate(h.edges):
         near: set[int] = set()
         for v in members:
             near.update(inc[v])
-        near.discard(eid)
-        adjacency.append(sorted(near))
-    return _freeze_graph(adjacency)
+        edges.extend(zip(repeat(eid), sorted(f for f in near if f > eid)))
+    return freeze_graph(h.m, edges)
 
 
 class LineGraphView:
@@ -572,8 +568,9 @@ def induced_subgraph(g: Graph, keep_nodes: Iterable[int]) -> tuple[Graph, tuple[
     if len(kept) == g.n:
         return g, kept
     pos = {v: i for i, v in enumerate(kept)}
-    # Relabeling is monotone, so each relabeled list stays ascending.
-    return _freeze_graph([[pos[u] for u in g.adjacency[v] if u in pos] for v in kept]), kept
+    # Relabeling is monotone, so the pairs come out in ascending order.
+    edges = [(i, pos[u]) for i, v in enumerate(kept) for u in g.adjacency[v] if u > v and u in pos]
+    return freeze_graph(len(kept), edges), kept
 
 
 def validate_independent_set(

@@ -27,7 +27,7 @@ from .core import (
     Graph,
     Hypergraph,
     Verdict,
-    build_hypergraph,
+    freeze_hypergraph,
     induced_subhypergraph,
     validate_edge_coloring,
 )
@@ -113,16 +113,14 @@ def reduce_hypergraph_list_edge_coloring(
                 pairs.add((v, c))
     pair_id = {vc: i for i, vc in enumerate(sorted(pairs))}
     anchor = {eid: len(pair_id) + eid for eid in range(h.m)}
-    members: list[list[int]] = []
+    members: list[tuple[int, ...]] = []
     decode: dict[int, tuple[int, int]] = {}
     for eid in range(h.m):
         for c in lists[eid]:
             # ascending, as pair ids follow (v, c) order and anchors come last
-            copy = [pair_id[(v, c)] for v in h.edges[eid]]
-            copy.append(anchor[eid])
             decode[len(members)] = (eid, c)
-            members.append(copy)
-    reduced = build_hypergraph(len(pair_id) + h.m, members)
+            members.append((*[pair_id[(v, c)] for v in h.edges[eid]], anchor[eid]))
+    reduced = freeze_hypergraph(len(pair_id) + h.m, members)
     return ReducedColoring(hypergraph=reduced, decode=decode)
 
 

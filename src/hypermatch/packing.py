@@ -30,7 +30,7 @@ from .core import (
     FractionalAssignment,
     Graph,
     Verdict,
-    build_graph,
+    freeze_graph,
     induced_subgraph,
     is_dyadic,
     is_power_of_two,
@@ -252,7 +252,9 @@ def vertex_color(
         shared = set(lists[u]) & set(lists[v])
         for c in shared:
             edges.append((pair_id[(u, c)], pair_id[(v, c)]))
-    product = build_graph(len(pair_id), edges)
+    # each edge is ascending, as pair ids ascend with the vertex, and none repeats
+    edges.sort()
+    product = freeze_graph(len(pair_id), edges)
     picked = maximal_independent_set(product, independence + 1, ledger)
     colors = []
     for v in range(g.n):

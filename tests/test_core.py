@@ -1,6 +1,7 @@
 """Data model and validator behavior on small hand-checked instances."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -12,15 +13,17 @@ from hypothesis import strategies as st
 from helpers import triangle, vertex_loads
 from test_golden import hub_hypergraph
 
-from hypermatch import core, generate, packing, rounding
+from hypermatch import apps, cli, core, edge_coloring, generate, io, packing, rounding
 from hypermatch.audit import ball
 from hypermatch.core import (
     FractionalAssignment,
+    Graph,
     Hypergraph,
-    _freeze_graph,
     build_fractional_assignment,
     build_graph,
     build_hypergraph,
+    freeze_graph,
+    freeze_hypergraph,
     induced_subgraph,
     induced_subhypergraph,
     is_dyadic,
@@ -36,7 +39,7 @@ from hypermatch.core import (
 )
 from hypermatch.edge_coloring import full_palette_lists, list_edge_color
 from hypermatch.ledger import RoundLedger
-from hypermatch.oracles import max_matching
+from hypermatch.oracles import max_matching, neighborhood_independence
 from hypermatch.rounding import approx_max_matching, maximal_matching
 
 
@@ -557,33 +560,87 @@ def test_derived_views_stay_out_of_equality_and_copies():
         assert set(vars(back)) == {"n", "edges"}
         assert back == hub and (back.rank, back.max_degree) == (3, 520)
     assert (lg.rank, lg.max_degree, len(lg.incidence)) == (2, 2, 3)
-    assert set(vars(copy.deepcopy(lg))) == {"n", "edges", "adjacency"}
+    assert set(vars(copy.deepcopy(lg))) == {"n", "edges"}
 
 
-@pytest.mark.parametrize("adjacency, what", [
-    ([[2, 1], [0], [0]], "ascending"),
-    ([[1, 1], [0]], "ascending"),
-    ([[1], [0, 2]], "ascending"),
-    ([[-1], []], "ascending"),
-    ([[0]], "itself"),
-    ([[1, 2], [0, 1], [0]], "itself"),
-    ([[1], []], "symmetric"),
-    ([[], [0]], "symmetric"),
-    # every list has as many ids above as below its node, yet 1 misses 2
-    ([[2], [], [1]], "symmetric"),
+def test_a_graph_stores_only_its_edges():
+    # build_graph hands the lists its check sorted to the adjacency view;
+    # a derived graph builds them on first read; both stay out of ==,
+    # repr, hash, pickles and copies
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "edges"]
+    built = build_graph(4, [(2, 0), (1, 3), (0, 1)])
+    assert set(vars(built)) == {"n", "edges", "adjacency"}
+    assert built.adjacency == ((1, 2), (0, 3), (0,), (1,))
+    derived = freeze_graph(4, sorted(built.edges))
+    assert "adjacency" not in vars(derived)
+    assert derived.adjacency == built.adjacency
+    assert repr(built) == "Graph(n=4, edges=((0, 2), (1, 3), (0, 1)))"
+    for back in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+        assert back == built and hash(back) == hash(built)
+        assert set(vars(back)) == {"n", "edges"}
+        assert back.adjacency == built.adjacency
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0, 2), (0, 1)]),
+    (2, [(0, 1), (0, 1)]),
+    (2, [(0, 1), (1, 2)]),
+    (2, [(-1, 0)]),
+    (1, [(0, 0)]),
+    (3, [(0, 1), (1, 1), (1, 2)]),
+    (2, [(1, 0)]),
+    (3, [(0, 1, 2)]),
+    (2, [[0, 1]]),
 ], ids=["descending", "repeat", "range", "negative", "loop", "loop-mid",
-        "one-way-up", "one-way-down", "balanced-counts"])
-def test_freeze_graph_rejects_broken_lists(adjacency, what):
-    with pytest.raises(RuntimeError, match=what):
-        _freeze_graph(adjacency)
+        "reversed", "triple", "list"])
+def test_freeze_graph_rejects_broken_lists(n, edges):
+    with pytest.raises(RuntimeError, match="derived edges are not ascending pairs"):
+        freeze_graph(n, edges)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), ()],
+    [(1, 0)],
+    [(0, 0)],
+    [(0, 3)],
+    [(-1, 0)],
+    [[0, 1]],
+], ids=["empty", "descending", "repeat", "range", "negative", "list"])
+def test_freeze_hypergraph_rejects_broken_edges(edges):
+    with pytest.raises(RuntimeError, match=f"derived hyperedge {len(edges) - 1} is not"):
+        freeze_hypergraph(3, edges)
+    assert freeze_hypergraph(3, [(0,), (0, 2), (0, 1, 2)]).edges == ((0,), (0, 2), (0, 1, 2))
+
+
+@pytest.mark.parametrize("module, algo, text, options", [
+    (edge_coloring, "edge-color", io.format_graph(generate.complete(3)), ()),
+    (apps, "approx-graph-matching", io.format_graph(generate.cycle(5)), ("--eps", "1/3")),
+])
+def test_a_bad_derived_hyperedge_is_a_library_bug(module, algo, text, options,
+                                                  tmp_path, monkeypatch):
+    """A derived hypergraph with one bad hyperedge (here one vertex past
+    n) raises RuntimeError through `run`; it never exits 2 as a usage
+    error would."""
+    def planted(n, edges):
+        return freeze_hypergraph(n, [*edges, (n,)])
+
+    monkeypatch.setattr(module, "freeze_hypergraph", planted)
+    inst = tmp_path / "instance.gr"
+    inst.write_text(text)
+    with pytest.raises(RuntimeError, match=r"derived hyperedge \d+ is not an ascending tuple"):
+        cli.main(["run", "--algo", algo, "--in", str(inst), *options])
 
 
 def test_derived_graphs_never_call_build_graph(monkeypatch):
     def refuse(n, edges):
-        raise AssertionError("build_graph is for outside input only")
+        raise AssertionError("build_graph and build_hypergraph are for outside input only")
 
+    # no other library module names them (tests/test_source.py), so
+    # refusing them in core refuses them everywhere
+    g = generate.random_graph(24, 0.2, seed=3)
+    star = generate.star(6)  # every edge starts out of node 0, past the bound 2
     monkeypatch.setattr(core, "build_graph", refuse)
-    monkeypatch.setattr(packing, "build_graph", refuse)
+    monkeypatch.setattr(core, "build_hypergraph", refuse)
     # the two-hub instance of tests/test_golden.py: a 271 756-edge line graph,
     # and the views of it that its maximal matching colors
     hub = hub_hypergraph()
@@ -591,9 +648,15 @@ def test_derived_graphs_never_call_build_graph(monkeypatch):
     assert validate_matching(hub, maximal_matching(hub), require_maximal=True).ok
     h = generate.random_hypergraph(60, 120, 3, seed=4)
     assert validate_matching(h, maximal_matching(h), require_maximal=True).ok
-    g = line_graph(h)
-    found = packing.maximal_independent_set(g, 3)
-    assert validate_independent_set(g, found, require_maximal=True).ok
+    lg = line_graph(h)
+    found = packing.maximal_independent_set(lg, 3)
+    assert validate_independent_set(lg, found, require_maximal=True).ok
+    # the product graph, the list reduction and the two path hypergraphs
+    coloring = packing.vertex_color(g, neighborhood_independence(g))
+    assert validate_vertex_coloring(g, coloring.colors).ok
+    assert validate_edge_coloring(g, edge_coloring.edge_color(g).colors).ok
+    assert validate_matching(g, apps.approx_max_graph_matching(g, Fraction(1, 2))).ok
+    assert apps.validate_orientation(star, apps.low_outdegree_orientation(star, 1, 1)).ok
 
 
 def test_independent_set_validation():

@@ -81,6 +81,13 @@ class TestReduction:
         with pytest.raises(RuntimeError):
             decode_matching(red, g.m, frozenset(copies_of_edge_zero[:2]))
 
+    def test_a_clashing_matching_fails_the_decoded_check(self, monkeypatch):
+        # copies 0 and 3 of the reduction color both edges of P3 with 1
+        monkeypatch.setattr(edge_coloring, "maximal_matching", lambda *args: frozenset({0, 3}))
+        with pytest.raises(RuntimeError) as err:
+            edge_color(generate.path(3))
+        assert str(err.value) == "decoded coloring invalid: edges 0 and 1 at vertex 1 share color 1"
+
     def test_list_reduction_single_edge_single_color(self):
         g = build_graph(2, [(0, 1)])
         inst = build_list_edge_instance(g, {0: (7,)})
@@ -185,7 +192,7 @@ class TestRandomized:
         g = generate.random_graph(40, 0.1, seed=2)
         expected = randomized_edge_color(g, seed=1)
         monkeypatch.setattr(core, "line_graph", refuse)
-        monkeypatch.setattr(core, "_freeze_graph", refuse)
+        monkeypatch.setattr(core, "freeze_graph", refuse)
         assert randomized_edge_color(g, seed=1) == expected
 
     def test_edgeless_graph_needs_no_trial(self):

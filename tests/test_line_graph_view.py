@@ -166,7 +166,7 @@ def test_two_large_hubs_build_no_line_graph(monkeypatch):
         raise AssertionError("the matching engine built a graph")
 
     monkeypatch.setattr(core, "line_graph", refuse)
-    monkeypatch.setattr(core, "_freeze_graph", refuse)
+    monkeypatch.setattr(core, "freeze_graph", refuse)
     rng = random.Random(5)
     h = build_hypergraph(1850, [[i % 2, *rng.sample(range(2, 1850), 2)] for i in range(2200)])
     assert h.max_degree == 1100

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from helpers import closed_loads
 
-from hypermatch import generate
+from hypermatch import generate, packing
 from hypermatch.core import (
     FractionalAssignment,
     build_fractional_assignment,
@@ -274,3 +274,14 @@ class TestVertexColor:
         lists = {v: (1, 2, 2) for v in range(4)}
         with pytest.raises(ValueError):
             vertex_color(g, 2, lists=lists)
+
+    @pytest.mark.parametrize("picked, message", [
+        (frozenset(), "vertex 0 decoded 0 colors instead of 1"),
+        # pairs (0, 1) and (1, 1) of the product: color 1 at both ends
+        (frozenset({0, 2}), "decoded coloring invalid: nodes 0 and 1 share color 1"),
+    ])
+    def test_a_wrong_product_set_fails_to_decode(self, picked, message, monkeypatch):
+        monkeypatch.setattr(packing, "maximal_independent_set", lambda *args: picked)
+        with pytest.raises(RuntimeError) as err:
+            vertex_color(build_graph(2, [(0, 1)]), 1)
+        assert str(err.value) == message

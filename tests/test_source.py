@@ -32,3 +32,24 @@ def test_runtime_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert "fractions" in imported  # the scan did read the package
     assert imported - sys.stdlib_module_names == set()
+
+
+def test_only_the_input_modules_name_the_validating_builders():
+    # `build_graph` and `build_hypergraph` are for outside input and raise
+    # ValueError, a usage error; an instance the library derives goes
+    # through `core.freeze_graph` or `core.freeze_hypergraph`, whose
+    # RuntimeError marks a library bug.  The package re-exports the
+    # builders without calling them.
+    allowed = {"__init__.py", "core.py", "generate.py", "io.py"}
+    builders = {"build_graph", "build_hypergraph"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:  # a name, or an attribute such as core.build_graph
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if names & builders:
+                found.append(f"{path.name}:{node.lineno}")
+    assert any(name.startswith("io.py:") for name in found)  # the scan did find the builders
+    assert [name for name in found if name.split(":")[0] not in allowed] == []
