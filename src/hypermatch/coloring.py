@@ -114,6 +114,10 @@ def _check_initial(g: Graph | LineGraphView, colors: tuple[int, ...], palette: i
         raise ValueError(f"expected {g.n} colors, got {len(colors)}")
     # Pairwise distinct colors are proper on any graph.
     same = None if len(set(colors)) == len(colors) else g.agreement(colors)
+    # Only a failed bound or an improper pair scans for the first bad node.
+    in_range = not colors or 0 <= min(colors) and max(colors) < palette
+    if in_range and (same is None or not any(map(same, range(len(colors))))):
+        return
     for v, c in enumerate(colors):
         if not 0 <= c < palette:
             raise ValueError(f"node {v} has color {c} outside 0..{palette - 1}")

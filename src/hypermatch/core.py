@@ -31,8 +31,12 @@ on first read and kept; all are immutable and deterministic too, so a
 race can at worst build one twice.  The line graph itself is built anew
 on each `line_graph` call and kept nowhere.  The rounding engine never
 builds it: it reads a `LineGraphView`, which counts conflicts from the
-hyperedges themselves, and every pass that colors all hyperedges of one
+hyperedges themselves, by vertex and by the vertex pairs that two or more
+hyperedges hold, and every pass that colors all hyperedges of one
 instance, nested ones included, reads that instance's one ``line_view``.
+The validators test their bounds in bulk and scan for the first
+violation only when a bound fails, so a message names the violation that
+a scan in the same order would.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
-from operator import add, eq, itemgetter, lt, mul
+from functools import cached_property, partial, reduce
+from itertools import chain, combinations, compress, groupby, islice, repeat, starmap
+from operator import add, eq, ge, itemgetter, lt, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -144,13 +148,29 @@ def freeze_hypergraph(n: int, edges: Iterable[tuple[int, ...]]) -> Hypergraph:
     """Freeze hyperedges that the library derived itself, as they are.
 
     Each must be a nonempty, strictly ascending tuple of ids in 0..n-1.
-    A violation is a library bug, so it raises RuntimeError.
+    A violation is a library bug, so it raises RuntimeError.  The tuples
+    are checked column by column, one group per size; only a failed check
+    scans them one by one, to name the first bad one.
     """
     edges = tuple(edges)
-    for eid, e in enumerate(edges):
-        if not (type(e) is tuple and e and 0 <= e[0] and e[-1] < n and all(map(lt, e, e[1:]))):
-            raise RuntimeError(f"derived hyperedge {eid} is not an ascending tuple in 0..{n - 1}: {e!r}")
+    if not _ascending_columns(n, edges):
+        for eid, e in enumerate(edges):
+            if not (type(e) is tuple and e and 0 <= e[0] and e[-1] < n and all(map(lt, e, e[1:]))):
+                raise RuntimeError(f"derived hyperedge {eid} is not an ascending tuple in 0..{n - 1}: {e!r}")
     return Hypergraph(n=n, edges=edges)
+
+
+def _ascending_columns(n: int, edges: tuple) -> bool:
+    """Whether every one of ``edges`` is a nonempty, strictly ascending
+    tuple of ids in 0..n-1, read column by column."""
+    if not set(map(type, edges)) <= {tuple}:
+        return False
+    for size, group in groupby(sorted(edges, key=len), len):
+        columns = [*zip(*group)]
+        if not (size and min(columns[0]) >= 0 and max(columns[-1]) < n
+                and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -304,51 +324,119 @@ class LineGraphView:
     It answers what the coloring steps ask a `Graph`: ``n``,
     ``max_degree``, ``neighbors`` and the count query ``agreement``.
 
-    Counts come from one identity.  Summing, over the vertices of e, the
-    other hyperedges that hold the vertex and carry e's label counts a
-    hyperedge f that meets e in t vertices t times, so the neighbors of
-    e with e's label number
+    Counts come from one identity, inclusion-exclusion cut off at vertex
+    pairs.  A hyperedge f that meets e in t vertices holds t of e's
+    vertices and t(t-1)/2 of its vertex pairs, and t - t(t-1)/2 +
+    (t-1)(t-2)/2 = 1.  So the neighbors of e that carry e's label number
 
         sum over v in e of (#{f holding v : label(f) = label(e)} - 1)
-        - sum over f meeting e in t >= 2 vertices, label(f) = label(e), of (t - 1).
+        - sum over pairs p in e of (#{f holding p : label(f) = label(e)} - 1)
+        + sum over f meeting e in t >= 3 vertices, label(f) = label(e),
+          of (t-1)(t-2)/2.
 
-    A vertex that e alone holds adds 0, so e keeps only its shared
-    vertices.  Two hyperedges that meet in t >= 2 vertices hold
-    t(t-1)/2 vertex pairs together, so they are found, with t, from the
-    vertex pairs that more than one hyperedge holds.  The build takes
-    time linear in the sum of squared hyperedge sizes and in t(t-1)/2
-    over the hyperedge pairs meeting in t >= 2 vertices, which are at
-    most the line graph's edges; a query takes time linear in the shared
-    vertices and those pairs.  Nothing is exponential in the rank.
-    Parallel hyperedges meet, so they count once, as in `line_graph`.
+    A vertex or pair that e alone holds adds 0, so only the pairs that
+    two or more hyperedges hold are kept, and those are the only overlap
+    data: two hyperedges meeting in 2 vertices need no term of their own.
+    A vertex v is coded as v and a pair a < b as a*width + b, width being
+    ``h.n``, and a label as a multiple of the code range, so one `Counter`
+    counts all (label, vertex) keys at once and one all (label, pair)
+    keys.  The hyperedges are read column by column, one group per
+    hyperedge size.  Hyperedges meeting in t >= 3 vertices share a vertex
+    triple, so they are found from the triples that two or more
+    hyperedges hold, among the hyperedges that hold three shared pairs.
+    The build takes time linear in the sum of squared hyperedge sizes,
+    plus the cubed sizes of those hyperedges and the hyperedge pairs
+    meeting in t >= 3 vertices; a query takes time linear in the
+    vertices, the shared pairs and those hyperedge pairs.  The node
+    degrees behind ``max_degree`` come from the counts the build keeps.
+    Nothing is exponential in the rank.  Parallel hyperedges meet, so
+    they count once, as in `line_graph`.
     """
 
     def __init__(self, h: Hypergraph, support: Iterable[int]) -> None:
-        edges = [h.edges[i] for i in support]
+        edges = [*map(h.edges.__getitem__, support)]
         self.n = len(edges)
         self._edges = edges
-        degree = Counter(chain.from_iterable(edges))
-        multi = {v for v, d in degree.items() if d > 1}
-        shared = [[v for v in e if v in multi] for e in edges]  # ascending, as e is
-        holders: dict[tuple[int, int], list[int]] = {}
-        for i, vs in enumerate(shared):
-            for pair in combinations(vs, 2):
-                holders.setdefault(pair, []).append(i)
-        # hyperedges i < j meeting in t >= 2 vertices hold t(t-1)/2 pairs
-        # together; each such i, j is kept with t - 1
-        together = Counter(chain.from_iterable(map(combinations, holders.values(), repeat(2))))
-        self._first = [i for i, _ in together]
-        self._second = [j for _, j in together]
-        self._extra = [(math.isqrt(8 * pairs + 1) - 1) // 2 for pairs in together.values()]
-        self._width = h.n
-        self._keys = [*chain.from_iterable(shared)]
-        self._sizes = [*map(len, shared)]
-        self._ends = [*accumulate(self._sizes)]
-        self._starts = [0, *self._ends[:-1]]
+        self._width = width = h.n
+        # (nodes, columns) per hyperedge size; nodes None stands for all
+        if len(set(map(len, edges))) > 1:
+            by_size: dict[int, list[int]] = {}
+            for i, e in enumerate(edges):
+                by_size.setdefault(len(e), []).append(i)
+            self._groups = [(nodes, [*zip(*map(edges.__getitem__, nodes))]) for nodes in by_size.values()]
+        else:
+            self._groups = [(None, [*zip(*edges)])] if edges else []
+        self._degree = Counter(chain.from_iterable(edges))
+        nodes_of, codes_of = [], []
+        for nodes, columns in self._groups:
+            scaled = [[*map(mul, column, repeat(width))] for column in columns]
+            for a, b in combinations(range(len(columns)), 2):
+                nodes_of.append(nodes)
+                codes_of.append([*map(add, scaled[a], columns[b])])
+        held = Counter(chain.from_iterable(codes_of))
+        # the vertex pairs that two or more hyperedges hold, with their counts
+        self._held = {code: k for code, k in held.items() if k > 1} if len(held) < held.total() else {}
+        self._pair_node: list[int] = []
+        self._pair_code: list[int] = []
+        if self._held:
+            for nodes, codes in zip(nodes_of, codes_of):
+                kept = [*map(self._held.__contains__, codes)]
+                self._pair_node += compress(range(self.n) if nodes is None else nodes, kept)
+                self._pair_code += compress(codes, kept)
+        self._first, self._second, self._extra = self._deep_overlaps()
+
+    def _deep_overlaps(self) -> tuple[list[int], list[int], list[int]]:
+        """The hyperedge pairs i < j meeting in t >= 3 vertices, each with
+        its correction (t-1)(t-2)/2."""
+        held_at: dict[int, list[int]] = {}
+        for i, code in zip(self._pair_node, self._pair_code):
+            held_at.setdefault(i, []).append(code)
+        width, held = self._width, self._held
+        holders: dict[tuple[int, int, int], list[int]] = {}
+        for i, codes in held_at.items():
+            if len(codes) < 3:
+                continue
+            shared = sorted({v for code in codes for v in divmod(code, width)})
+            for a, b, c in combinations(shared, 3):
+                if a * width + b in held and b * width + c in held and a * width + c in held:
+                    holders.setdefault((a, b, c), []).append(i)
+        meets = dict.fromkeys(pair for nodes in holders.values() if len(nodes) > 1
+                              for pair in combinations(sorted(nodes), 2))
+        edges = self._edges
+        first = [i for i, _ in meets]
+        second = [j for _, j in meets]
+        extra = []
+        for i, j in meets:
+            t = len(set(edges[i]).intersection(edges[j]))
+            extra.append((t - 1) * (t - 2) // 2)
+        return first, second, extra
+
+    def _tally(self, columns_at, vertex_count, pair_keys, pair_count, deep) -> list[int]:
+        """Every node's count by the identity: ``columns_at`` holds the
+        vertex keys per group and column, ``pair_keys`` the shared pairs'
+        keys, each counted in its ``*_count``; ``deep`` the hyperedge
+        pairs meeting in t >= 3 vertices that count."""
+        agree = [0] * self.n
+        for (nodes, _), columns in zip(self._groups, columns_at):
+            counts = reduce(partial(map, add), [map(vertex_count.__getitem__, column) for column in columns])
+            sums = map(sub, counts, repeat(len(columns)))
+            if nodes is None:
+                agree = [*sums]
+            else:
+                for i, count in zip(nodes, sums):
+                    agree[i] = count
+        for i, key in zip(self._pair_node, pair_keys):
+            agree[i] -= pair_count[key] - 1
+        for i, j, extra in deep:
+            agree[i] += extra
+            agree[j] += extra
+        return agree
 
     @cached_property
     def max_degree(self) -> int:
-        return max(map(self.agreement([0] * self.n), range(self.n)), default=0)
+        degrees = self._tally([columns for _, columns in self._groups], self._degree,
+                              self._pair_code, self._held, zip(self._first, self._second, self._extra))
+        return max(degrees, default=0)
 
     def neighbors(self, v: int) -> list[int]:
         """The nodes adjacent to v, ascending; a scan of all nodes."""
@@ -358,21 +446,22 @@ class LineGraphView:
     def agreement(self, labels: Sequence[int]) -> Callable[[int], int]:
         """``count(v)``: the neighbors u of v with ``labels[u] == labels[v]``.
 
-        Counts the (vertex, label) pairs of all nodes once, and every
-        node's count with them, when called.
+        Counts the (label, vertex) and (label, shared pair) keys of all
+        nodes once, and every node's count with them, when called.
         """
-        # label * width + vertex is one-to-one, since every vertex is below width
-        at = chain.from_iterable(map(repeat, map(mul, labels, repeat(self._width)), self._sizes))
-        pairs = [*map(add, self._keys, at)]
-        hist = Counter(pairs)
-        total = [0, *accumulate(map(hist.__getitem__, pairs))]
-        agree = [total[end] - total[start] - size
-                 for start, end, size in zip(self._starts, self._ends, self._sizes)]
+        width = self._width
+        # label * width + vertex is one-to-one, since every vertex is below
+        # width, and so is label * width^2 + pair code
+        columns_at = []
+        for nodes, columns in self._groups:
+            at = [*map(mul, labels if nodes is None else map(labels.__getitem__, nodes), repeat(width))]
+            columns_at.append([[*map(add, at, column)] for column in columns])
+        pair_keys = [*map(add, map(mul, map(labels.__getitem__, self._pair_node), repeat(width * width)),
+                          self._pair_code)]
         same = map(eq, map(labels.__getitem__, self._first), map(labels.__getitem__, self._second))
-        for i, j, extra in compress(zip(self._first, self._second, self._extra), same):
-            agree[i] -= extra
-            agree[j] -= extra
-        return agree.__getitem__
+        return self._tally(columns_at, Counter(chain.from_iterable(chain.from_iterable(columns_at))),
+                           pair_keys, Counter(pair_keys),
+                           compress(zip(self._first, self._second, self._extra), same)).__getitem__
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -488,18 +577,21 @@ def validate_fractional_matching(
     Also reports the half-tight vertices (load >= 1/2).  Values need not
     be dyadic here.
     """
-    nums, scale = x.nums, x.scale
-    for eid in nums:
-        if not 0 <= eid < h.m:
-            return FractionalVerdict(False, f"edge id {eid} outside 0..{h.m - 1}")
-    for eid, num in nums.items():
-        if not 0 < num <= scale:
-            return FractionalVerdict(False, f"edge {eid} has value {Fraction(num, scale)} outside (0,1]")
+    nums, scale, count = x.nums, x.scale, h.m
+    # Bounds by min and max; only a failed bound scans for the first
+    # violation in the assignment's order.
+    if nums and not (0 <= min(nums) and max(nums) < count):
+        eid = next(eid for eid in nums if not 0 <= eid < count)
+        return FractionalVerdict(False, f"edge id {eid} outside 0..{count - 1}")
+    if nums and not (0 < min(nums.values()) and max(nums.values()) <= scale):
+        eid, num = next((eid, num) for eid, num in nums.items() if not 0 < num <= scale)
+        return FractionalVerdict(False, f"edge {eid} has value {Fraction(num, scale)} outside (0,1]")
     loads = _edge_loads(h, nums)
-    for v, load in enumerate(loads):
-        if load > scale:
-            return FractionalVerdict(False, f"vertex {v} carries load {Fraction(load, scale)} > 1")
-    half = frozenset(v for v, load in enumerate(loads) if 2 * load >= scale)
+    if max(loads, default=0) > scale:
+        v, load = next((v, load) for v, load in enumerate(loads) if load > scale)
+        return FractionalVerdict(False, f"vertex {v} carries load {Fraction(load, scale)} > 1")
+    # on integers, 2*load >= scale is load >= ceil(scale/2)
+    half = frozenset(compress(range(h.n), map(ge, loads, repeat(-(-scale // 2)))))
     return FractionalVerdict(True, half_tight=half)
 
 
@@ -508,16 +600,19 @@ def validate_matching(
 ) -> Verdict:
     """Check that the edge ids in ``m`` are pairwise disjoint, optionally
     that ``m`` is maximal."""
+    count, edges = h.m, h.edges
     used: dict[int, int] = {}
     for eid in sorted(m):
-        if not 0 <= eid < h.m:
-            return Verdict(False, f"edge id {eid} outside 0..{h.m - 1}")
-        for v in h.edges[eid]:
+        if not 0 <= eid < count:
+            return Verdict(False, f"edge id {eid} outside 0..{count - 1}")
+        for v in edges[eid]:
             if v in used:
                 return Verdict(False, f"edges {used[v]} and {eid} share vertex {v}")
             used[v] = eid
-    if require_maximal:
-        for eid, members in enumerate(h.edges):
+    # Maximal means the edges at the matched vertices are all the edges;
+    # only a failed cover test scans for the first edge left out.
+    if require_maximal and len(set().union(*map(h.incidence.__getitem__, used))) < count:
+        for eid, members in enumerate(edges):
             if eid not in m and all(v not in used for v in members):
                 return Verdict(False, f"edge {eid} is disjoint from the matching")
     return Verdict(True)

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .core import (
     Graph,
@@ -80,7 +81,7 @@ def _check_lists(h: Hypergraph, lists: dict[int, tuple[int, ...]]) -> None:
     for eid, colors in lists.items():
         if len(set(colors)) != len(colors):
             raise ValueError(f"edge {eid} has a repeated color in its list")
-        if any(c < 0 for c in colors):
+        if colors and min(colors) < 0:
             raise ValueError(f"edge {eid} has a negative color in its list")
         need = adjacent_edge_count(h, eid) + 1
         if len(colors) < need:
@@ -106,21 +107,23 @@ def reduce_hypergraph_list_edge_coloring(
     the copies (v, c) over v in e together with e's anchor.
     """
     _check_lists(h, lists)
-    pairs: set[tuple[int, int]] = set()
-    for eid in range(h.m):
-        for c in lists[eid]:
-            for v in h.edges[eid]:
-                pairs.add((v, c))
-    pair_id = {vc: i for i, vc in enumerate(sorted(pairs))}
-    anchor = {eid: len(pair_id) + eid for eid in range(h.m)}
+    # (v, c) pairs numbered in (v, c) order: vertex by vertex, each vertex's
+    # colors the union of its edges' lists, ascending
+    pair_id: list[dict[int, int]] = []
+    pairs = 0
+    for at in h.incidence:
+        colors = sorted(set().union(*map(lists.__getitem__, at)))
+        pair_id.append(dict(zip(colors, range(pairs, pairs + len(colors)))))
+        pairs += len(colors)
+    ordered = [*map(lists.__getitem__, range(h.m))]
     members: list[tuple[int, ...]] = []
-    decode: dict[int, tuple[int, int]] = {}
-    for eid in range(h.m):
-        for c in lists[eid]:
-            # ascending, as pair ids follow (v, c) order and anchors come last
-            decode[len(members)] = (eid, c)
-            members.append((*[pair_id[(v, c)] for v in h.edges[eid]], anchor[eid]))
-    reduced = freeze_hypergraph(len(pair_id) + h.m, members)
+    for eid, (e, colors) in enumerate(zip(h.edges, ordered)):
+        # ascending, as pair ids follow (v, c) order and the anchor comes last
+        columns = [map(pair_id[v].__getitem__, colors) for v in e]
+        members += zip(*columns, repeat(pairs + eid, len(colors)))
+    decode = dict(enumerate(zip(chain.from_iterable(map(repeat, range(h.m), map(len, ordered))),
+                                chain.from_iterable(ordered))))
+    reduced = freeze_hypergraph(pairs + h.m, members)
     return ReducedColoring(hypergraph=reduced, decode=decode)
 
 

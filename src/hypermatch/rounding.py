@@ -290,25 +290,30 @@ def _basic_round(model: _LoadModel, x, factor: int, denom: int, coloring):
     if coloring is None:
         coloring = _base_coloring(model)
     restricted = VertexColoring(
-        colors=tuple(coloring.colors[i] for i in support),
+        colors=tuple(map(coloring.colors.__getitem__, support)),
         palette_size=coloring.palette_size,
     )
     defect = max(0, denom // (2 * factor) - 1)
     dcol = defective_coloring(model.conflict(support), restricted, defect, ledger=model.ledger)
 
     p = _Pass(model, denom)
-    by_color: dict[int, list[int]] = {}
-    for k, i in enumerate(support):
-        by_color.setdefault(dcol.colors[k], []).append(i)
     blocked = p.over if model.raise_at_half else p.frozen
-    for color in sorted(by_color):
-        # a class raises its members together: read them all before any raise
-        raised = [i for i in by_color[color] if i not in blocked]
-        for i in raised:
-            p.add(i, factor)
-    for i in support:
-        if i not in p.values and i not in p.frozen:
-            raise RuntimeError(f"{model.noun} {i} skipped its color class")
+    # The classes in color order, each in support order.  A class raises
+    # its members together: all are read before any is raised.
+    raised: list[int] = []
+    current = None
+    for color, i in sorted(zip(dcol.colors, support)):
+        if color != current:
+            for j in raised:
+                p.add(j, factor)
+            raised, current = [], color
+        if i not in blocked:
+            raised.append(i)
+    for j in raised:
+        p.add(j, factor)
+    skipped = set(support).difference(p.values, p.frozen)
+    if skipped:
+        raise RuntimeError(f"{model.noun} {min(skipped)} skipped its color class")
     cap = (denom // factor).bit_length() - 1
     doubling = _double_rounds(p, cap, support, "basic_round doubling")
     out = _finish(p, factor, "basic rounding")

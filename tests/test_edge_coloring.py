@@ -1,11 +1,12 @@
 """Edge coloring through matching reductions, plus the layered variants."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hypermatch import core, edge_coloring, generate
+from hypermatch import cli, core, edge_coloring, generate, io
 from hypermatch.core import (
     Verdict,
     build_graph,
@@ -142,6 +143,83 @@ class TestReduction:
         red = plain_reduction(g)
         assert red.hypergraph.m == g.m * (2 * delta - 1)
         assert red.hypergraph.n <= 2 * g.n * delta + g.m
+
+
+def reference_reduction(h, lists):
+    """(n, edges, decode items) by one global set and sort of the (v, c)
+    pairs, as the reduction was first written."""
+    pairs = set()
+    for eid in range(h.m):
+        for c in lists[eid]:
+            for v in h.edges[eid]:
+                pairs.add((v, c))
+    pair_id = {vc: i for i, vc in enumerate(sorted(pairs))}
+    members, decode = [], {}
+    for eid in range(h.m):
+        for c in lists[eid]:
+            decode[len(members)] = (eid, c)
+            members.append((*[pair_id[(v, c)] for v in h.edges[eid]], len(pair_id) + eid))
+    return len(pair_id) + h.m, tuple(members), list(decode.items())
+
+
+def assert_reduction_agrees(h, lists):
+    reduced = reduce_hypergraph_list_edge_coloring(h, lists)
+    r = reduced.hypergraph
+    assert (r.n, r.edges, list(reduced.decode.items())) == reference_reduction(h, lists)
+    return reduced
+
+
+def drawn_lists(rng, h, low, high, surplus):
+    """A list per edge, in drawn order, of adjacent + 1 + (0..surplus)
+    distinct colors from low..high-1, keyed in drawn edge order."""
+    order = list(range(h.m))
+    rng.shuffle(order)
+    return {eid: tuple(rng.sample(range(low, high), adjacent_edge_count(h, eid) + 1 + rng.randint(0, surplus)))
+            for eid in order}
+
+
+class TestReductionAgainstReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_graphs_with_gaps_color_zero_and_surplus(self, seed):
+        rng = random.Random(seed)
+        # vertices past the drawn graph's stay isolated
+        g = generate.random_graph(12, 0.3, seed=seed)
+        g = build_graph(g.n + 3, g.edges)
+        assert_reduction_agrees(g, drawn_lists(rng, g, 0, 40, 6))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_three_hypergraphs(self, seed):
+        rng = random.Random(seed)
+        h = generate.random_hypergraph(10, 8, 3, seed=seed)
+        h = build_hypergraph(h.n + 2, [*h.edges, h.edges[0]])  # one parallel copy
+        assert_reduction_agrees(h, drawn_lists(rng, h, 0, 60, 3))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_corpus_shapes(self, seed):
+        rng = random.Random(seed)
+        g = generate.random_graph(6, 0.4, seed=seed)
+        assert_reduction_agrees(g, full_palette_lists(g, max(0, 2 * g.max_degree - 1)))
+        g = generate.random_graph(5, 0.5, seed=seed)
+        lists = {eid: tuple(sorted(rng.sample(range(1, 8), adjacent_edge_count(g, eid) + 2)))
+                 for eid in range(g.m)}
+        assert_reduction_agrees(g, lists)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_batch_of_the_layered_colorings(self, seed, monkeypatch):
+        """Residual lists with gaps, on batches that leave vertices isolated."""
+        calls = []
+        reduce = edge_coloring.reduce_hypergraph_list_edge_coloring
+
+        def checked(h, lists):
+            calls.append(h.m)
+            assert_reduction_agrees(h, lists)
+            return reduce(h, lists)
+
+        monkeypatch.setattr(edge_coloring, "reduce_hypergraph_list_edge_coloring", checked)
+        g = generate.random_graph(10, 0.45, seed=seed)
+        randomized_edge_color(g, seed=seed)
+        arboricity_edge_color(g, arboricity(g), Fraction(1))
+        assert calls
 
 
 class TestEdgeColor:
@@ -348,3 +426,32 @@ def test_full_palette_lists_shape():
 def test_result_type_is_plain_data():
     out = EdgeColoringResult(colors={0: 1}, palette=3, stats={})
     assert out.colors[0] == 1
+
+
+def _one_color(h, lists, ledger=None):
+    """A planted `list_edge_color` that colors every edge 1."""
+    return EdgeColoringResult(colors=dict.fromkeys(range(h.m), 1), palette=None, stats={})
+
+
+@pytest.mark.parametrize("algo, call, args, message", [
+    ("rand-edge-color", lambda g: randomized_edge_color(g, seed=0), ["--seed", "0"],
+     "randomized coloring invalid: edges 5 and 8 at vertex 2 share color 1"),
+    ("arb-edge-color", lambda g: arboricity_edge_color(g, 2, Fraction(1)), ["--arboricity", "2", "--eps", "1"],
+     "layered coloring invalid: edges 0 and 1 at vertex 0 share color 1"),
+], ids=["randomized", "layered"])
+def test_a_wrong_batch_coloring_is_a_library_bug(algo, call, args, message, tmp_path, monkeypatch):
+    """The list coloring of a batch returns a wrong answer.  The final
+    check raises RuntimeError, which `run` lets escape: it is never
+    reported as a usage error (exit 2).  One trial round leaves the
+    randomized coloring a deterministic finish to run."""
+    monkeypatch.setattr(edge_coloring, "list_edge_color", _one_color)
+    monkeypatch.setattr(edge_coloring, "RANDOM_TRIAL_FACTOR", 0)
+    g = generate.random_graph(60, 0.05, seed=0)
+    with pytest.raises(RuntimeError) as err:
+        call(g)
+    assert str(err.value) == message
+    inst = tmp_path / "g.gr"
+    inst.write_text(io.format_graph(g))
+    with pytest.raises(RuntimeError) as err:
+        cli.main(["run", "--algo", algo, "--in", str(inst), *args])
+    assert str(err.value) == message

@@ -1,7 +1,8 @@
 """The rounding engine's line-graph view against the line graph it stands for.
 
-`LineGraphView` answers the coloring steps from per-(vertex, label)
-counts and the pairs of hyperedges that meet in two or more vertices.
+`LineGraphView` answers the coloring steps from counts of (label, vertex)
+and (label, shared vertex pair) keys, plus a correction for each pair of
+hyperedges that meet in three or more vertices.
 Every answer must equal the one the induced subgraph of `line_graph`
 gives: degrees, neighbors, agreement counts, colorings and the errors
 the coloring steps raise.
@@ -234,3 +235,32 @@ def test_hub_matching_builds_one_full_view_and_few_columns(monkeypatch):
     assert ledger.total == 1296
     assert full.count(True) == 1
     assert len(columns) == 2 and max(columns) <= 2
+
+
+def test_a_pair_shared_by_many_hyperedges_keeps_no_correction():
+    """d = 300 hyperedges {0, 1, i}, plus pairs {i, i+1} so that every i
+    is shared: every two of the triples meet in exactly 2 vertices.  The
+    shared pair {0, 1} is one key of its own, so the view keeps no
+    hyperedge pair with a correction, where counting the overlaps of all
+    hyperedge pairs would keep d(d-1)/2 = 44 850 of them."""
+    d = 300
+    h = build_hypergraph(d + 3, [*([0, 1, i] for i in range(2, d + 2)), *([i, i + 1] for i in range(2, d + 2))])
+    view, sub = both(h, range(h.m))
+    assert (view._first, view._second, view._extra) == ([], [], [])
+    assert view._pair_code == [0 * h.n + 1] * d  # {0, 1}, once per triple holding it
+    assert view.max_degree == sub.max_degree == d + 1  # d - 1 triples and two pairs
+    for labels in ([0] * h.m, [i % 3 for i in range(h.m)], [i % 7 == 0 for i in range(h.m)]):
+        assert [*map(view.agreement(labels), range(h.m))] == [*map(sub.agreement(labels), range(h.m))]
+
+
+def test_corrections_are_kept_for_pairs_meeting_in_three_or_more():
+    """One correction (t-1)(t-2)/2 per hyperedge pair meeting in t >= 3
+    vertices, none for t = 2."""
+    h = build_hypergraph(8, [range(6), range(6), [0, 1, 2, 7], [0, 1, 7], [4, 5, 6]])
+    view, sub = both(h, range(h.m))
+    meets = {(i, j): (t - 1) * (t - 2) // 2 for i in range(h.m) for j in range(i + 1, h.m)
+             if (t := len(set(h.edges[i]) & set(h.edges[j]))) >= 3}
+    assert meets == {(0, 1): 10, (0, 2): 1, (1, 2): 1, (2, 3): 1}
+    assert dict(zip(zip(view._first, view._second), view._extra)) == meets
+    labels = [0, 0, 0, 1, 0]
+    assert [*map(view.agreement(labels), range(h.m))] == [*map(sub.agreement(labels), range(h.m))]

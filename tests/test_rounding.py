@@ -455,6 +455,45 @@ class TestDrivers:
             almost_maximal_matching(triangle(), Fraction(3, 2))
 
 
+def _rounded_to(nums, scale):
+    """A planted `basic_round` that returns ``nums`` over ``scale``."""
+    return lambda h, x, factor, denom, coloring=None, ledger=None: FractionalAssignment._over(nums, scale)
+
+
+def _approximated_to(found):
+    """A planted `approx_max_matching` that returns ``found``."""
+    return lambda h, ledger=None: frozenset(found)
+
+
+# 512 disjoint rank-1 hyperedges: the driver's cap is 32 * 1 * log2(512) + 1
+SINGLETONS = build_hypergraph(512, [[v] for v in range(512)])
+
+
+@pytest.mark.parametrize("planted, fake, h, message", [
+    ("basic_round", _rounded_to({0: 1}, 2), triangle(), "final round left fractional values"),
+    ("basic_round", _rounded_to({0: 1, 1: 1}, 1), triangle(),
+     "approximation output invalid: edges 0 and 1 share vertex 1"),
+    ("approx_max_matching", _approximated_to(()), triangle(),
+     "approximation came back empty on a nonempty instance"),
+    ("approx_max_matching", _approximated_to({0}), SINGLETONS, "driver exceeded 289 iterations"),
+    ("approx_max_matching", _approximated_to({0, 1}), triangle(),
+     "driver output invalid: edges 0 and 1 share vertex 1"),
+], ids=["fractional", "approx-invalid", "approx-empty", "driver-cap", "driver-invalid"])
+def test_a_wrong_answer_inside_the_driver_is_a_library_bug(planted, fake, h, message, tmp_path, monkeypatch):
+    """One pass of the matching driver returns a wrong answer.  The check
+    after it raises RuntimeError, which `run` lets escape: it is never
+    reported as a usage error (exit 2)."""
+    monkeypatch.setattr(rounding, planted, fake)
+    with pytest.raises(RuntimeError) as err:
+        maximal_matching(h)
+    assert str(err.value) == message
+    inst = tmp_path / "h.hgr"
+    inst.write_text(io.format_hypergraph(h))
+    with pytest.raises(RuntimeError) as err:
+        cli.main(["run", "--algo", "maximal-matching", "--in", str(inst)])
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("call", [
     lambda h, x: basic_round(h, x, 1, 4),
     lambda h, x: recursive_round(h, x, 8, 1024),

@@ -16,6 +16,7 @@ from hypermatch.core import (
     build_hypergraph,
     line_graph,
     validate_fractional_matching,
+    validate_matching,
 )
 from hypermatch.ledger import RoundLedger
 from hypermatch.packing import approx_mis, basic_round_packing, initial_packing, verify_greedy_packing
@@ -23,6 +24,7 @@ from hypermatch.rounding import (
     approx_max_matching,
     basic_round,
     greedy_fractional_matching,
+    maximal_matching,
     recursive_round,
 )
 
@@ -76,6 +78,29 @@ def reference_greedy_packing(g, p):
         if budget > 1:
             return False, f"vertex {v} exceeds its prefix budget: {budget}"
     return True, ""
+
+
+def reference_matching(h, m, require_maximal):
+    """(ok, reason): matched edges in id order, then every edge in id order."""
+    used = {}
+    for eid in sorted(m):
+        if not 0 <= eid < h.m:
+            return False, f"edge id {eid} outside 0..{h.m - 1}"
+        for v in h.edges[eid]:
+            if v in used:
+                return False, f"edges {used[v]} and {eid} share vertex {v}"
+            used[v] = eid
+    if require_maximal:
+        for eid, members in enumerate(h.edges):
+            if eid not in m and all(v not in used for v in members):
+                return False, f"edge {eid} is disjoint from the matching"
+    return True, ""
+
+
+def assert_integral_agrees(h, m):
+    for maximal in (False, True):
+        verdict = validate_matching(h, frozenset(m), require_maximal=maximal)
+        assert (verdict.ok, verdict.reason) == reference_matching(h, m, maximal)
 
 
 def assert_matching_agrees(h, x):
@@ -171,6 +196,82 @@ class TestAgainstReference:
         over = dict(x.values)
         over[len(over) // 2] = Fraction(1)
         assert_matching_agrees(h, FractionalAssignment(values=over))
+
+
+class TestPlantedViolations:
+    """The validators test bounds in bulk and scan only when one fails; each
+    planted violation must come out as the full scan names it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraph_and_values(), st.sets(st.integers(-1, 9), max_size=5), st.randoms(use_true_random=False))
+    def test_matching_both_modes(self, case, ids, rnd):
+        h = case[0]
+        assert_integral_agrees(h, ids)
+        # a greedy maximal matching in a drawn order, and with one edge less
+        order = list(range(h.m))
+        rnd.shuffle(order)
+        used, found = set(), []
+        for eid in order:
+            if used.isdisjoint(h.edges[eid]):
+                used.update(h.edges[eid])
+                found.append(eid)
+        assert_integral_agrees(h, found)
+        assert_integral_agrees(h, found[1:])
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        h = generate.random_hypergraph(300, 900, 3, seed=2)
+        return h, greedy_fractional_matching(h), maximal_matching(h)
+
+    def test_fractional_violations(self, instance):
+        h, x, _ = instance
+        nums = dict(x.values)
+        first, last = min(nums), max(nums)
+        over = next(eid for eid in nums if nums[eid] < 1 and eid != first)
+        rest = {eid: val for eid, val in nums.items() if eid not in (first, over)}
+        for planted, reason in (
+            ({**nums, h.m: HALF, -1: HALF}, f"edge id {h.m} outside 0..{h.m - 1}"),
+            ({-1: HALF, **nums}, f"edge id -1 outside 0..{h.m - 1}"),
+            ({**nums, last: Fraction(0)}, f"edge {last} has value 0 outside (0,1]"),
+            ({**rest, over: Fraction(5, 4), first: Fraction(0)}, f"edge {over} has value 5/4 outside (0,1]"),
+            ({**rest, first: Fraction(0), over: Fraction(5, 4)}, f"edge {first} has value 0 outside (0,1]"),
+        ):
+            planted = FractionalAssignment(values=planted)
+            verdict = validate_fractional_matching(h, planted)
+            assert (verdict.ok, verdict.reason, verdict.half_tight) == reference_fractional_matching(h, planted)
+            assert verdict.reason == reason
+        verdict = validate_fractional_matching(h, x)
+        assert (verdict.ok, verdict.reason, verdict.half_tight) == reference_fractional_matching(h, x)
+        assert verdict.ok and verdict.half_tight
+
+    def test_overloaded_vertex(self, instance):
+        h, x, _ = instance
+        heavy = next(v for v in range(h.n) if h.degree(v) >= 2)
+        a, b = h.incidence[heavy][:2]
+        planted = FractionalAssignment(values={**x.values, a: Fraction(3, 4), b: Fraction(3, 4)})
+        reason = validate_fractional_matching(h, planted).reason
+        assert reason == reference_fractional_matching(h, planted)[1]
+        assert reason.startswith("vertex ") and reason.endswith(" > 1")
+
+    def test_matching_violations(self, instance):
+        h, _, found = instance
+        assert validate_matching(h, found, require_maximal=True).ok
+        inside = next(iter(found))
+        v = h.edges[inside][0]
+        rival = next(eid for eid in h.incidence[v] if eid != inside)
+        dropped = min(found)
+        free = [eid for eid in range(h.m) if eid not in found and set(h.edges[eid]) <= set(h.edges[dropped])]
+        for planted, maximal, reason in (
+            (found | {h.m}, False, f"edge id {h.m} outside 0..{h.m - 1}"),
+            (found | {-1}, True, f"edge id -1 outside 0..{h.m - 1}"),
+            (found | {rival}, True,
+             f"edges {min(inside, rival)} and {max(inside, rival)} share vertex {v}"),
+            (found - {dropped}, True, f"edge {min([dropped, *free])} is disjoint from the matching"),
+            (found - {dropped}, False, ""),
+        ):
+            verdict = validate_matching(h, planted, require_maximal=maximal)
+            assert (verdict.ok, verdict.reason) == reference_matching(h, planted, maximal)
+            assert verdict.reason == reason
 
 
 def count_verdicts(monkeypatch, module, name):

@@ -6,15 +6,18 @@ test ran, then their count.  Docstrings, ``def`` and ``class`` lines and
 ``global``/``nonlocal`` declarations are skipped; a compound statement
 counts as run when its header (an ``if``'s test, a ``for``'s iterable)
 ran.  Code that runs only in a child process counts as unexecuted.  The
-suite runs at about half its usual speed.  The exit status is pytest's.
-Extra arguments go to pytest::
+suite runs at about half its usual speed.  The exit status is pytest's,
+or 1 when pytest passed but more than ``--max N`` statements went
+unexecuted.  Other arguments go to pytest::
 
     python tests/unexecuted.py
+    python tests/unexecuted.py --max 18
     python tests/unexecuted.py -k test_cli
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 import threading
@@ -67,6 +70,10 @@ def statements(path: Path) -> list[tuple[int, int]]:
 def main(argv: list[str]) -> int:
     import pytest
 
+    parser = argparse.ArgumentParser(allow_abbrev=False, add_help=False)
+    parser.add_argument("--max", type=int, default=None)
+    options, argv = parser.parse_known_args(argv)
+
     files = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
     ran: dict[str, set[int]] = {name: set() for name in files}
 
@@ -98,6 +105,9 @@ def main(argv: list[str]) -> int:
                 count += 1
                 print(f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}")
     print(f"{count} statements never executed (pytest exit status {int(status)})")
+    if status == 0 and options.max is not None and count > options.max:
+        print(f"error: more than {options.max} statements never executed")
+        return 1
     return int(status)
 
 
