@@ -358,14 +358,17 @@ class LineGraphView:
         self.n = len(edges)
         self._edges = edges
         self._width = width = h.n
-        # (nodes, columns) per hyperedge size; nodes None stands for all
+        # (nodes, columns) per hyperedge size; nodes None stands for all.
+        # An empty hyperedge, which only a raw `Hypergraph` holds, meets
+        # nothing and joins no group.
         if len(set(map(len, edges))) > 1:
             by_size: dict[int, list[int]] = {}
             for i, e in enumerate(edges):
                 by_size.setdefault(len(e), []).append(i)
-            self._groups = [(nodes, [*zip(*map(edges.__getitem__, nodes))]) for nodes in by_size.values()]
+            self._groups = [(nodes, [*zip(*map(edges.__getitem__, nodes))])
+                            for size, nodes in by_size.items() if size]
         else:
-            self._groups = [(None, [*zip(*edges)])] if edges else []
+            self._groups = [(None, [*zip(*edges)])] if edges and edges[0] else []
         self._degree = Counter(chain.from_iterable(edges))
         nodes_of, codes_of = [], []
         for nodes, columns in self._groups:

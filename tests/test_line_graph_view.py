@@ -137,6 +137,14 @@ def test_parallel_and_rank_one_hyperedges():
     assert (restricted.n, restricted.max_degree, restricted.neighbors(0)) == (3, 1, [1])
 
 
+@pytest.mark.parametrize("edges", [((0, 1), (), (1, 2)), ((), ())])
+def test_an_empty_hyperedge_meets_nothing(edges):
+    # only a raw Hypergraph holds one; the builders reject it
+    view, sub = both(core.Hypergraph(3, edges), range(len(edges)))
+    assert view.max_degree == sub.max_degree
+    assert [*map(view.agreement([0] * len(edges)), range(len(edges)))] == list(map(len, sub.adjacency))
+
+
 def test_graph_edges_count_like_hyperedges():
     g = generate.random_graph(30, 0.2, seed=8)
     view, sub = both(g, range(0, g.m, 2))
